@@ -35,7 +35,7 @@ from .closedform import (
     value,
 )
 from .distortion import get_distortion
-from .market import SimConfig, path_stream, pathwise_objectives
+from .market import SimConfig, path_stream, pathwise_objectives, step
 from .policy import standardized_draw
 from .rl import TrainConfig, TrainingDivergedError, train
 
@@ -146,7 +146,7 @@ def _write_csv(out_path: str | None, meta: dict, header: list[str], rows):
             fh.close()
 
 
-def _spec(args_or_cell, h_name, mode, lam, T, z, x0) -> EMVSpec:
+def _spec(h_name, mode, lam, T, z, x0) -> EMVSpec:
     return EMVSpec(T=T, lam=lam, z=z, x0=x0, mode=mode, h=get_distortion(h_name))
 
 
@@ -157,7 +157,7 @@ def _spec(args_or_cell, h_name, mode, lam, T, z, x0) -> EMVSpec:
 
 def cmd_solve(args) -> int:
     market = MarketParams(mu=args.mu, sigma=args.sigma, r=args.r)
-    spec = _spec(args, args.h, args.mode, args.lam, args.T, args.z, args.x0)
+    spec = _spec(args.h, args.mode, args.lam, args.T, args.z, args.x0)
     w = lagrange_multiplier(spec, market)
     meta = {"config_hash": config_hash(vars(args) | {"cmd": "solve"}),
             "seed": "-", "mode": args.mode, "h": args.h}
@@ -183,7 +183,7 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     market = MarketParams(mu=args.mu, sigma=args.sigma, r=args.r)
-    spec = _spec(args, args.h, args.mode, args.lam, args.T, args.z, args.x0)
+    spec = _spec(args.h, args.mode, args.lam, args.T, args.z, args.x0)
     w = lagrange_multiplier(spec, market)
     sim = SimConfig.from_horizon(spec.T, args.n_steps, args.n_paths, args.seed)
     schedule = optimal_schedule(spec, market, w)
@@ -204,34 +204,21 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _train_config(mu, sigma, r, lam, mode, h_name, episodes, seed, avg_window,
-                  alpha, decay, critic_form, T, dt, z, x0, grad_clip) -> tuple[TrainConfig, MarketParams]:
-    market = MarketParams(mu=mu, sigma=sigma, r=r)
-    cfg = TrainConfig(
-        episodes=episodes,
-        h=get_distortion(h_name),
-        lam=lam,
-        mode=mode,
-        sim=SimConfig.from_horizon(T, round(T / dt), seed=seed),
-        z=z,
-        x0=x0,
-        avg_window=avg_window,
-        alpha_theta=alpha,
-        alpha_phi=alpha,
-        alpha_w=alpha,
-        decay=decay,
-        critic_form=critic_form,
-        grad_clip=grad_clip,
-    )
-    return cfg, market
+def _train_config(mu, sigma, r, h_name, T, dt, seed, **fields) -> tuple[TrainConfig, MarketParams]:
+    """Training inputs for one cell; ``fields`` are further TrainConfig fields."""
+    sim = SimConfig.from_horizon(T, round(T / dt), seed=seed)
+    cfg = TrainConfig(h=get_distortion(h_name), sim=sim, **fields)
+    return cfg, MarketParams(mu=mu, sigma=sigma, r=r)
 
 
 def cmd_train(args) -> int:
     lam = args.lam if args.lam is not None else DEFAULT_LAMBDA[args.mode]
     cfg, market = _train_config(
-        args.mu, args.sigma, args.r, lam, args.mode, args.h, args.episodes,
-        args.seed, args.m, args.alpha, args.decay, args.critic_form,
-        args.T, args.dt, args.z, args.x0, args.grad_clip,
+        args.mu, args.sigma, args.r, args.h, args.T, args.dt, args.seed,
+        episodes=args.episodes, lam=lam, mode=args.mode, z=args.z, x0=args.x0,
+        avg_window=args.m, alpha_theta=args.alpha, alpha_phi=args.alpha,
+        alpha_w=args.alpha, decay=args.decay, critic_form=args.critic_form,
+        grad_clip=args.grad_clip,
     )
     log = train(cfg, market)
     mean, var, sharpe = log.last_window_stats()
@@ -256,20 +243,42 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_cell(task):
+@dataclass(frozen=True)
+class CellResult:
+    """Outcome of training one grid cell; ``blocks`` is None if it diverged."""
+
+    mu: float
+    sigma: float
+    mode: str
+    h: str
+    lam: float
+    seed: int
+    status: str
+    mean: float = math.nan
+    variance: float = math.nan
+    sharpe: float = math.nan
+    error: str = ""
+    blocks: list | None = None
+
+    def row(self, *values) -> tuple:
+        """The cell's identifying CSV columns followed by ``values``."""
+        return (self.mu, self.sigma, self.mode, self.h, self.lam, self.seed, self.status,
+                *values)
+
+
+def _run_cell(task) -> CellResult:
     g, mu, sigma, mode, h_name, lam_override = task
     lam = lam_override if lam_override is not None else g["lambda_by_mode"][mode]
     seed = cell_seed(g["seed"], mu, sigma, mode, h_name)
     cfg, market = _train_config(
-        mu, sigma, g["r"], lam, mode, h_name, g["episodes"], seed,
-        g["avg_window"], 0.01, 0.51, "standard", g["T"], g["dt"], g["z"], g["x0"],
-        g["grad_clip"],
+        mu, sigma, g["r"], h_name, g["T"], g["dt"], seed,
+        episodes=g["episodes"], lam=lam, mode=mode, z=g["z"], x0=g["x0"],
+        avg_window=g["avg_window"], grad_clip=g["grad_clip"],
     )
     try:
         log = train(cfg, market)
     except TrainingDivergedError as exc:
-        return (mu, sigma, mode, h_name, lam, seed, "diverged", float("nan"),
-                float("nan"), float("nan"), str(exc), None)
+        return CellResult(mu, sigma, mode, h_name, lam, seed, "diverged", error=str(exc))
     mean, var, sharpe = log.last_window_stats()
     # a run that saturates the gradient clip most of the time, or whose
     # terminal-wealth mean sits orders of magnitude from the target, never
@@ -281,8 +290,8 @@ def _run_cell(task):
         status = f"ok(clipped:{log.clip_events})"
     else:
         status = "ok"
-    return (mu, sigma, mode, h_name, lam, seed, status, mean, var, sharpe, "",
-            log.block_means(100).tolist())
+    return CellResult(mu, sigma, mode, h_name, lam, seed, status, mean, var, sharpe,
+                      blocks=log.block_means(100).tolist())
 
 
 def _run_grid(grid: ExperimentGrid, jobs: int, lam_overrides=None):
@@ -306,8 +315,7 @@ def cmd_table(args) -> int:
     results = _run_grid(grid, args.jobs)
     meta = {"config_hash": config_hash(grid.payload() | {"cmd": "table"}),
             "seed": grid.seed, "mode": ",".join(grid.modes)}
-    rows = [(mu, sigma, mode, h, lam, seed, status, mean, var, sharpe)
-            for (mu, sigma, mode, h, lam, seed, status, mean, var, sharpe, _, __) in results]
+    rows = [r.row(r.mean, r.variance, r.sharpe) for r in results]
     _write_csv(_out_path(args, grid, "table.csv"), meta,
                ["mu", "sigma", "mode", "h", "lambda", "cell_seed", "status",
                 "mean", "variance", "sharpe"], rows)
@@ -321,12 +329,11 @@ def cmd_figures(args) -> int:
     meta = {"config_hash": config_hash(grid.payload() | {"cmd": "figures"}),
             "seed": grid.seed, "mode": ",".join(grid.modes)}
     rows = []
-    for (mu, sigma, mode, h, lam, seed, status, mean, var, sharpe, err, blocks) in results:
-        if blocks is None:
-            rows.append((mu, sigma, mode, h, lam, seed, status, 0, float("nan")))
+    for r in results:
+        if r.blocks is None:
+            rows.append(r.row(0, math.nan))
             continue
-        for idx, bm in enumerate(blocks):
-            rows.append((mu, sigma, mode, h, lam, seed, status, idx + 1, bm))
+        rows.extend(r.row(idx + 1, bm) for idx, bm in enumerate(r.blocks))
     _write_csv(_out_path(args, grid, "figures.csv"), meta,
                ["mu", "sigma", "mode", "h", "lambda", "cell_seed", "status",
                 "block", "block_mean"], rows)
@@ -337,20 +344,20 @@ def cmd_trajectory(args) -> int:
     market = MarketParams(mu=args.mu, sigma=args.sigma, r=args.r)
     rows = []
     for h_name in args.h.split(","):
-        spec = _spec(args, h_name.strip(), args.mode, args.lam, args.T, args.z, args.x0)
+        spec = _spec(h_name.strip(), args.mode, args.lam, args.T, args.z, args.x0)
         w = lagrange_multiplier(spec, market)
         sim = SimConfig.from_horizon(spec.T, args.n_steps, 1, args.seed)
         rng = path_stream(sim.seed, 0)
         draws = np.clip(rng.random(sim.n_steps), 2.0**-53, 1.0 - 2.0**-53)
+        eta = standardized_draw(spec.h, draws)
         noise = rng.standard_normal(sim.n_steps)
         x = spec.x0
         for i in range(sim.n_steps):
             t = i * sim.dt
             pol = optimal_policy(t, x, spec, market, w)
-            u = pol.location + pol.scale * standardized_draw(spec.h, draws[i])
+            u = pol.location + pol.scale * eta[i]
             rows.append((h_name.strip(), t, float(u), x))
-            x = float(x + market.sigma * u * (market.rho * sim.dt
-                                              + np.sqrt(sim.dt) * noise[i]))
+            x = float(step(x, u, market, sim.dt, noise[i]))
     meta = {"config_hash": config_hash(vars(args) | {"cmd": "trajectory"}),
             "seed": args.seed, "mode": args.mode, "h": args.h}
     _write_csv(args.out, meta, ["h", "t", "action", "wealth"], rows)

@@ -25,12 +25,14 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from .quadrature import gauss_legendre_01, integrate_01, tanh_sinh_01
 
 Array = np.ndarray
 ScalarFn = Callable[[Array], Array]
+
+LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class DivergentNormError(ValueError):
@@ -42,6 +44,23 @@ class DivergentIntegralError(ValueError):
 
 
 @dataclass(frozen=True)
+class Family:
+    """Closed forms of the location-scale family a distortion induces.
+
+    ``draw`` maps uniforms p to h'(1 - p).  The others act on the
+    standardized coordinate y = (u - M)/S of the policy with quantile
+    M + S h'(1 - p): ``logpdf`` and ``dlogpdf`` are the log-density and its
+    y-derivative (-inf and NaN outside the support), ``cdf`` the
+    distribution function.
+    """
+
+    draw: ScalarFn
+    logpdf: ScalarFn
+    dlogpdf: ScalarFn
+    cdf: ScalarFn
+
+
+@dataclass(frozen=True)
 class DistortionFn:
     """A concave distortion h with its right-derivative and L2 norm.
 
@@ -49,7 +68,9 @@ class DistortionFn:
     of (0, 1); integrals involving them are routed to the tanh-sinh rule.
     ``hprime_range`` is (inf h', sup h') over (0, 1), i.e. the limits at
     p -> 1 and p -> 0 since h' is nonincreasing; it determines the support
-    of the induced location-scale family.
+    of the induced location-scale family.  ``family`` holds that family's
+    closed forms; it is None when none are known, as for user-supplied or
+    rescaled distortions.
     """
 
     name: str
@@ -59,6 +80,7 @@ class DistortionFn:
     l2_analytic: bool
     hprime_singular: bool = False
     hprime_range: tuple[float, float] = (-math.inf, math.inf)
+    family: Family | None = None
 
     def rule(self) -> tuple[Array, Array]:
         return tanh_sinh_01() if self.hprime_singular else gauss_legendre_01()
@@ -102,6 +124,13 @@ BUILTIN_DISTORTIONS: dict[str, DistortionFn] = {
         l2_analytic=True,
         hprime_singular=True,
         hprime_range=(-1.0, math.inf),
+        # shifted exponential: standardized density exp(-(y+1)) on y >= -1
+        family=Family(
+            draw=lambda p: -np.log1p(-p) - 1.0,
+            logpdf=lambda y: np.where(y >= -1.0, -(y + 1.0), -np.inf),
+            dlogpdf=lambda y: np.where(y >= -1.0, -1.0, np.nan),
+            cdf=lambda y: np.where(y >= -1.0, 1.0 - np.exp(-np.minimum(y + 1.0, 700.0)), 0.0),
+        ),
     ),
     "gaussian_score": DistortionFn(
         name="gaussian_score",
@@ -111,6 +140,12 @@ BUILTIN_DISTORTIONS: dict[str, DistortionFn] = {
         l2_analytic=True,
         hprime_singular=True,
         hprime_range=(-math.inf, math.inf),
+        family=Family(
+            draw=ndtri,
+            logpdf=lambda y: -0.5 * y * y - LOG_SQRT_2PI,
+            dlogpdf=lambda y: -y,
+            cdf=ndtr,
+        ),
     ),
     "gini": DistortionFn(
         name="gini",
@@ -120,6 +155,13 @@ BUILTIN_DISTORTIONS: dict[str, DistortionFn] = {
         l2_analytic=True,
         hprime_singular=False,
         hprime_range=(-1.0, 1.0),
+        # uniform on [-1, 1]
+        family=Family(
+            draw=lambda p: 2.0 * p - 1.0,
+            logpdf=lambda y: np.where(np.abs(y) <= 1.0, -math.log(2.0), -np.inf),
+            dlogpdf=lambda y: np.where(np.abs(y) <= 1.0, 0.0, np.nan),
+            cdf=lambda y: np.clip(0.5 * (y + 1.0), 0.0, 1.0),
+        ),
     ),
 }
 
@@ -187,6 +229,7 @@ def scale_distortion(fn: DistortionFn, c: float) -> DistortionFn:
         hprime=lambda p, _f=fn.hprime: c * _f(p),
         l2_norm=c * fn.l2_norm,
         hprime_range=(c * lo, c * hi),
+        family=None,  # fn's closed forms hold at unit scale only
     )
 
 

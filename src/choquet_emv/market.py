@@ -84,11 +84,16 @@ def path_stream(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def step(x, u, market: MarketParams, dt: float, noise):
-    """One Euler step of the wealth SDE under action u."""
+def increment(market: MarketParams, dt: float, noise):
+    """rho dt + sqrt(dt) Z per step: wealth moves by sigma u times this."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return x + market.sigma * u * (market.rho * dt + math.sqrt(dt) * np.asarray(noise))
+    return market.rho * dt + math.sqrt(dt) * np.asarray(noise)
+
+
+def step(x, u, market: MarketParams, dt: float, noise):
+    """One Euler step of the wealth SDE under action u."""
+    return x + market.sigma * u * increment(market, dt, noise)
 
 
 def _path_normals(seed: int, first_path: int, n_paths: int, n_steps: int) -> np.ndarray:

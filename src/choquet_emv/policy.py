@@ -2,7 +2,8 @@
 
 A policy is the distribution with quantile Q(p) = M + S h'(1 - p).  Its
 mean is M (h' integrates to zero) and its variance is S^2 ||h'||_2^2.  The
-three built-in distortions give closed-form densities:
+three built-in distortions carry closed-form densities in their family
+record (``DistortionFn.family``):
 
 * gaussian_score: N(M, S^2),
 * entropy_like:   shifted exponential, density exp(-((u-M)/S + 1))/S on
@@ -21,15 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from .distortion import DistortionFn
-
-LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+from .distortion import DistortionFn, Family
 
 
 class DensityUnavailableError(ValueError):
-    """The distortion has no registered closed-form density."""
+    """The distortion carries no closed-form family record."""
 
 
 @dataclass(frozen=True)
@@ -80,68 +78,18 @@ def regularizer_value(policy: LocationScalePolicy, mode: str) -> float:
     raise ValueError(f"mode must be 'plain' or 'log', got {mode!r}")
 
 
-# ---------------------------------------------------------------------------
-# Closed-form densities of the built-in families.  Each entry maps the
-# standardized coordinate y = (u - M)/S to (logpdf + log S, d/dy terms)
-# so the (M, S) partials assemble uniformly:
-#   d logf / dM = -g(y)/S,   d logf / dS = (-1 - y g(y))/S,
-# where g = d/dy of the standardized log-density.
-# ---------------------------------------------------------------------------
-
-
-def _std_norm_logpdf(y):
-    return -0.5 * y * y - LOG_SQRT_2PI
-
-
-def _logpdf_gaussian(y):
-    return _std_norm_logpdf(y)
-
-
-def _dlog_gaussian(y):
-    return -y
-
-
-def _logpdf_entropy(y):
-    # standardized density exp(-(y+1)) on y >= -1
-    return np.where(y >= -1.0, -(y + 1.0), -np.inf)
-
-
-def _dlog_entropy(y):
-    return np.where(y >= -1.0, -1.0, np.nan)
-
-
-def _logpdf_gini(y):
-    return np.where(np.abs(y) <= 1.0, -math.log(2.0), -np.inf)
-
-
-def _dlog_gini(y):
-    return np.where(np.abs(y) <= 1.0, 0.0, np.nan)
-
-
-_FAMILIES = {
-    "gaussian_score": (_logpdf_gaussian, _dlog_gaussian),
-    "entropy_like": (_logpdf_entropy, _dlog_entropy),
-    "gini": (_logpdf_gini, _dlog_gini),
-}
-
-
-def _family(policy: LocationScalePolicy):
-    try:
-        return _FAMILIES[policy.h.name]
-    except KeyError:
-        raise DensityUnavailableError(
-            f"density unavailable for distortion {policy.h.name!r}; "
-            "closed forms exist only for the built-in families"
-        ) from None
+def _family(h: DistortionFn) -> Family:
+    if h.family is None:
+        raise DensityUnavailableError(f"no closed-form density for distortion {h.name!r}")
+    return h.family
 
 
 def log_density(policy: LocationScalePolicy, u):
     """log of the policy density at u; -inf outside the support."""
     if policy.scale <= 0.0:
         raise ValueError("log_density requires a nondegenerate policy (S > 0)")
-    logpdf, _ = _family(policy)
     y = (np.asarray(u, dtype=float) - policy.location) / policy.scale
-    out = logpdf(y) - math.log(policy.scale)
+    out = _family(policy.h).logpdf(y) - math.log(policy.scale)
     return out if np.ndim(out) else float(out)
 
 
@@ -152,16 +100,9 @@ def log_density_grad_fields(h: DistortionFn, u, location, scale):
     partials are -g/S and (-1 - y g)/S.  Outside the support both come back
     NaN, mirroring the zero-density condition.
     """
-    try:
-        _, dlog = _FAMILIES[h.name]
-    except KeyError:
-        raise DensityUnavailableError(
-            f"density unavailable for distortion {h.name!r}; "
-            "closed forms exist only for the built-in families"
-        ) from None
     s = np.asarray(scale, dtype=float)
     y = (np.asarray(u, dtype=float) - np.asarray(location, dtype=float)) / s
-    g = dlog(y)
+    g = _family(h).dlogpdf(y)
     return -g / s, (-1.0 - y * g) / s
 
 
@@ -180,29 +121,18 @@ def log_density_grad(policy: LocationScalePolicy, u):
 
 
 def cdf(policy: LocationScalePolicy, u):
-    """Closed-form CDF of the built-in families (test and KS oracle)."""
-    logf_key = policy.h.name
-    if logf_key not in _FAMILIES:
-        raise DensityUnavailableError(f"density unavailable for {logf_key!r}")
+    """Closed-form CDF of the policy's family (test and KS oracle)."""
+    family = _family(policy.h)
     if policy.scale == 0.0:
         return (np.asarray(u, dtype=float) >= policy.location).astype(float)
     y = (np.asarray(u, dtype=float) - policy.location) / policy.scale
-    if logf_key == "gaussian_score":
-        out = ndtr(y)
-    elif logf_key == "entropy_like":
-        out = np.where(y >= -1.0, 1.0 - np.exp(-np.minimum(y + 1.0, 700.0)), 0.0)
-    else:  # gini
-        out = np.clip(0.5 * (y + 1.0), 0.0, 1.0)
+    out = family.cdf(y)
     return out if np.ndim(out) else float(out)
 
 
 def standardized_draw(h: DistortionFn, p):
     """h'(1 - p) for uniform draws p: the unit-scale sampling template."""
     p = np.asarray(p, dtype=float)
-    if h.name == "gaussian_score":
-        return ndtri(p)
-    if h.name == "entropy_like":
-        return -np.log1p(-p) - 1.0
-    if h.name == "gini":
-        return 2.0 * p - 1.0
+    if h.family is not None:
+        return h.family.draw(p)
     return np.asarray(h.hprime(1.0 - p), dtype=float)

@@ -27,8 +27,8 @@ import numpy as np
 
 from .closedform import MarketParams
 from .distortion import DistortionFn
-from .market import SimConfig, WealthPath, path_stream
-from .policy import LocationScalePolicy, log_density_grad_fields, standardized_draw
+from .market import SimConfig, WealthPath, increment, path_stream
+from .policy import log_density_grad_fields, standardized_draw
 
 _CRITIC_FORMS = ("standard", "corrected")
 
@@ -96,6 +96,9 @@ class TrainConfig:
             raise ValueError(f"mode must be 'plain' or 'log', got {self.mode!r}")
         if self.critic_form not in _CRITIC_FORMS:
             raise ValueError(f"critic_form must be one of {_CRITIC_FORMS}")
+        if self.grad_clip is not None and not self.grad_clip > 0.0:
+            raise ValueError(f"grad_clip must be positive (or None for no clipping), "
+                             f"got {self.grad_clip}")
 
     @property
     def T(self) -> float:
@@ -196,13 +199,6 @@ def actor_scale(phi, t, T):
     return np.exp(0.5 * ph[1] + 0.5 * ph[2] * (T - np.asarray(t, dtype=float)))
 
 
-def actor_policy(phi, t, x, w, h: DistortionFn, T) -> LocationScalePolicy:
-    """The actor's action distribution at state (t, x)."""
-    ph = _phi_arr(phi)
-    return LocationScalePolicy(h=h, location=-ph[0] * (x - w),
-                               scale=float(actor_scale(ph, t, T)))
-
-
 def regularizer_schedule(phi, t, h: DistortionFn, mode: str, T):
     """Regularizer value p(t; phi) of the actor and its phi-gradient.
 
@@ -228,16 +224,6 @@ def regularizer_schedule(phi, t, h: DistortionFn, mode: str, T):
 # ---------------------------------------------------------------------------
 # TD machinery
 # ---------------------------------------------------------------------------
-
-
-def td_error(theta, phi, t0, x0, t1, x1, lam, mode, h, w, z, T,
-             critic_form: str = "standard") -> float:
-    """One-step TD error; the t1 side is a frozen target in all gradients."""
-    p, _ = regularizer_schedule(phi, t0, h, mode, T)
-    dt = t1 - t0
-    v0 = critic_value(theta, t0, x0, w, z, T, critic_form)
-    v1 = critic_value(theta, t1, x1, w, z, T, critic_form)
-    return float(-lam * p * dt + v1 - v0)
 
 
 def episode_gradients(episode: WealthPath, theta, phi, w, config: TrainConfig):
@@ -307,9 +293,8 @@ def train(config: TrainConfig, market: MarketParams) -> TrainLog:
     noise from a Philox stream keyed (seed, j).
     """
     n_steps, dt = config.sim.n_steps, config.sim.dt
-    T, lam, h, z = config.T, config.lam, config.h, config.z
-    sigma, rho = market.sigma, market.rho
-    sqdt = math.sqrt(dt)
+    T, h, z = config.T, config.h, config.z
+    sigma = market.sigma
     times = config.sim.times()
 
     theta = np.array(config.theta_init, dtype=float)
@@ -331,9 +316,9 @@ def train(config: TrainConfig, market: MarketParams) -> TrainLog:
         rng = path_stream(config.sim.seed, j)
         draws = np.clip(rng.random(n_steps), 2.0**-53, 1.0 - 2.0**-53)
         eta = standardized_draw(h, draws)
-        noise = rng.standard_normal(n_steps)
+        c = increment(market, dt, rng.standard_normal(n_steps))
         with np.errstate(over="ignore"):
-            scale = np.exp(0.5 * phi[1] + 0.5 * phi[2] * (T - times[:-1]))
+            scale = actor_scale(phi, times[:-1], T)
 
         x = float(config.x0)
         states[0] = x
@@ -341,7 +326,7 @@ def train(config: TrainConfig, market: MarketParams) -> TrainLog:
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(n_steps):
                 u = float(-phi0 * (x - w) + scale[i] * eta[i])
-                x = x + sigma * u * (rho * dt + sqdt * noise[i])
+                x = x + sigma * u * c[i]
                 actions[i] = u
                 states[i + 1] = x
         if not math.isfinite(x):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from choquet_emv.distortion import custom_distortion, get_distortion
+from choquet_emv.distortion import custom_distortion, get_distortion, scale_distortion
 from choquet_emv.policy import (
     DensityUnavailableError,
     LocationScalePolicy,
@@ -102,6 +102,19 @@ class TestLogDensity:
         with pytest.raises(DensityUnavailableError):
             log_density(LocationScalePolicy(h=other, location=0.0, scale=1.0), 0.0)
 
+    @pytest.mark.parametrize("h", [
+        # a user-supplied distortion that reuses a built-in name: h'(p) = 2 - 4p
+        custom_distortion("gini", lambda p: 2.0 * p * (1.0 - p), lambda p: 2.0 - 4.0 * p,
+                          hprime_singular=False, hprime_range=(-2.0, 2.0)),
+        scale_distortion(get_distortion("gini"), 3.0),
+    ], ids=["custom_named_gini", "scaled_gini"])
+    def test_family_comes_from_record_not_name(self, h):
+        assert standardized_draw(h, 0.9) == pytest.approx(h.hprime(0.1), rel=1e-15)
+        pol = LocationScalePolicy(h=h, location=0.0, scale=1.0)
+        for fn in (log_density, log_density_grad, cdf):
+            with pytest.raises(DensityUnavailableError):
+                fn(pol, 1.5)
+
     @pytest.mark.parametrize("name", FAMILIES)
     def test_density_integrates_to_one(self, name):
         pol = make_policy(name, -0.4, 0.8)
@@ -163,3 +176,6 @@ class TestSamplingLaw:
         ps = np.linspace(1e-6, 1.0 - 1e-6, 501)
         us = np.array([sample(pol, p) for p in ps])
         np.testing.assert_allclose(cdf(pol, us), ps, atol=1e-9)
+        # the closed-form draw is h'(1 - p); on a dyadic grid 1 - p is exact
+        grid = np.arange(1, 1024) / 1024.0
+        np.testing.assert_allclose(pol.h.family.draw(grid), pol.h.hprime(1.0 - grid), rtol=1e-12)

@@ -13,26 +13,45 @@ from choquet_emv.closedform import (
 )
 from choquet_emv.distortion import get_distortion
 from choquet_emv.market import SimConfig, WealthPath, path_stream, terminal_wealths
-from choquet_emv.policy import standardized_draw
+from choquet_emv.policy import LocationScalePolicy, standardized_draw
 from choquet_emv.rl import (
     ActorParams,
     CriticParams,
     TrainConfig,
     TrainingDivergedError,
-    actor_policy,
+    _phi_arr,
     actor_scale,
     critic_grad,
     critic_value,
     episode_gradients,
     lagrange_update,
     regularizer_schedule,
-    td_error,
     train,
 )
 
 GAUSS = get_distortion("gaussian_score")
 MARKET = MarketParams(mu=0.1, sigma=0.2, r=0.02)
 T = 1.0
+
+
+# scalar reference oracles for the trainer's vectorized actor and TD terms
+
+
+def actor_policy(phi, t, x, w, h, T) -> LocationScalePolicy:
+    """The actor's action distribution at state (t, x)."""
+    ph = _phi_arr(phi)
+    return LocationScalePolicy(h=h, location=-ph[0] * (x - w),
+                               scale=float(actor_scale(ph, t, T)))
+
+
+def td_error(theta, phi, t0, x0, t1, x1, lam, mode, h, w, z, T,
+             critic_form: str = "standard") -> float:
+    """One-step TD error; the t1 side is a frozen target in all gradients."""
+    p, _ = regularizer_schedule(phi, t0, h, mode, T)
+    dt = t1 - t0
+    v0 = critic_value(theta, t0, x0, w, z, T, critic_form)
+    v1 = critic_value(theta, t1, x1, w, z, T, critic_form)
+    return float(-lam * p * dt + v1 - v0)
 
 
 def base_config(**kw):
@@ -387,6 +406,10 @@ class TestTrain:
             base_config(mode="hybrid")
         with pytest.raises(ValueError):
             base_config(critic_form="mine")
+        # a non-positive limit would reverse or zero every clipped update
+        for limit in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="grad_clip"):
+                base_config(grad_clip=limit)
 
     def test_desk_scale_run_reaches_target_band(self):
         market = MarketParams(mu=0.3, sigma=0.2, r=0.02)
