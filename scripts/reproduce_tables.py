@@ -30,6 +30,7 @@ def main() -> int:
     args = parser.parse_args()
 
     names = list(CONFIGS) if args.table == "all" else [args.table]
+    status = 0
     for name in names:
         out = f"{args.out_dir}/table_{name}.csv"
         argv = ["table", "--config", CONFIGS[name], "--jobs", str(args.jobs),
@@ -37,8 +38,8 @@ def main() -> int:
         if args.episodes:
             argv += ["--episodes", str(args.episodes)]
         print(f"[{name}] -> {out}", file=sys.stderr)
-        cli.main(argv)
-    return 0
+        status = status or cli.main(argv)
+    return status
 
 
 if __name__ == "__main__":

@@ -35,8 +35,8 @@ from .closedform import (
     value,
 )
 from .distortion import get_distortion
-from .market import SimConfig, path_stream, pathwise_objectives, step
-from .policy import standardized_draw
+from .market import SimConfig, mean_and_std_error, path_stream, pathwise_objectives, step
+from .policy import MODES, standardized_draw
 from .rl import TrainConfig, TrainingDivergedError, train
 
 OUTPUT_DIR_ENV = "CHOQUET_EMV_OUTPUT_DIR"
@@ -188,8 +188,7 @@ def cmd_simulate(args) -> int:
     sim = SimConfig.from_horizon(spec.T, args.n_steps, args.n_paths, args.seed)
     schedule = optimal_schedule(spec, market, w)
     xT, objectives = pathwise_objectives(schedule, spec, market, sim, w)
-    est = float(np.mean(objectives))
-    se = float(np.std(objectives, ddof=1) / math.sqrt(sim.n_paths)) if sim.n_paths > 1 else float("inf")
+    est, se = mean_and_std_error(objectives)
     meta = {"config_hash": config_hash(vars(args) | {"cmd": "simulate"}),
             "seed": args.seed, "mode": args.mode, "h": args.h,
             "objective_estimate": est, "objective_std_error": se,
@@ -220,7 +219,11 @@ def cmd_train(args) -> int:
         alpha_w=args.alpha, decay=args.decay, critic_form=args.critic_form,
         grad_clip=args.grad_clip,
     )
-    log = train(cfg, market)
+    try:
+        log = train(cfg, market)
+    except TrainingDivergedError as exc:
+        print(f"choquet-emv: error: {exc}", file=sys.stderr)
+        return 1
     mean, var, sharpe = log.last_window_stats()
     meta = {"config_hash": config_hash(vars(args) | {"cmd": "train"}),
             "seed": args.seed, "mode": args.mode, "h": args.h,
@@ -310,9 +313,17 @@ def _run_grid(grid: ExperimentGrid, jobs: int, lam_overrides=None):
     return results
 
 
+def _report_diverged(results):
+    for r in results:
+        if r.error:
+            print(f"choquet-emv: cell (mu={r.mu}, sigma={r.sigma}, mode={r.mode}, h={r.h}, "
+                  f"lambda={r.lam}) diverged: {r.error}", file=sys.stderr)
+
+
 def cmd_table(args) -> int:
     grid = grid_from_file(args.config, _grid_overrides(args))
     results = _run_grid(grid, args.jobs)
+    _report_diverged(results)
     meta = {"config_hash": config_hash(grid.payload() | {"cmd": "table"}),
             "seed": grid.seed, "mode": ",".join(grid.modes)}
     rows = [r.row(r.mean, r.variance, r.sharpe) for r in results]
@@ -326,6 +337,7 @@ def cmd_figures(args) -> int:
     grid = grid_from_file(args.config, _grid_overrides(args))
     lam_overrides = list(grid.lambdas) if grid.lambdas else None
     results = _run_grid(grid, args.jobs, lam_overrides)
+    _report_diverged(results)
     meta = {"config_hash": config_hash(grid.payload() | {"cmd": "figures"}),
             "seed": grid.seed, "mode": ",".join(grid.modes)}
     rows = []
@@ -390,7 +402,7 @@ def _add_market_args(p: argparse.ArgumentParser):
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--z", type=float, default=1.4)
     p.add_argument("--x0", type=float, default=1.0)
-    p.add_argument("--mode", choices=("plain", "log"), default="plain")
+    p.add_argument("--mode", choices=MODES, default="plain")
     p.add_argument("--h", default="gaussian_score")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
@@ -448,7 +460,12 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_trajectory)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, KeyError) as exc:
+        # a KeyError's str() quotes its message, so print the message itself
+        print(f"choquet-emv: error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .distortion import DistortionFn
-from .policy import LocationScalePolicy
+from .policy import LocationScalePolicy, check_mode, running_reward
 from .quadrature import gauss_legendre_01
 
 
@@ -56,6 +56,7 @@ class MarketParams:
     r: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "mu", "sigma", "r")
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
@@ -76,12 +77,13 @@ class EMVSpec:
     h: DistortionFn
 
     def __post_init__(self):
+        _require_finite(self, "T", "lam", "z", "x0")
         if not self.T > 0.0:
             raise ValueError(f"horizon must be positive, got {self.T}")
         if self.lam < 0.0:
             raise ValueError(f"exploration weight must be nonnegative, got {self.lam}")
-        if self.mode not in ("plain", "log"):
-            raise ValueError(f"mode must be 'plain' or 'log', got {self.mode!r}")
+        if check_mode(self.mode) == "log" and self.lam <= 0.0:
+            raise ValueError("log mode requires a positive exploration weight")
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,12 @@ class QuadraticValueFn:
 
     def vxx(self, t: float) -> float:
         return 2.0 * self.A(t)
+
+
+def _require_finite(record, *names: str):
+    for name in names:
+        if not math.isfinite(getattr(record, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(record, name)}")
 
 
 def _require_rho(market: MarketParams) -> float:
@@ -162,8 +170,6 @@ def value_plain(t, x, spec: EMVSpec, market: MarketParams, w: float):
 def value_log(t, x, spec: EMVSpec, market: MarketParams, w: float):
     _check_time(t, spec.T)
     rho = _require_rho(market)
-    if spec.lam <= 0.0:
-        raise ValueError("log mode requires a positive exploration weight")
     T, lam = spec.T, spec.lam
     l2sq = spec.h.l2_norm**2
     tau = T - t
@@ -220,17 +226,19 @@ def hjb_residual(t, x, spec: EMVSpec, market: MarketParams, w: float) -> float:
     )
 
 
+def _scale(spec: EMVSpec, sigma: float, vxx) -> tuple[float, float]:
+    """Hamiltonian-maximising scale at curvature V_xx, and the power of
+    1/V_xx it grows with: lam / (sigma^2 V_xx) in plain mode,
+    sqrt(lam / (sigma^2 ||h'||^2 V_xx)) in log mode."""
+    if spec.mode == "plain":
+        return spec.lam / (sigma**2 * vxx), 1.0
+    return math.sqrt(spec.lam / (sigma**2 * spec.h.l2_norm**2 * vxx)), 0.5
+
+
 def optimal_scale(t, spec: EMVSpec, market: MarketParams):
     """Scale S(t) of the optimal exploratory policy for the mode."""
-    rho = market.rho
-    tau = spec.T - t
-    if spec.mode == "plain":
-        return spec.lam / (2.0 * market.sigma**2) * np.exp(rho**2 * tau)
-    if spec.lam <= 0.0:
-        raise ValueError("log mode requires a positive exploration weight")
-    return np.sqrt(spec.lam / (2.0 * market.sigma**2 * spec.h.l2_norm**2)) * np.exp(
-        0.5 * rho**2 * tau
-    )
+    c1, power = _scale(spec, market.sigma, 2.0)
+    return c1 * np.exp(power * market.rho**2 * (spec.T - t))
 
 
 def optimal_policy(t, x, spec: EMVSpec, market: MarketParams, w: float) -> LocationScalePolicy:
@@ -244,12 +252,8 @@ def optimal_policy(t, x, spec: EMVSpec, market: MarketParams, w: float) -> Locat
 
 def optimal_feedback(spec: EMVSpec, market: MarketParams) -> FeedbackPolicyParams:
     """The optimum expressed in the feedback family's (a, c1, c2) parameters."""
-    rho = _require_rho(market)
-    a = -rho / market.sigma
-    if spec.mode == "plain":
-        return FeedbackPolicyParams(a, spec.lam / (2.0 * market.sigma**2), rho**2)
-    c1 = math.sqrt(spec.lam / (2.0 * market.sigma**2 * spec.h.l2_norm**2))
-    return FeedbackPolicyParams(a, c1, 0.5 * rho**2)
+    classical = FeedbackPolicyParams(-_require_rho(market) / market.sigma, 0.0, 0.0)
+    return improve_feedback(classical, spec, market)
 
 
 def exploration_cost(spec: EMVSpec, market: MarketParams) -> float:
@@ -331,11 +335,7 @@ def improvement_step(
         raise ConvexityError(f"convexity violated: A({t}) = {a_t} <= 0")
     rho, sigma = market.rho, market.sigma
     mean = -(rho / sigma) * (x - value_fn.w)
-    vxx = 2.0 * a_t
-    if spec.mode == "plain":
-        scale = spec.lam / (sigma**2 * vxx)
-    else:
-        scale = math.sqrt(spec.lam / (sigma**2 * spec.h.l2_norm**2 * vxx))
+    scale, _ = _scale(spec, sigma, 2.0 * a_t)
     return LocationScalePolicy(h=spec.h, location=mean, scale=scale)
 
 
@@ -345,11 +345,8 @@ def improve_feedback(
     """The improvement step expressed inside the feedback family."""
     rho, sigma = market.rho, market.sigma
     k = 2.0 * rho * sigma * fb.mean_coef + sigma**2 * fb.mean_coef**2
-    a_new = -rho / sigma
-    if spec.mode == "plain":
-        return FeedbackPolicyParams(a_new, spec.lam / (2.0 * sigma**2), -k)
-    c1 = math.sqrt(spec.lam / (2.0 * sigma**2 * spec.h.l2_norm**2))
-    return FeedbackPolicyParams(a_new, c1, -0.5 * k)
+    c1, power = _scale(spec, sigma, 2.0)
+    return FeedbackPolicyParams(-rho / sigma, c1, -power * k)
 
 
 def policy_iteration(
@@ -412,15 +409,8 @@ def exploration_cost_by_quadrature(
     """
     w = lagrange_multiplier(spec, market)
     nodes, weights = gauss_legendre_01(n_nodes)
-    ts = nodes * spec.T
-    scales = optimal_scale(ts, spec, market)
-    l2sq = spec.h.l2_norm**2
-    if spec.mode == "plain":
-        reg = scales * l2sq
-        v0 = value_plain(0.0, spec.x0, spec, market, w)
-    else:
-        reg = np.log(scales * l2sq)
-        v0 = value_log(0.0, spec.x0, spec, market, w)
+    scales = optimal_scale(nodes * spec.T, spec, market)
+    reg = running_reward(scales * spec.h.l2_norm**2, spec.mode)
     integral = float(np.dot(weights, reg)) * spec.T
     _, vcl = classical_solution(0.0, spec.x0, spec, market, w)
-    return v0 + spec.lam * integral - vcl
+    return value(0.0, spec.x0, spec, market, w) + spec.lam * integral - vcl

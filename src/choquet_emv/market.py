@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import EMVSpec, MarketParams
+from .policy import running_reward
 
 _U64 = np.uint64(2**64 - 1)
 
@@ -32,8 +33,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_steps < 1 or self.dt <= 0.0 or self.n_paths < 1:
-            raise ValueError("SimConfig requires n_steps >= 1, dt > 0, n_paths >= 1")
+        if self.n_steps < 1 or not (0.0 < self.dt < math.inf) or self.n_paths < 1:
+            raise ValueError("SimConfig requires n_steps >= 1, finite dt > 0, n_paths >= 1")
 
     @classmethod
     def from_horizon(cls, T: float, n_steps: int, n_paths: int = 1, seed: int = 0) -> "SimConfig":
@@ -103,15 +104,6 @@ def _path_normals(seed: int, first_path: int, n_paths: int, n_steps: int) -> np.
     return out
 
 
-def _regularizer_from_std(std, spec: EMVSpec):
-    # Phi_h of the policy is (action std) * ||h'||_2, independent of location.
-    phi = np.asarray(std, dtype=float) * spec.h.l2_norm
-    if spec.mode == "plain":
-        return phi
-    with np.errstate(divide="ignore"):
-        return np.where(phi > 0.0, np.log(np.where(phi > 0.0, phi, 1.0)), -np.inf)
-
-
 def _evolve_chunk(schedule, spec, market, sim, noise, record_paths: bool):
     """Euler evolution of a chunk of exploratory paths.
 
@@ -134,7 +126,8 @@ def _evolve_chunk(schedule, spec, market, sim, noise, record_paths: bool):
         mean = np.broadcast_to(np.asarray(mean, dtype=float), x.shape)
         std = np.broadcast_to(np.asarray(std, dtype=float), x.shape)
         if spec.lam != 0.0:
-            reg_acc = reg_acc + spec.lam * _regularizer_from_std(std, spec) * sim.dt
+            # Phi_h of the policy is (action std) * ||h'||_2, independent of location
+            reg_acc = reg_acc + spec.lam * running_reward(std * spec.h.l2_norm, spec.mode) * sim.dt
         x = x + rho * sigma * mean * sim.dt + sigma * np.sqrt(mean**2 + std**2) * sdt * noise[:, i]
         if record_paths:
             states_hist[:, i + 1] = x
@@ -194,6 +187,11 @@ def mc_objective(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the exploratory objective and its std error."""
     _, vals = pathwise_objectives(schedule, spec, market, sim, w, chunk=chunk)
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(sim.n_paths)) if sim.n_paths > 1 else math.inf
-    return est, se
+    return mean_and_std_error(vals)
+
+
+def mean_and_std_error(values) -> tuple[float, float]:
+    """Sample mean of per-path values and its standard error (inf for one path)."""
+    n = len(values)
+    se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+    return float(np.mean(values)), se

@@ -64,18 +64,32 @@ def moments(policy: LocationScalePolicy) -> tuple[float, float]:
     return policy.location, policy.scale**2 * policy.h.l2_norm**2
 
 
+MODES = ("plain", "log")
+
+
+def check_mode(mode: str) -> str:
+    """The regularizer form's name, if it is one of ``MODES``."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be 'plain' or 'log', got {mode!r}")
+    return mode
+
+
+def running_reward(phi, mode: str):
+    """Running exploration reward of a regularizer value Phi: Phi in plain
+    mode, log Phi in log mode (-inf where Phi = 0)."""
+    if check_mode(mode) == "plain":
+        return phi
+    with np.errstate(divide="ignore"):
+        return np.where(phi > 0.0, np.log(np.where(phi > 0.0, phi, 1.0)), -np.inf)
+
+
 def regularizer_value(policy: LocationScalePolicy, mode: str) -> float:
-    """Choquet regularizer of the policy: S ||h'||_2^2, or its log.
+    """Running reward of the policy's Choquet regularizer S ||h'||_2^2.
 
     A degenerate policy (S = 0) in log mode reports -inf rather than
     raising; the caller decides whether that is acceptable.
     """
-    phi = policy.scale * policy.h.l2_norm**2
-    if mode == "plain":
-        return phi
-    if mode == "log":
-        return math.log(phi) if phi > 0.0 else -math.inf
-    raise ValueError(f"mode must be 'plain' or 'log', got {mode!r}")
+    return float(running_reward(policy.scale * policy.h.l2_norm**2, mode))
 
 
 def _family(h: DistortionFn) -> Family:

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import MarketParams
+from .closedform import MarketParams, _require_finite
 from .distortion import DistortionFn
 from .market import SimConfig, WealthPath, increment, path_stream
-from .policy import log_density_grad_fields, standardized_draw
+from .policy import check_mode, log_density_grad_fields, standardized_draw
 
 _CRITIC_FORMS = ("standard", "corrected")
 
@@ -90,10 +90,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.episodes < 1 or self.avg_window < 1:
             raise ValueError("episodes and avg_window must be >= 1")
+        _require_finite(self, "alpha_theta", "alpha_phi", "alpha_w", "lam", "decay", "z", "x0")
         if min(self.alpha_theta, self.alpha_phi, self.alpha_w) <= 0.0:
             raise ValueError("learning rates must be positive")
-        if self.mode not in ("plain", "log"):
-            raise ValueError(f"mode must be 'plain' or 'log', got {self.mode!r}")
+        if min(self.lam, self.decay) < 0.0:
+            raise ValueError(f"lam and decay must be nonnegative, got {self.lam}, {self.decay}")
+        check_mode(self.mode)
         if self.critic_form not in _CRITIC_FORMS:
             raise ValueError(f"critic_form must be one of {_CRITIC_FORMS}")
         if self.grad_clip is not None and not self.grad_clip > 0.0:
@@ -209,15 +211,13 @@ def regularizer_schedule(phi, t, h: DistortionFn, mode: str, T):
     ph = _phi_arr(phi)
     tau = T - np.asarray(t, dtype=float)
     l2 = h.l2_norm
-    if mode == "plain":
+    if check_mode(mode) == "plain":
         p = np.exp(0.5 * ph[1] + 0.5 * ph[2] * tau) * l2**2
         grad = np.stack(np.broadcast_arrays(np.zeros_like(p), 0.5 * p, 0.5 * tau * p), axis=-1)
-    elif mode == "log":
+    else:
         p = 0.5 * ph[1] + 0.5 * ph[2] * tau + 2.0 * math.log(l2)
         zeros = np.zeros_like(p)
         grad = np.stack(np.broadcast_arrays(zeros, zeros + 0.5, 0.5 * tau), axis=-1)
-    else:
-        raise ValueError(f"mode must be 'plain' or 'log', got {mode!r}")
     return p, grad
 
 

@@ -104,7 +104,7 @@ class TestTable:
         _, _, rows = read_csv(out)
         assert len(rows) == 8
 
-    def test_failed_cell_is_flagged_and_run_continues(self, tmp_path, monkeypatch):
+    def test_failed_cell_is_flagged_and_run_continues(self, tmp_path, monkeypatch, capsys):
         calls = {"n": 0}
 
         def flaky_train(cfg, market):
@@ -114,11 +114,17 @@ class TestTable:
         monkeypatch.setattr(cli, "train", flaky_train)
         cfg = write_grid(tmp_path / "grid.yaml", mu_list=[0.1, 0.3], episodes=10)
         out = tmp_path / "table.csv"
-        cli.main(["table", "--config", str(cfg), "--out", str(out)])
+        assert cli.main(["table", "--config", str(cfg), "--out", str(out)]) == 0
         _, _, rows = read_csv(out)
         assert len(rows) == 2 and calls["n"] == 2
         assert all(r[6] == "diverged" for r in rows)
         assert all(r[7] == "nan" for r in rows)
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("choquet-emv: cell (mu=0.1, sigma=0.2, mode=plain, "
+                                   "h=gaussian_score, lambda=0.01)")
+        assert all(ln.endswith("training diverged at episode 7: forced for the test")
+                   for ln in lines)
 
     def test_byte_reproducible(self, tmp_path):
         cfg = write_grid(tmp_path / "grid.yaml", episodes=40)
@@ -133,6 +139,32 @@ class TestTable:
         cli.main(["table", "--config", str(cfg), "--out", str(a)])
         cli.main(["table", "--config", str(cfg), "--jobs", "2", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestExitStatus:
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--h", "nope"], "unknown distortion 'nope'"),
+        (["solve", "--sigma", "0"], "sigma must be positive"),
+        (["solve", "--mu", "nan"], "mu must be finite"),
+        (["simulate", "--sigma", "inf"], "sigma must be finite"),
+        (["train", "--decay", "-3", "--episodes", "50"], "must be nonnegative"),
+    ])
+    def test_bad_input_is_one_line_with_status_2(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("choquet-emv: error: ") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_diverged_training_is_one_line_with_status_1(self, tmp_path, monkeypatch, capsys):
+        def diverging(cfg, market):
+            raise TrainingDivergedError(3, "forced for the test")
+
+        monkeypatch.setattr(cli, "train", diverging)
+        assert cli.main(["train", "--episodes", "5", "--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "choquet-emv: error: training diverged at episode 3: forced for the test\n")
 
 
 class TestFigures:

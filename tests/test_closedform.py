@@ -48,6 +48,24 @@ class TestMarketParams:
     def test_sigma_positive(self):
         with pytest.raises(ValueError):
             MarketParams(mu=0.1, sigma=0.0)
+        # inf sigma used to surface later as a misleading "mu = r" error
+        for bad in (dict(mu=math.nan), dict(sigma=math.inf), dict(r=math.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                MarketParams(**({"mu": 0.1, "sigma": 0.2} | bad))
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(T=math.inf), "T must be finite"),
+    (dict(lam=math.nan), "lam must be finite"),
+    (dict(lam=math.inf), "lam must be finite"),
+    (dict(z=math.nan), "z must be finite"),
+    (dict(x0=-math.inf), "x0 must be finite"),
+    (dict(mode="log", lam=0.0), "log mode requires a positive exploration weight"),
+])
+def test_emv_spec_rejects_bad_fields(bad, match):
+    fields = dict(T=1.0, lam=0.01, z=1.4, x0=1.0, mode="plain", h=GAUSS) | bad
+    with pytest.raises(ValueError, match=match):
+        EMVSpec(**fields)
 
 
 class TestLagrangeMultiplier:

@@ -27,6 +27,13 @@ CASES = {
     "table.csv": ["table", "--config", GRID],
     # block means need at least 100 episodes per cell
     "figures.csv": ["figures", "--config", GRID, "--episodes", "200"],
+    # log mode and the ||h'|| != 1 regularizer of the gini family
+    "solve_log.csv": ["solve", "--mode", "log", "--lambda", "0.1", "--h", "gini"],
+    "simulate_log.csv": ["simulate", "--mode", "log", "--lambda", "0.1",
+                         "--h", "gini", "--n-paths", "64", "--n-steps", "16"],
+    "trajectory_log.csv": ["trajectory", "--mode", "log", "--lambda", "0.1",
+                           "--h", "gaussian_score,entropy_like,gini",
+                           "--n-steps", "32"],
 }
 
 

@@ -45,6 +45,9 @@ class TestSimConfig:
             SimConfig(n_steps=0, dt=0.1)
         with pytest.raises(ValueError):
             SimConfig(n_steps=10, dt=-0.1)
+        for dt in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SimConfig(n_steps=10, dt=dt)
 
 
 class TestStep:

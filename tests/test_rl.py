@@ -410,6 +410,12 @@ class TestTrain:
         for limit in (-1.0, 0.0, math.nan):
             with pytest.raises(ValueError, match="grad_clip"):
                 base_config(grad_clip=limit)
+        # a negative decay makes the step size grow like j^|decay|
+        for bad in (dict(lam=-1.0), dict(lam=math.nan), dict(decay=-3.0),
+                    dict(decay=math.inf), dict(alpha_phi=math.nan), dict(alpha_theta=math.inf),
+                    dict(z=math.nan), dict(x0=math.inf)):
+            with pytest.raises(ValueError):
+                base_config(**bad)
 
     def test_desk_scale_run_reaches_target_band(self):
         market = MarketParams(mu=0.3, sigma=0.2, r=0.02)
