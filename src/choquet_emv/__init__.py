@@ -41,12 +41,10 @@ from .policy import (
     regularizer_value,
     sample,
 )
-from .rl import ActorParams, CriticParams, TrainConfig, TrainLog, train
+from .rl import TrainConfig, TrainLog, train
 
 __all__ = [
-    "ActorParams",
     "BUILTIN_DISTORTIONS",
-    "CriticParams",
     "DistortionFn",
     "EMVSpec",
     "FeedbackPolicyParams",

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -26,18 +26,20 @@ import yaml
 from .closedform import (
     EMVSpec,
     MarketParams,
+    _require_finite,
     classical_solution,
     cost_ratio,
     exploration_cost,
     lagrange_multiplier,
     optimal_policy,
+    optimal_scale,
     optimal_schedule,
     value,
 )
 from .distortion import get_distortion
-from .market import SimConfig, mean_and_std_error, path_stream, pathwise_objectives, step
-from .policy import MODES, standardized_draw
-from .rl import TrainConfig, TrainingDivergedError, train
+from .market import SimConfig, mean_and_std_error, pathwise_objectives, rollout
+from .policy import MODES
+from .rl import TrainConfig, TrainingDivergedError, episode_draws, train
 
 OUTPUT_DIR_ENV = "CHOQUET_EMV_OUTPUT_DIR"
 DEFAULT_LAMBDA = {"plain": 0.01, "log": 0.1}
@@ -60,6 +62,16 @@ def config_hash(payload) -> str:
 def cell_seed(base_seed: int, mu: float, sigma: float, mode: str, h_name: str) -> int:
     blob = f"{base_seed}|{mu!r}|{sigma!r}|{mode}|{h_name}".encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1
+
+
+def _n_steps(T: float, dt: float) -> int:
+    """Number of dt steps covering [0, T]; dt must divide T."""
+    if not (0.0 < T < math.inf and 0.0 < dt < math.inf):
+        raise ValueError(f"T and dt must be finite and positive, got T={T}, dt={dt}")
+    n = round(T / dt)
+    if abs(n * dt - T) > 1e-9:
+        raise ValueError(f"dt={dt} does not divide T={T}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -86,13 +98,12 @@ class ExperimentGrid:
     def __post_init__(self):
         if not self.mu_list or not self.sigma_list or not self.modes or not self.h_names:
             raise ValueError("grid lists must be non-empty")
-        n = round(self.T / self.dt)
-        if abs(n * self.dt - self.T) > 1e-9:
-            raise ValueError(f"dt={self.dt} does not divide T={self.T}")
+        _require_finite(self, "T", "dt", "z", "x0")
+        _n_steps(self.T, self.dt)
 
     @property
     def n_steps(self) -> int:
-        return round(self.T / self.dt)
+        return _n_steps(self.T, self.dt)
 
     def cells(self):
         for h_name in self.h_names:
@@ -117,6 +128,8 @@ def grid_from_file(path: str, overrides: dict | None = None) -> ExperimentGrid:
         raw = yaml.safe_load(fh) or {}
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
+    if unknown := set(raw) - {f.name for f in fields(ExperimentGrid)}:
+        raise ValueError(f"unknown grid key(s) in {path}: {', '.join(sorted(map(str, unknown)))}")
     lists = {k: tuple(raw.pop(k)) for k in ("mu_list", "sigma_list") if k in raw}
     for k in ("modes", "h_names", "lambdas"):
         if k in raw:
@@ -205,7 +218,7 @@ def cmd_simulate(args) -> int:
 
 def _train_config(mu, sigma, r, h_name, T, dt, seed, **fields) -> tuple[TrainConfig, MarketParams]:
     """Training inputs for one cell; ``fields`` are further TrainConfig fields."""
-    sim = SimConfig.from_horizon(T, round(T / dt), seed=seed)
+    sim = SimConfig.from_horizon(T, _n_steps(T, dt), seed=seed)
     cfg = TrainConfig(h=get_distortion(h_name), sim=sim, **fields)
     return cfg, MarketParams(mu=mu, sigma=sigma, r=r)
 
@@ -359,17 +372,11 @@ def cmd_trajectory(args) -> int:
         spec = _spec(h_name.strip(), args.mode, args.lam, args.T, args.z, args.x0)
         w = lagrange_multiplier(spec, market)
         sim = SimConfig.from_horizon(spec.T, args.n_steps, 1, args.seed)
-        rng = path_stream(sim.seed, 0)
-        draws = np.clip(rng.random(sim.n_steps), 2.0**-53, 1.0 - 2.0**-53)
-        eta = standardized_draw(spec.h, draws)
-        noise = rng.standard_normal(sim.n_steps)
-        x = spec.x0
-        for i in range(sim.n_steps):
-            t = i * sim.dt
-            pol = optimal_policy(t, x, spec, market, w)
-            u = pol.location + pol.scale * eta[i]
-            rows.append((h_name.strip(), t, float(u), x))
-            x = float(step(x, u, market, sim.dt, noise[i]))
+        eta, noise = episode_draws(spec.h, sim.seed, 0, sim.n_steps)
+        times = sim.times()[:-1]
+        states, actions = rollout(spec.x0, w, -(market.rho / market.sigma),
+                                  optimal_scale(times, spec, market), eta, market, sim.dt, noise)
+        rows.extend((h_name.strip(), t, u, x) for t, u, x in zip(times, actions, states))
     meta = {"config_hash": config_hash(vars(args) | {"cmd": "trajectory"}),
             "seed": args.seed, "mode": args.mode, "h": args.h}
     _write_csv(args.out, meta, ["h", "t", "action", "wealth"], rows)

@@ -97,10 +97,6 @@ class FeedbackPolicyParams:
     def scale(self, t: float, T: float) -> float:
         return self.scale_base * math.exp(self.scale_rate * (T - t))
 
-    def policy_at(self, t, x, w, h, T) -> LocationScalePolicy:
-        return LocationScalePolicy(h=h, location=self.mean_coef * (x - w),
-                                   scale=self.scale(t, T))
-
 
 @dataclass(frozen=True)
 class QuadraticValueFn:

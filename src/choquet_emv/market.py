@@ -5,9 +5,10 @@ The wealth SDE is dX = sigma u (rho dt + dW) for a single action u, and
     dX = rho sigma mu_t dt + sigma sqrt(mu_t^2 + s_t^2) dW
 
 under a randomized action with mean mu_t and standard deviation s_t.  Both
-are discretized with Euler-Maruyama on the time grid.  Noise comes from
-counter-based Philox streams keyed by (seed, path index), so paths are
-reproducible independently of chunking or parallel order.
+are discretized with Euler-Maruyama on the time grid, by ``rollout`` (the one
+action-by-action path) and ``_evolve_chunk`` (many paths on the moments).
+Noise comes from counter-based Philox streams keyed by (seed, path index),
+so paths are reproducible independently of chunking or parallel order.
 """
 
 from __future__ import annotations
@@ -54,25 +55,22 @@ class SimConfig:
 
 @dataclass
 class WealthPath:
-    """One simulated trajectory on the grid.
+    """One exploratory-dynamics path on the grid (see ``simulate_exploratory``).
 
-    ``actions`` holds sampled controls for action-by-action episodes and is
-    None for exploratory-dynamics paths, which evolve on distribution
-    moments only.  ``running_regularizer`` is the cumulative
-    lam * sum reg(t_i) dt term, one entry per grid time.
+    The path evolves on the action distribution's moments, so it carries no
+    sampled actions; ``rollout`` returns those for action-by-action paths.
+    ``running_regularizer`` is the cumulative lam * sum reg(t_i) dt term,
+    one entry per grid time.
     """
 
     times: np.ndarray
     states: np.ndarray
-    actions: np.ndarray | None
     running_regularizer: np.ndarray
 
     def __post_init__(self):
         n = len(self.times)
         if len(self.states) != n or len(self.running_regularizer) != n:
             raise ValueError("grid arrays must share one length")
-        if self.actions is not None and len(self.actions) != n - 1:
-            raise ValueError("need exactly one action per step")
 
     @property
     def terminal_wealth(self) -> float:
@@ -95,6 +93,24 @@ def increment(market: MarketParams, dt: float, noise):
 def step(x, u, market: MarketParams, dt: float, noise):
     """One Euler step of the wealth SDE under action u."""
     return x + market.sigma * u * increment(market, dt, noise)
+
+
+def rollout(x0, w, mean_coef, scale, eta, market: MarketParams, dt: float, noise):
+    """(states, actions): n + 1 wealths from x0 under the n feedback actions
+    u_i = mean_coef (x_i - w) + scale_i eta_i.  A diverging path runs on to
+    inf/nan without warnings; callers check the last state."""
+    c = increment(market, dt, noise)
+    sigma = market.sigma
+    states = np.empty(len(c) + 1)
+    actions = np.empty(len(c))
+    x = states[0] = float(x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(c)):
+            u = float(mean_coef * (x - w) + scale[i] * eta[i])
+            x = x + sigma * u * c[i]
+            actions[i] = u
+            states[i + 1] = x
+    return states, actions
 
 
 def _path_normals(seed: int, first_path: int, n_paths: int, n_steps: int) -> np.ndarray:
@@ -142,8 +158,7 @@ def simulate_exploratory(
     sim.check_horizon(spec.T)
     noise = _path_normals(sim.seed, path_index, 1, sim.n_steps)
     _, _, states, reg = _evolve_chunk(schedule, spec, market, sim, noise, record_paths=True)
-    return WealthPath(times=sim.times(), states=states[0], actions=None,
-                      running_regularizer=reg[0])
+    return WealthPath(times=sim.times(), states=states[0], running_regularizer=reg[0])
 
 
 def pathwise_objectives(

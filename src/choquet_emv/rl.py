@@ -27,7 +27,7 @@ import numpy as np
 
 from .closedform import MarketParams, _require_finite
 from .distortion import DistortionFn
-from .market import SimConfig, WealthPath, increment, path_stream
+from .market import SimConfig, path_stream, rollout
 from .policy import check_mode, log_density_grad_fields, standardized_draw
 
 _CRITIC_FORMS = ("standard", "corrected")
@@ -39,26 +39,6 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, episode: int, detail: str = ""):
         self.episode = episode
         super().__init__(f"training diverged at episode {episode}{': ' + detail if detail else ''}")
-
-
-@dataclass(frozen=True)
-class CriticParams:
-    theta0: float
-    theta1: float
-    theta2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta0, self.theta1, self.theta2], dtype=float)
-
-
-@dataclass(frozen=True)
-class ActorParams:
-    phi0: float
-    phi1: float
-    phi2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.phi0, self.phi1, self.phi2], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -153,14 +133,6 @@ class TrainLog:
 # ---------------------------------------------------------------------------
 
 
-def _theta_arr(theta) -> np.ndarray:
-    return theta.as_array() if isinstance(theta, CriticParams) else np.asarray(theta, dtype=float)
-
-
-def _phi_arr(phi) -> np.ndarray:
-    return phi.as_array() if isinstance(phi, ActorParams) else np.asarray(phi, dtype=float)
-
-
 def critic_value(theta, t, x, w, z, T, form: str = "standard"):
     """Parameterized value surface V_theta(t, x).
 
@@ -169,7 +141,7 @@ def critic_value(theta, t, x, w, z, T, form: str = "standard"):
     theta1 (e^{theta0 (T-t)} - 1), which meets the terminal condition
     exactly.  Both share the same TD differences up to that constant.
     """
-    th = _theta_arr(theta)
+    th = np.asarray(theta, dtype=float)
     tau = T - np.asarray(t, dtype=float)
     xw2 = (np.asarray(x, dtype=float) - w) ** 2
     if form == "standard":
@@ -181,7 +153,7 @@ def critic_value(theta, t, x, w, z, T, form: str = "standard"):
 
 def critic_grad(theta, t, x, w, T, form: str = "standard"):
     """dV_theta/dtheta, stacked on the last axis."""
-    th = _theta_arr(theta)
+    th = np.asarray(theta, dtype=float)
     tau = T - np.asarray(t, dtype=float)
     xw2 = (np.asarray(x, dtype=float) - w) ** 2
     grow = np.exp(th[0] * tau)
@@ -197,7 +169,7 @@ def critic_grad(theta, t, x, w, T, form: str = "standard"):
 
 
 def actor_scale(phi, t, T):
-    ph = _phi_arr(phi)
+    ph = np.asarray(phi, dtype=float)
     return np.exp(0.5 * ph[1] + 0.5 * ph[2] * (T - np.asarray(t, dtype=float)))
 
 
@@ -208,7 +180,7 @@ def regularizer_schedule(phi, t, h: DistortionFn, mode: str, T):
     log:   p = phi1/2 + phi2 (T-t)/2 + 2 log ||h'||_2 with gradient
            (0, 1/2, (T-t)/2).
     """
-    ph = _phi_arr(phi)
+    ph = np.asarray(phi, dtype=float)
     tau = T - np.asarray(t, dtype=float)
     l2 = h.l2_norm
     if check_mode(mode) == "plain":
@@ -226,8 +198,9 @@ def regularizer_schedule(phi, t, h: DistortionFn, mode: str, T):
 # ---------------------------------------------------------------------------
 
 
-def episode_gradients(episode: WealthPath, theta, phi, w, config: TrainConfig):
-    """Semi-gradient updates accumulated over one episode.
+def episode_gradients(times, states, actions, theta, phi, w, config: TrainConfig):
+    """Semi-gradient updates accumulated over one episode: n + 1 grid times
+    and wealths, and the n actions taken between them.
 
     Returns (grad_theta, grad_phi, n_skipped): the critic gradient
     -sum_i dV/dtheta(t_i) delta_i, the actor gradient
@@ -235,11 +208,8 @@ def episode_gradients(episode: WealthPath, theta, phi, w, config: TrainConfig):
     replayed actions that fell outside the current policy support (their
     score terms are skipped).
     """
-    th, ph = _theta_arr(theta), _phi_arr(phi)
+    th, ph = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     T, lam, mode, h = config.T, config.lam, config.mode, config.h
-    times, states, actions = episode.times, episode.states, episode.actions
-    if actions is None or len(actions) == 0:
-        return np.zeros(3), np.zeros(3), 0
     t_left, x_left = times[:-1], states[:-1]
     dts = np.diff(times)
     tau = T - t_left
@@ -278,12 +248,21 @@ def lagrange_update(w: float, terminal_batch, alpha_w: float, z: float) -> float
 def _clip(vec: np.ndarray, limit: float | None) -> tuple[np.ndarray, bool]:
     if limit is None:
         return vec, False
-    norm = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
     if not math.isfinite(norm):
         return vec, False  # diverged; the parameter check reports it
     if norm > limit:
         return vec * (limit / norm), True
     return vec, False
+
+
+def episode_draws(h: DistortionFn, seed: int, index: int, n_steps: int):
+    """(eta, noise) of one action path from the Philox stream keyed (seed, index):
+    eta = h'(1 - p) at uniforms p clipped into (0, 1), then the wealth normals."""
+    rng = path_stream(seed, index)
+    eta = standardized_draw(h, np.clip(rng.random(n_steps), 2.0**-53, 1.0 - 2.0**-53))
+    return eta, rng.standard_normal(n_steps)
 
 
 def train(config: TrainConfig, market: MarketParams) -> TrainLog:
@@ -294,7 +273,6 @@ def train(config: TrainConfig, market: MarketParams) -> TrainLog:
     """
     n_steps, dt = config.sim.n_steps, config.sim.dt
     T, h, z = config.T, config.h, config.z
-    sigma = market.sigma
     times = config.sim.times()
 
     theta = np.array(config.theta_init, dtype=float)
@@ -309,32 +287,15 @@ def train(config: TrainConfig, market: MarketParams) -> TrainLog:
     skipped = 0
     clip_events = 0
 
-    states = np.empty(n_steps + 1)
-    actions = np.empty(n_steps)
-
     for j in range(1, K + 1):
-        rng = path_stream(config.sim.seed, j)
-        draws = np.clip(rng.random(n_steps), 2.0**-53, 1.0 - 2.0**-53)
-        eta = standardized_draw(h, draws)
-        c = increment(market, dt, rng.standard_normal(n_steps))
+        eta, noise = episode_draws(h, config.sim.seed, j, n_steps)
         with np.errstate(over="ignore"):
             scale = actor_scale(phi, times[:-1], T)
-
-        x = float(config.x0)
-        states[0] = x
-        phi0 = phi[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n_steps):
-                u = float(-phi0 * (x - w) + scale[i] * eta[i])
-                x = x + sigma * u * c[i]
-                actions[i] = u
-                states[i + 1] = x
-        if not math.isfinite(x):
+        states, actions = rollout(config.x0, w, -phi[0], scale, eta, market, dt, noise)
+        if not math.isfinite(states[-1]):
             raise TrainingDivergedError(j, "non-finite wealth")
 
-        episode = WealthPath(times=times, states=states, actions=actions,
-                             running_regularizer=np.zeros(n_steps + 1))
-        g_theta, g_phi, n_skip = episode_gradients(episode, theta, phi, w, config)
+        g_theta, g_phi, n_skip = episode_gradients(times, states, actions, theta, phi, w, config)
         skipped += n_skip
         g_theta, c1 = _clip(g_theta, config.grad_clip)
         g_phi, c2 = _clip(g_phi, config.grad_clip)
@@ -346,7 +307,7 @@ def train(config: TrainConfig, market: MarketParams) -> TrainLog:
         if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
             raise TrainingDivergedError(j, "non-finite parameters")
 
-        tw_log[j - 1] = x
+        tw_log[j - 1] = states[-1]
         if j % config.avg_window == 0:
             w = lagrange_update(w, tw_log[j - config.avg_window:j], config.alpha_w, z)
             if not math.isfinite(w):

@@ -148,6 +148,9 @@ class TestExitStatus:
         (["solve", "--mu", "nan"], "mu must be finite"),
         (["simulate", "--sigma", "inf"], "sigma must be finite"),
         (["train", "--decay", "-3", "--episodes", "50"], "must be nonnegative"),
+        (["train", "--T", "1", "--dt", "0.3"], "dt=0.3 does not divide T=1.0"),
+        (["train", "--T", "inf"], "T and dt must be finite and positive"),
+        (["train", "--dt", "0"], "T and dt must be finite and positive"),
     ])
     def test_bad_input_is_one_line_with_status_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -250,6 +253,12 @@ class TestGridConfig:
             cli.grid_from_file(str(write_grid(tmp_path / "g.yaml", dt=0.3)))
         with pytest.raises(ValueError):
             cli.grid_from_file(str(write_grid(tmp_path / "g2.yaml", mu_list=[])))
+        for bad, message in ((dict(T=math.inf), "T must be finite"),
+                             (dict(dt=0), "must be finite and positive"),
+                             (dict(z=math.nan), "z must be finite"),
+                             (dict(episode=10), r"unknown grid key\(s\) in .*: episode$")):
+            with pytest.raises(ValueError, match=message):
+                cli.grid_from_file(str(write_grid(tmp_path / "g3.yaml", **bad)))
 
     def test_cell_seed_depends_on_every_field(self):
         base = cli.cell_seed(1, 0.1, 0.2, "plain", "gini")

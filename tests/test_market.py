@@ -13,16 +13,18 @@ from choquet_emv.closedform import (
     value_log,
     value_plain,
 )
-from choquet_emv.distortion import get_distortion
+from choquet_emv.distortion import BUILTIN_DISTORTIONS, get_distortion
 from choquet_emv.market import (
     SimConfig,
     WealthPath,
     mc_objective,
     path_stream,
+    rollout,
     simulate_exploratory,
     step,
     terminal_wealths,
 )
+from choquet_emv.rl import episode_draws
 
 GAUSS = get_distortion("gaussian_score")
 MARKET = MarketParams(mu=0.1, sigma=0.2, r=0.02)
@@ -71,14 +73,32 @@ class TestStep:
             step(1.0, 1.0, MARKET, 0.0, 0.0)
 
 
+class TestRollout:
+    @pytest.mark.parametrize("h_name", sorted(BUILTIN_DISTORTIONS))
+    @pytest.mark.parametrize("level", [0.0, 0.4])
+    def test_matches_step_loop_bitwise(self, h_name, level):
+        n, dt, w, mean_coef = 64, 1.0 / 64, 1.6, -1.3
+        eta, noise = episode_draws(get_distortion(h_name), 4, 2, n)
+        scale = level * np.exp(0.6 * (1.0 - np.arange(n) * dt))
+        states, actions = rollout(1.0, w, mean_coef, scale, eta, MARKET, dt, noise)
+        x, xs, us = 1.0, [1.0], []
+        for i in range(n):
+            u = mean_coef * (x - w) + scale[i] * eta[i]
+            x = step(x, u, MARKET, dt, noise[i])
+            us.append(u)
+            xs.append(x)
+        np.testing.assert_array_equal(actions, us)
+        np.testing.assert_array_equal(states, xs)
+
+
 class TestWealthPath:
     def test_length_checks(self):
         with pytest.raises(ValueError):
-            WealthPath(times=np.arange(3.0), states=np.arange(4.0), actions=None,
+            WealthPath(times=np.arange(3.0), states=np.arange(4.0),
                        running_regularizer=np.zeros(3))
         with pytest.raises(ValueError):
             WealthPath(times=np.arange(3.0), states=np.arange(3.0),
-                       actions=np.zeros(5), running_regularizer=np.zeros(3))
+                       running_regularizer=np.zeros(2))
 
 
 class TestSimulateExploratory:
@@ -87,7 +107,6 @@ class TestSimulateExploratory:
         sim = SimConfig.from_horizon(1.0, 64, seed=5)
         path = simulate_exploratory(lambda t, x: (0.0, 0.0), spec, MARKET, sim)
         np.testing.assert_array_equal(path.states, np.ones(65))
-        assert path.actions is None
         assert path.terminal_wealth == 1.0
 
     def test_terminal_mean_hits_target(self):

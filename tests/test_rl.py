@@ -1,4 +1,6 @@
 import math
+import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,14 +14,12 @@ from choquet_emv.closedform import (
     value_plain,
 )
 from choquet_emv.distortion import get_distortion
-from choquet_emv.market import SimConfig, WealthPath, path_stream, terminal_wealths
+from choquet_emv.market import SimConfig, path_stream, terminal_wealths
 from choquet_emv.policy import LocationScalePolicy, standardized_draw
 from choquet_emv.rl import (
-    ActorParams,
-    CriticParams,
     TrainConfig,
     TrainingDivergedError,
-    _phi_arr,
+    _clip,
     actor_scale,
     critic_grad,
     critic_value,
@@ -39,7 +39,7 @@ T = 1.0
 
 def actor_policy(phi, t, x, w, h, T) -> LocationScalePolicy:
     """The actor's action distribution at state (t, x)."""
-    ph = _phi_arr(phi)
+    ph = np.asarray(phi, dtype=float)
     return LocationScalePolicy(h=h, location=-ph[0] * (x - w),
                                scale=float(actor_scale(ph, t, T)))
 
@@ -61,8 +61,17 @@ def base_config(**kw):
     return TrainConfig(**defaults)
 
 
+class Episode(NamedTuple):
+    """The arrays episode_gradients takes, in its argument order."""
+
+    times: np.ndarray
+    states: np.ndarray
+    actions: np.ndarray
+
+
 def rollout(phi, w, h, config, episode_seed=0, market=MARKET):
-    """Simulate one episode under a fixed actor, mirroring the trainer."""
+    """Simulate one episode under a fixed actor, mirroring the trainer with
+    its own draw and Euler loop, independent of market.rollout."""
     n, dt = config.sim.n_steps, config.sim.dt
     times = config.sim.times()
     rng = path_stream(config.sim.seed, episode_seed)
@@ -78,13 +87,12 @@ def rollout(phi, w, h, config, episode_seed=0, market=MARKET):
         x = x + market.sigma * u * (market.rho * dt + math.sqrt(dt) * noise[i])
         actions[i] = u
         states[i + 1] = x
-    return WealthPath(times=times, states=states, actions=actions,
-                      running_regularizer=np.zeros(n + 1))
+    return Episode(times, states, actions)
 
 
 class TestCritic:
     def test_terminal_values(self):
-        th = CriticParams(0.8, 0.3, 1.1)
+        th = (0.8, 0.3, 1.1)
         v = critic_value(th, T, 2.0, 1.5, 1.4, T, "standard")
         assert v == pytest.approx((2.0 - 1.5) ** 2 - 0.3 - (1.5 - 1.4) ** 2)
         v = critic_value(th, T, 2.0, 1.5, 1.4, T, "corrected")
@@ -118,7 +126,7 @@ class TestCritic:
 
 class TestActor:
     def test_mean_zero_at_multiplier(self):
-        pol = actor_policy(ActorParams(2.0, 0.0, 1.0), 0.3, 1.5, 1.5, GAUSS, T)
+        pol = actor_policy((2.0, 0.0, 1.0), 0.3, 1.5, 1.5, GAUSS, T)
         assert pol.location == 0.0
 
     def test_unit_scale_when_flat(self):
@@ -208,9 +216,8 @@ class TestEpisodeGradients:
 
     def test_empty_episode_gives_zero(self):
         cfg = base_config()
-        ep = WealthPath(times=np.array([0.0]), states=np.array([1.0]),
-                        actions=np.empty(0), running_regularizer=np.array([0.0]))
-        gt, gp, skipped = episode_gradients(ep, (1.0, 0.1, 1.0), (1.0, 0.0, 1.0), 1.4, cfg)
+        gt, gp, skipped = episode_gradients(np.array([0.0]), np.array([1.0]), np.empty(0),
+                                            (1.0, 0.1, 1.0), (1.0, 0.0, 1.0), 1.4, cfg)
         assert np.all(gt == 0.0) and np.all(gp == 0.0) and skipped == 0
 
     def test_critic_gradient_matches_frozen_target_loss(self):
@@ -218,7 +225,7 @@ class TestEpisodeGradients:
         # the base parameters; its gradient at the base point is grad_theta
         episode, phi, w, cfg = self.make_episode()
         theta = np.array([0.9, 0.2, 1.1])
-        gt, _, _ = episode_gradients(episode, theta, phi, w, cfg)
+        gt, _, _ = episode_gradients(*episode, theta, phi, w, cfg)
 
         p, _ = regularizer_schedule(phi, episode.times[:-1], GAUSS, cfg.mode, T)
         v_base = critic_value(theta, episode.times, episode.states, w, cfg.z, T)
@@ -243,7 +250,7 @@ class TestEpisodeGradients:
 
         episode, phi, w, cfg = self.make_episode()
         theta = np.array([0.9, 0.2, 1.1])
-        _, gp, _ = episode_gradients(episode, theta, phi, w, cfg)
+        _, gp, _ = episode_gradients(*episode, theta, phi, w, cfg)
 
         t_left, x_left = episode.times[:-1], episode.states[:-1]
         v = critic_value(theta, episode.times, episode.states, w, cfg.z, T)
@@ -274,7 +281,7 @@ class TestEpisodeGradients:
         # the target side and must disagree
         episode, phi, w, cfg = self.make_episode()
         theta = np.array([0.9, 0.2, 1.1])
-        gt, _, _ = episode_gradients(episode, theta, phi, w, cfg)
+        gt, _, _ = episode_gradients(*episode, theta, phi, w, cfg)
 
         t, x = episode.times, episode.states
         p, _ = regularizer_schedule(phi, t[:-1], GAUSS, cfg.mode, T)
@@ -293,7 +300,7 @@ class TestEpisodeGradients:
         phi, w = np.array([0.5, -1.0, 0.5]), 1.4
         episode = rollout(phi, w, gini, cfg, episode_seed=1)
         episode.actions[2] = 100.0  # replay with a shifted action
-        _, _, skipped = episode_gradients(episode, (1.0, 0.1, 1.0), phi, w, cfg)
+        _, _, skipped = episode_gradients(*episode, (1.0, 0.1, 1.0), phi, w, cfg)
         assert skipped == 1
 
     def test_mode_changes_only_regularizer_terms(self):
@@ -301,8 +308,8 @@ class TestEpisodeGradients:
         cfg_log = base_config(mode="log", lam=cfg_plain.lam,
                               sim=cfg_plain.sim)
         theta = np.array([0.9, 0.2, 1.1])
-        gt_p, gp_p, _ = episode_gradients(episode, theta, phi, w, cfg_plain)
-        gt_l, gp_l, _ = episode_gradients(episode, theta, phi, w, cfg_log)
+        gt_p, gp_p, _ = episode_gradients(*episode, theta, phi, w, cfg_plain)
+        gt_l, gp_l, _ = episode_gradients(*episode, theta, phi, w, cfg_log)
 
         t_left, x_left = episode.times[:-1], episode.states[:-1]
         dts = np.diff(episode.times)
@@ -367,13 +374,13 @@ class TestTrain:
         theta, phi, w = np.array(cfg.theta_init, float), np.array(cfg.phi_init, float), cfg.z
         for j in range(1, cfg.episodes + 1):
             episode = rollout(phi, w, GAUSS, cfg, episode_seed=j)
-            gt, gp, _ = episode_gradients(episode, theta, phi, w, cfg)
+            gt, gp, _ = episode_gradients(*episode, theta, phi, w, cfg)
             lr = j**-cfg.decay
             theta = theta - cfg.alpha_theta * lr * gt
             phi = phi - cfg.alpha_phi * lr * gp
             np.testing.assert_allclose(log.theta[j - 1], theta, rtol=1e-12)
             np.testing.assert_allclose(log.phi[j - 1], phi, rtol=1e-12)
-            np.testing.assert_array_equal(log.terminal_wealth[j - 1], episode.terminal_wealth)
+            np.testing.assert_array_equal(log.terminal_wealth[j - 1], episode.states[-1])
 
     def test_multiplier_updates_use_last_window(self):
         cfg = base_config(episodes=20, avg_window=10)
@@ -390,6 +397,13 @@ class TestTrain:
         assert log.clip_events > 0
         step0 = np.abs(log.theta[0] - np.array(cfg.theta_init))
         assert np.linalg.norm(step0) <= cfg.alpha_theta * 1e-4 * (1 + 1e-9)
+
+    def test_clip_leaves_overflowing_norm_to_the_parameter_check(self):
+        vec = np.full(3, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clipped, engaged = _clip(vec, 1.0)
+        assert clipped is vec and not engaged
 
     def test_divergence_reports_episode(self):
         cfg = base_config(episodes=500, alpha_theta=2e4, alpha_phi=2e4)
