@@ -32,7 +32,7 @@ from .distortion import (
     max_constrained,
     regularizer_of_quantile,
 )
-from .market import SimConfig, WealthPath, mc_objective, simulate_exploratory, step
+from .market import SimConfig, step
 from .policy import (
     LocationScalePolicy,
     log_density,
@@ -55,7 +55,6 @@ __all__ = [
     "SimConfig",
     "TrainConfig",
     "TrainLog",
-    "WealthPath",
     "classical_solution",
     "cost_ratio",
     "custom_distortion",
@@ -69,14 +68,12 @@ __all__ = [
     "log_density",
     "log_density_grad",
     "max_constrained",
-    "mc_objective",
     "moments",
     "optimal_policy",
     "policy_iteration",
     "regularizer_of_quantile",
     "regularizer_value",
     "sample",
-    "simulate_exploratory",
     "step",
     "train",
     "value_log",

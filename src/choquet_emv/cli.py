@@ -123,18 +123,54 @@ class ExperimentGrid:
         }
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_list_of(item_ok):
+    return lambda v: isinstance(v, list) and all(map(item_ok, v))
+
+
+# YAML value checks keyed by the ExperimentGrid field annotation
+_GRID_VALUE_KINDS = {
+    "float": (_is_real, "a number"),
+    "float | None": (lambda v: v is None or _is_real(v), "a number or null"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[float, ...]": (_is_list_of(_is_real), "a list of numbers"),
+    "tuple[str, ...]": (_is_list_of(lambda v: isinstance(v, str)), "a list of names"),
+    "dict": (lambda v: isinstance(v, dict) and all(isinstance(k, str) and _is_real(x)
+                                                   for k, x in v.items()),
+             "a mapping of mode name to number"),
+}
+
+
 def grid_from_file(path: str, overrides: dict | None = None) -> ExperimentGrid:
+    """ExperimentGrid from a YAML mapping; a file of the wrong shape, with an
+    unknown or missing key, or a value of the wrong type raises ValueError."""
     with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") from None
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ValueError(f"grid file {path} must hold a mapping of keys, "
+                         f"got a {type(raw).__name__}")
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
-    if unknown := set(raw) - {f.name for f in fields(ExperimentGrid)}:
+    kinds = {f.name: f.type for f in fields(ExperimentGrid)}
+    if unknown := set(raw) - set(kinds):
         raise ValueError(f"unknown grid key(s) in {path}: {', '.join(sorted(map(str, unknown)))}")
-    lists = {k: tuple(raw.pop(k)) for k in ("mu_list", "sigma_list") if k in raw}
-    for k in ("modes", "h_names", "lambdas"):
-        if k in raw:
-            lists[k] = tuple(raw.pop(k))
-    return ExperimentGrid(**lists, **raw)
+    if missing := [k for k in ("mu_list", "sigma_list") if k not in raw]:
+        raise ValueError(f"missing grid key(s) in {path}: {', '.join(missing)}")
+    for key, value in raw.items():
+        ok, what = _GRID_VALUE_KINDS[kinds[key]]
+        if not ok(value):
+            raise ValueError(f"grid key {key} in {path} must be {what}, got {value!r}")
+        if kinds[key].startswith("tuple"):
+            raw[key] = tuple(value)
+    return ExperimentGrid(**raw)
 
 
 def _open_out(path: str | None):
@@ -283,13 +319,13 @@ class CellResult:
 
 
 def _run_cell(task) -> CellResult:
-    g, mu, sigma, mode, h_name, lam_override = task
-    lam = lam_override if lam_override is not None else g["lambda_by_mode"][mode]
-    seed = cell_seed(g["seed"], mu, sigma, mode, h_name)
+    grid, mu, sigma, mode, h_name, lam_override = task
+    lam = lam_override if lam_override is not None else grid.lambda_by_mode[mode]
+    seed = cell_seed(grid.seed, mu, sigma, mode, h_name)
     cfg, market = _train_config(
-        mu, sigma, g["r"], h_name, g["T"], g["dt"], seed,
-        episodes=g["episodes"], lam=lam, mode=mode, z=g["z"], x0=g["x0"],
-        avg_window=g["avg_window"], grad_clip=g["grad_clip"],
+        mu, sigma, grid.r, h_name, grid.T, grid.dt, seed,
+        episodes=grid.episodes, lam=lam, mode=mode, z=grid.z, x0=grid.x0,
+        avg_window=grid.avg_window, grad_clip=grid.grad_clip,
     )
     try:
         log = train(cfg, market)
@@ -299,7 +335,7 @@ def _run_cell(task) -> CellResult:
     # a run that saturates the gradient clip most of the time, or whose
     # terminal-wealth mean sits orders of magnitude from the target, never
     # settled; flag it so its numbers are not read as a converged result
-    settled = math.isfinite(mean) and abs(mean - g["z"]) <= 10.0
+    settled = math.isfinite(mean) and abs(mean - grid.z) <= 10.0
     if log.clip_events > cfg.episodes // 2 or not settled:
         status = f"unstable(clipped:{log.clip_events})"
     elif log.clip_events:
@@ -311,19 +347,11 @@ def _run_cell(task) -> CellResult:
 
 
 def _run_grid(grid: ExperimentGrid, jobs: int, lam_overrides=None):
-    tasks = []
-    for mu, sigma, mode, h_name in grid.cells():
-        if lam_overrides:
-            for lam in lam_overrides:
-                tasks.append((grid.payload(), mu, sigma, mode, h_name, lam))
-        else:
-            tasks.append((grid.payload(), mu, sigma, mode, h_name, None))
+    tasks = [(grid, *cell, lam) for cell in grid.cells() for lam in lam_overrides or [None]]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell, tasks))
-    else:
-        results = [_run_cell(t) for t in tasks]
-    return results
+            return list(pool.map(_run_cell, tasks))
+    return [_run_cell(t) for t in tasks]
 
 
 def _report_diverged(results):

@@ -59,6 +59,8 @@ class MarketParams:
         _require_finite(self, "mu", "sigma", "r")
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not math.isfinite(self.rho):
+            raise ValueError(f"price of risk (mu - r) / sigma must be finite, got {self.rho}")
 
     @property
     def rho(self) -> float:
@@ -380,16 +382,6 @@ def optimal_schedule(spec: EMVSpec, market: MarketParams, w: float):
     def schedule(t, x):
         mean = -(rho / sigma) * (np.asarray(x, dtype=float) - w)
         return mean, optimal_scale(t, spec, market) * l2
-
-    return schedule
-
-
-def classical_schedule(spec: EMVSpec, market: MarketParams, w: float):
-    rho, sigma = market.rho, market.sigma
-
-    def schedule(t, x):
-        mean = -(rho / sigma) * (np.asarray(x, dtype=float) - w)
-        return mean, 0.0
 
     return schedule
 

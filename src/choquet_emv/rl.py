@@ -71,6 +71,9 @@ class TrainConfig:
         if self.episodes < 1 or self.avg_window < 1:
             raise ValueError("episodes and avg_window must be >= 1")
         _require_finite(self, "alpha_theta", "alpha_phi", "alpha_w", "lam", "decay", "z", "x0")
+        starts = (*self.theta_init, *self.phi_init, 0.0 if self.w_init is None else self.w_init)
+        if not all(map(math.isfinite, starts)):
+            raise ValueError("theta_init, phi_init and w_init must be finite")
         if min(self.alpha_theta, self.alpha_phi, self.alpha_w) <= 0.0:
             raise ValueError("learning rates must be positive")
         if min(self.lam, self.decay) < 0.0:
@@ -78,8 +81,8 @@ class TrainConfig:
         check_mode(self.mode)
         if self.critic_form not in _CRITIC_FORMS:
             raise ValueError(f"critic_form must be one of {_CRITIC_FORMS}")
-        if self.grad_clip is not None and not self.grad_clip > 0.0:
-            raise ValueError(f"grad_clip must be positive (or None for no clipping), "
+        if self.grad_clip is not None and not 0.0 < self.grad_clip < math.inf:
+            raise ValueError(f"grad_clip must be positive and finite (or None for no clipping), "
                              f"got {self.grad_clip}")
 
     @property
@@ -119,13 +122,6 @@ class TrainLog:
         if n == 0:
             return np.empty(0)
         return self.terminal_wealth[:n].reshape(-1, block).mean(axis=1)
-
-    def rolling_mean(self, window: int = 200) -> np.ndarray:
-        """Trailing mean of terminal wealth, one value per episode."""
-        cums = np.concatenate([[0.0], np.cumsum(self.terminal_wealth)])
-        idx = np.arange(1, self.episodes + 1)
-        lo = np.maximum(idx - window, 0)
-        return (cums[idx] - cums[lo]) / (idx - lo)
 
 
 # ---------------------------------------------------------------------------

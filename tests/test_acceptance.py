@@ -31,7 +31,7 @@ from choquet_emv.distortion import (
     quantile_moments,
     regularizer_of_quantile,
 )
-from choquet_emv.market import SimConfig, mc_objective, terminal_wealths
+from choquet_emv.market import SimConfig, mean_and_std_error, pathwise_objectives
 from choquet_emv.policy import (
     LocationScalePolicy,
     cdf,
@@ -105,7 +105,9 @@ def test_criterion_3_monte_carlo_vs_closed_form(record_criterion):
         spec = EMVSpec(T=1.0, lam=lam, z=1.4, x0=1.0, mode=mode, h=GAUSS)
         w = lagrange_multiplier(spec, MC_MARKET)
         sim = SimConfig.from_horizon(1.0, 252, n_paths=100_000, seed=33)
-        est, se = mc_objective(optimal_schedule(spec, MC_MARKET, w), spec, MC_MARKET, sim, w)
+        _, vals = pathwise_objectives(optimal_schedule(spec, MC_MARKET, w), spec, MC_MARKET,
+                                      sim, w)
+        est, se = mean_and_std_error(vals)
         closed = (value_plain if mode == "plain" else value_log)(0.0, 1.0, spec, MC_MARKET, w)
         devs.append(abs(est - closed) / se)
     elapsed = time.time() - t0
@@ -317,7 +319,8 @@ def test_criterion_10_terminal_constraint(record_criterion):
         spec = EMVSpec(T=1.0, lam=lam, z=1.4, x0=1.0, mode=mode, h=GAUSS)
         w = lagrange_multiplier(spec, MC_MARKET)
         sim = SimConfig.from_horizon(1.0, 252, n_paths=100_000, seed=55)
-        xt = terminal_wealths(optimal_schedule(spec, MC_MARKET, w), spec, MC_MARKET, sim)
+        xt, _ = pathwise_objectives(optimal_schedule(spec, MC_MARKET, w), spec, MC_MARKET,
+                                    sim, w)
         se = xt.std(ddof=1) / math.sqrt(sim.n_paths)
         devs.append(abs(xt.mean() - spec.z) / se)
     elapsed = time.time() - t0

@@ -1,5 +1,6 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import yaml
 
 from choquet_emv import cli
 from choquet_emv.rl import TrainingDivergedError
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def read_csv(path):
@@ -151,6 +154,7 @@ class TestExitStatus:
         (["train", "--T", "1", "--dt", "0.3"], "dt=0.3 does not divide T=1.0"),
         (["train", "--T", "inf"], "T and dt must be finite and positive"),
         (["train", "--dt", "0"], "T and dt must be finite and positive"),
+        (["simulate", "--n-steps", "0"], "n_steps must be >= 1, got 0"),
     ])
     def test_bad_input_is_one_line_with_status_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -159,6 +163,14 @@ class TestExitStatus:
         assert err.startswith("choquet-emv: error: ") and message in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_bad_grid_file_is_one_line_with_status_2(self, tmp_path, capsys):
+        cfg = write_grid(tmp_path / "grid.yaml", modes="plain")
+        assert cli.main(["table", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"choquet-emv: error: grid key modes in {cfg} must be a list of names, "
+                       "got 'plain'\n")
+        assert not (tmp_path / "t.csv").exists()
 
     def test_diverged_training_is_one_line_with_status_1(self, tmp_path, monkeypatch, capsys):
         def diverging(cfg, market):
@@ -256,9 +268,31 @@ class TestGridConfig:
         for bad, message in ((dict(T=math.inf), "T must be finite"),
                              (dict(dt=0), "must be finite and positive"),
                              (dict(z=math.nan), "z must be finite"),
-                             (dict(episode=10), r"unknown grid key\(s\) in .*: episode$")):
+                             (dict(episode=10), r"unknown grid key\(s\) in .*: episode$"),
+                             (dict(T="one"), "grid key T in .* must be a number, got 'one'"),
+                             (dict(mu_list=0.3), "grid key mu_list .* list of numbers"),
+                             (dict(lambda_by_mode=0.3), "grid key lambda_by_mode .* mapping"),
+                             (dict(episodes="ten"), "grid key episodes .* an integer"),
+                             (dict(episodes=True), "grid key episodes .* an integer"),
+                             (dict(modes="plain"), "grid key modes .* list of names")):
             with pytest.raises(ValueError, match=message):
                 cli.grid_from_file(str(write_grid(tmp_path / "g3.yaml", **bad)))
+        for text, message in (("- 1\n- 2\n", "must hold a mapping of keys, got a list"),
+                              ("", "missing grid key\\(s\\) in .*: mu_list, sigma_list"),
+                              ("mu_list: [0.3\n", "is not valid YAML")):
+            (tmp_path / "g4.yaml").write_text(text)
+            with pytest.raises(ValueError, match=message):
+                cli.grid_from_file(str(tmp_path / "g4.yaml"))
+        # integers stay valid where a float is expected
+        assert cli.grid_from_file(str(write_grid(tmp_path / "g5.yaml", T=1, dt=0.25))).T == 1
+
+    def test_shipped_configs_load(self):
+        for path in sorted(CONFIGS.glob("*.yaml")):
+            raw = yaml.safe_load(path.read_text())
+            grid = cli.grid_from_file(str(path))
+            expected = (len(raw["mu_list"]) * len(raw["sigma_list"]) * len(raw["modes"])
+                        * len(raw["h_names"]))
+            assert len(list(grid.cells())) == expected, path.name
 
     def test_cell_seed_depends_on_every_field(self):
         base = cli.cell_seed(1, 0.1, 0.2, "plain", "gini")

@@ -28,7 +28,7 @@ from choquet_emv.closedform import (
     value_plain,
 )
 from choquet_emv.distortion import get_distortion, scale_distortion
-from choquet_emv.market import SimConfig, terminal_wealths
+from choquet_emv.market import SimConfig, pathwise_objectives
 from choquet_emv.policy import moments
 
 GAUSS = get_distortion("gaussian_score")
@@ -49,7 +49,8 @@ class TestMarketParams:
         with pytest.raises(ValueError):
             MarketParams(mu=0.1, sigma=0.0)
         # inf sigma used to surface later as a misleading "mu = r" error
-        for bad in (dict(mu=math.nan), dict(sigma=math.inf), dict(r=math.nan)):
+        for bad in (dict(mu=math.nan), dict(sigma=math.inf), dict(r=math.nan),
+                    dict(sigma=1e-310), dict(mu=1.7e308, r=-1.7e308)):
             with pytest.raises(ValueError, match="must be finite"):
                 MarketParams(**({"mu": 0.1, "sigma": 0.2} | bad))
 
@@ -303,7 +304,7 @@ class TestExpectedWealth:
         spec = spec_for("plain")
         w = lagrange_multiplier(spec, MARKET)
         sim = SimConfig.from_horizon(1.0, 126, n_paths=20_000, seed=17)
-        xt = terminal_wealths(optimal_schedule(spec, MARKET, w), spec, MARKET, sim)
+        xt, _ = pathwise_objectives(optimal_schedule(spec, MARKET, w), spec, MARKET, sim, w)
         se = xt.std(ddof=1) / math.sqrt(sim.n_paths)
         assert abs(xt.mean() - expected_wealth(1.0, spec, MARKET, w)) < 4 * se
 

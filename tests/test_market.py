@@ -6,9 +6,9 @@ import pytest
 from choquet_emv.closedform import (
     EMVSpec,
     MarketParams,
-    classical_schedule,
     classical_solution,
     lagrange_multiplier,
+    optimal_scale,
     optimal_schedule,
     value_log,
     value_plain,
@@ -16,22 +16,28 @@ from choquet_emv.closedform import (
 from choquet_emv.distortion import BUILTIN_DISTORTIONS, get_distortion
 from choquet_emv.market import (
     SimConfig,
-    WealthPath,
-    mc_objective,
+    mean_and_std_error,
     path_stream,
+    pathwise_objectives,
     rollout,
-    simulate_exploratory,
     step,
-    terminal_wealths,
 )
+from choquet_emv.policy import running_reward
 from choquet_emv.rl import episode_draws
 
 GAUSS = get_distortion("gaussian_score")
 MARKET = MarketParams(mu=0.1, sigma=0.2, r=0.02)
 
 
-def spec_for(mode, lam):
-    return EMVSpec(T=1.0, lam=lam, z=1.4, x0=1.0, mode=mode, h=GAUSS)
+def spec_for(mode, lam, h=GAUSS):
+    return EMVSpec(T=1.0, lam=lam, z=1.4, x0=1.0, mode=mode, h=h)
+
+
+def mc_estimate(spec, sim, w, chunk=4096):
+    """Mean objective and its standard error under the optimal schedule."""
+    _, vals = pathwise_objectives(optimal_schedule(spec, MARKET, w), spec, MARKET, sim, w,
+                                  chunk=chunk)
+    return mean_and_std_error(vals)
 
 
 class TestSimConfig:
@@ -50,6 +56,8 @@ class TestSimConfig:
         for dt in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 SimConfig(n_steps=10, dt=dt)
+        with pytest.raises(ValueError, match="horizon"):
+            SimConfig(n_steps=10, dt=1e308)
 
 
 class TestStep:
@@ -91,56 +99,48 @@ class TestRollout:
         np.testing.assert_array_equal(states, xs)
 
 
-class TestWealthPath:
-    def test_length_checks(self):
-        with pytest.raises(ValueError):
-            WealthPath(times=np.arange(3.0), states=np.arange(4.0),
-                       running_regularizer=np.zeros(3))
-        with pytest.raises(ValueError):
-            WealthPath(times=np.arange(3.0), states=np.arange(3.0),
-                       running_regularizer=np.zeros(2))
-
-
-class TestSimulateExploratory:
+class TestMCObjective:
     def test_degenerate_schedule_keeps_wealth_constant(self):
         spec = spec_for("plain", 0.0)
-        sim = SimConfig.from_horizon(1.0, 64, seed=5)
-        path = simulate_exploratory(lambda t, x: (0.0, 0.0), spec, MARKET, sim)
-        np.testing.assert_array_equal(path.states, np.ones(65))
-        assert path.terminal_wealth == 1.0
+        sim = SimConfig.from_horizon(1.0, 64, n_paths=3, seed=5)
+        xt, _ = pathwise_objectives(lambda t, x: (0.0, 0.0), spec, MARKET, sim, w=0.0)
+        np.testing.assert_array_equal(xt, np.ones(3))
 
     def test_terminal_mean_hits_target(self):
         spec = spec_for("plain", 0.01)
         w = lagrange_multiplier(spec, MARKET)
         sim = SimConfig.from_horizon(1.0, 252, n_paths=20_000, seed=11)
-        xt = terminal_wealths(optimal_schedule(spec, MARKET, w), spec, MARKET, sim)
+        xt, _ = pathwise_objectives(optimal_schedule(spec, MARKET, w), spec, MARKET, sim, w)
         se = xt.std(ddof=1) / math.sqrt(sim.n_paths)
         assert abs(xt.mean() - spec.z) < 4 * se
         assert 0.0 < xt.var() < np.inf
 
-    def test_regularizer_accumulates(self):
-        spec = spec_for("plain", 0.01)
+    @pytest.mark.parametrize("mode, lam", [("plain", 0.01), ("log", 0.1)], ids=["plain", "log"])
+    def test_regularizer_integral_is_exact(self, mode, lam):
+        # the objective subtracts lam * sum_i reg(S(t_i) ||h'||^2) dt over the
+        # left grid endpoints; gini's ||h'|| != 1 makes the norm factor count
+        h = get_distortion("gini")
+        spec = spec_for(mode, lam, h)
         w = lagrange_multiplier(spec, MARKET)
-        sim = SimConfig.from_horizon(1.0, 32, seed=5)
-        path = simulate_exploratory(optimal_schedule(spec, MARKET, w), spec, MARKET, sim)
-        assert path.running_regularizer[0] == 0.0
-        assert np.all(np.diff(path.running_regularizer) > 0)
+        sim = SimConfig.from_horizon(1.0, 32, n_paths=8, seed=5)
+        xt, vals = pathwise_objectives(optimal_schedule(spec, MARKET, w), spec, MARKET, sim, w)
+        recovered = (xt - w) ** 2 - (w - spec.z) ** 2 - vals
+        reg = running_reward(optimal_scale(sim.times()[:-1], spec, MARKET) * h.l2_norm**2, mode)
+        np.testing.assert_allclose(recovered, np.full(8, lam * np.sum(reg) * sim.dt), rtol=1e-9)
 
     def test_determinism(self):
         spec = spec_for("plain", 0.01)
         w = lagrange_multiplier(spec, MARKET)
-        sim = SimConfig.from_horizon(1.0, 128, seed=42)
-        a = simulate_exploratory(optimal_schedule(spec, MARKET, w), spec, MARKET, sim)
-        b = simulate_exploratory(optimal_schedule(spec, MARKET, w), spec, MARKET, sim)
-        np.testing.assert_array_equal(a.states, b.states)
+        sim = SimConfig.from_horizon(1.0, 128, n_paths=4, seed=42)
+        a = pathwise_objectives(optimal_schedule(spec, MARKET, w), spec, MARKET, sim, w)
+        b = pathwise_objectives(optimal_schedule(spec, MARKET, w), spec, MARKET, sim, w)
+        np.testing.assert_array_equal(a, b)
 
-
-class TestMCObjective:
     def test_classical_limit(self):
         spec = spec_for("plain", 0.0)
         w = lagrange_multiplier(spec, MARKET)
         sim = SimConfig.from_horizon(1.0, 252, n_paths=30_000, seed=7)
-        est, se = mc_objective(classical_schedule(spec, MARKET, w), spec, MARKET, sim, w)
+        est, se = mc_estimate(spec, sim, w)
         _, vcl = classical_solution(0.0, spec.x0, spec, MARKET, w)
         assert abs(est - vcl) < 3 * se
 
@@ -148,31 +148,29 @@ class TestMCObjective:
         spec = spec_for("plain", 0.01)
         w = lagrange_multiplier(spec, MARKET)
         sim = SimConfig.from_horizon(1.0, 252, n_paths=30_000, seed=7)
-        est, se = mc_objective(optimal_schedule(spec, MARKET, w), spec, MARKET, sim, w)
+        est, se = mc_estimate(spec, sim, w)
         assert abs(est - value_plain(0.0, spec.x0, spec, MARKET, w)) < 3 * se
 
     def test_log_mode(self):
         spec = spec_for("log", 0.1)
         w = lagrange_multiplier(spec, MARKET)
         sim = SimConfig.from_horizon(1.0, 252, n_paths=30_000, seed=7)
-        est, se = mc_objective(optimal_schedule(spec, MARKET, w), spec, MARKET, sim, w)
+        est, se = mc_estimate(spec, sim, w)
         assert abs(est - value_log(0.0, spec.x0, spec, MARKET, w)) < 3 * se
 
     def test_chunking_does_not_change_results(self):
         spec = spec_for("plain", 0.01)
         w = lagrange_multiplier(spec, MARKET)
         sim = SimConfig.from_horizon(1.0, 64, n_paths=1000, seed=9)
-        a = mc_objective(optimal_schedule(spec, MARKET, w), spec, MARKET, sim, w, chunk=64)
-        b = mc_objective(optimal_schedule(spec, MARKET, w), spec, MARKET, sim, w, chunk=1000)
-        assert a == b
+        assert mc_estimate(spec, sim, w, chunk=64) == mc_estimate(spec, sim, w, chunk=1000)
 
     def test_discretization_consistency(self):
         spec = spec_for("plain", 0.01)
         w = lagrange_multiplier(spec, MARKET)
         fine = SimConfig.from_horizon(1.0, 504, n_paths=100_000, seed=23)
         coarse = SimConfig.from_horizon(1.0, 252, n_paths=100_000, seed=23)
-        est_c, se_c = mc_objective(optimal_schedule(spec, MARKET, w), spec, MARKET, coarse, w)
-        est_f, _ = mc_objective(optimal_schedule(spec, MARKET, w), spec, MARKET, fine, w)
+        est_c, se_c = mc_estimate(spec, coarse, w)
+        est_f, _ = mc_estimate(spec, fine, w)
         assert abs(est_f - est_c) < 3 * se_c
 
 

@@ -14,7 +14,7 @@ from choquet_emv.closedform import (
     value_plain,
 )
 from choquet_emv.distortion import get_distortion
-from choquet_emv.market import SimConfig, path_stream, terminal_wealths
+from choquet_emv.market import SimConfig, path_stream, pathwise_objectives
 from choquet_emv.policy import LocationScalePolicy, standardized_draw
 from choquet_emv.rl import (
     TrainConfig,
@@ -345,7 +345,7 @@ class TestLagrangeUpdate:
         sched = optimal_schedule(spec, MARKET, w_star)
         for k in range(40):
             sim = SimConfig.from_horizon(T, 64, n_paths=10, seed=1000 + k)
-            batch = terminal_wealths(sched, spec, MARKET, sim)
+            batch, _ = pathwise_objectives(sched, spec, MARKET, sim, w_star)
             w = lagrange_update(w, batch, 0.01, spec.z)
         assert abs(w - w_star) < 0.05
 
@@ -421,13 +421,14 @@ class TestTrain:
         with pytest.raises(ValueError):
             base_config(critic_form="mine")
         # a non-positive limit would reverse or zero every clipped update
-        for limit in (-1.0, 0.0, math.nan):
+        for limit in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="grad_clip"):
                 base_config(grad_clip=limit)
         # a negative decay makes the step size grow like j^|decay|
         for bad in (dict(lam=-1.0), dict(lam=math.nan), dict(decay=-3.0),
                     dict(decay=math.inf), dict(alpha_phi=math.nan), dict(alpha_theta=math.inf),
-                    dict(z=math.nan), dict(x0=math.inf)):
+                    dict(z=math.nan), dict(x0=math.inf), dict(w_init=math.nan),
+                    dict(theta_init=(1.0, math.nan, 1.0)), dict(phi_init=(2.0, -math.inf, 1.0))):
             with pytest.raises(ValueError):
                 base_config(**bad)
 
@@ -475,14 +476,3 @@ class TestTrainLogStats:
         assert bm.shape == (5,)
         assert bm[0] == pytest.approx(np.mean(np.arange(100)))
 
-
-class TestRollingMean:
-    def test_matches_direct_computation(self):
-        from choquet_emv.rl import TrainLog
-
-        tw = np.arange(10, dtype=float)
-        log = TrainLog(terminal_wealth=tw, theta=np.zeros((10, 3)),
-                       phi=np.zeros((10, 3)), w=np.zeros(10))
-        rm = log.rolling_mean(window=4)
-        expected = [np.mean(tw[max(0, i - 3):i + 1]) for i in range(10)]
-        np.testing.assert_allclose(rm, expected)
