@@ -32,7 +32,7 @@ from .distortion import (
     max_constrained,
     regularizer_of_quantile,
 )
-from .market import SimConfig, step
+from .market import SimConfig
 from .policy import (
     LocationScalePolicy,
     log_density,
@@ -74,7 +74,6 @@ __all__ = [
     "regularizer_of_quantile",
     "regularizer_value",
     "sample",
-    "step",
     "train",
     "value_log",
     "value_plain",

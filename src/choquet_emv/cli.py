@@ -100,6 +100,8 @@ class ExperimentGrid:
             raise ValueError("grid lists must be non-empty")
         _require_finite(self, "T", "dt", "z", "x0")
         _n_steps(self.T, self.dt)
+        if missing := [m for m in self.modes if m not in self.lambda_by_mode]:
+            raise ValueError(f"lambda_by_mode has no weight for mode(s): {', '.join(missing)}")
 
     @property
     def n_steps(self) -> int:
@@ -497,9 +499,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         # a KeyError's str() quotes its message, so print the message itself
-        print(f"choquet-emv: error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"choquet-emv: error: {message}", file=sys.stderr)
         return 2
 
 

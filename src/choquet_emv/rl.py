@@ -253,10 +253,12 @@ def _clip(vec: np.ndarray, limit: float | None) -> tuple[np.ndarray, bool]:
     return vec, False
 
 
-def episode_draws(h: DistortionFn, seed: int, index: int, n_steps: int):
+def episode_draws(h: DistortionFn, seed: int, index: int, n_steps: int,
+                  rng: np.random.Generator | None = None):
     """(eta, noise) of one action path from the Philox stream keyed (seed, index):
-    eta = h'(1 - p) at uniforms p clipped into (0, 1), then the wealth normals."""
-    rng = path_stream(seed, index)
+    eta = h'(1 - p) at uniforms p clipped into (0, 1), then the wealth normals.
+    A given ``rng`` is rekeyed for the path (see ``market.path_stream``)."""
+    rng = path_stream(seed, index, rng)
     eta = standardized_draw(h, np.clip(rng.random(n_steps), 2.0**-53, 1.0 - 2.0**-53))
     return eta, rng.standard_normal(n_steps)
 
@@ -265,7 +267,8 @@ def train(config: TrainConfig, market: MarketParams) -> TrainLog:
     """Run the episodic actor-critic loop and return the full history.
 
     Deterministic given config.sim.seed: episode j draws its uniforms and
-    noise from a Philox stream keyed (seed, j).
+    noise from a Philox stream keyed (seed, j), one generator rekeyed per
+    episode.
     """
     n_steps, dt = config.sim.n_steps, config.sim.dt
     T, h, z = config.T, config.h, config.z
@@ -282,9 +285,10 @@ def train(config: TrainConfig, market: MarketParams) -> TrainLog:
     w_log = np.empty(K)
     skipped = 0
     clip_events = 0
+    rng = np.random.Generator(np.random.Philox())  # rekeyed for every episode
 
     for j in range(1, K + 1):
-        eta, noise = episode_draws(h, config.sim.seed, j, n_steps)
+        eta, noise = episode_draws(h, config.sim.seed, j, n_steps, rng)
         with np.errstate(over="ignore"):
             scale = actor_scale(phi, times[:-1], T)
         states, actions = rollout(config.x0, w, -phi[0], scale, eta, market, dt, noise)

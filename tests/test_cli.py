@@ -172,6 +172,31 @@ class TestExitStatus:
                        "got 'plain'\n")
         assert not (tmp_path / "t.csv").exists()
 
+    def test_grid_without_a_mode_weight_stops_before_any_cell(self, tmp_path, monkeypatch,
+                                                               capsys):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "_run_grid", no_cell)
+        cfg = write_grid(tmp_path / "grid.yaml", modes=["plain", "log"],
+                         lambda_by_mode={"plain": 0.01})
+        for cmd in ("table", "figures"):
+            assert cli.main([cmd, "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+            assert capsys.readouterr().err == (
+                "choquet-emv: error: lambda_by_mode has no weight for mode(s): log\n")
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["table", "--config", "{tmp}/missing.yaml"], "{tmp}/missing.yaml"),
+        (["solve", "--out", "{tmp}/f/x.csv"], "{tmp}/f"),  # f is a regular file
+    ], ids=["missing_config", "out_under_a_file"])
+    def test_os_error_is_one_line_with_status_2(self, argv, named, tmp_path, capsys):
+        (tmp_path / "f").write_text("a regular file\n")
+        assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("choquet-emv: error: [Errno ") and err.count("\n") == 1
+        assert named.format(tmp=tmp_path) in err
+
     def test_diverged_training_is_one_line_with_status_1(self, tmp_path, monkeypatch, capsys):
         def diverging(cfg, market):
             raise TrainingDivergedError(3, "forced for the test")
@@ -274,7 +299,9 @@ class TestGridConfig:
                              (dict(lambda_by_mode=0.3), "grid key lambda_by_mode .* mapping"),
                              (dict(episodes="ten"), "grid key episodes .* an integer"),
                              (dict(episodes=True), "grid key episodes .* an integer"),
-                             (dict(modes="plain"), "grid key modes .* list of names")):
+                             (dict(modes="plain"), "grid key modes .* list of names"),
+                             (dict(modes=["plain", "log", "other"], lambda_by_mode={"plain": 0.1}),
+                              "lambda_by_mode has no weight for mode\\(s\\): log, other$")):
             with pytest.raises(ValueError, match=message):
                 cli.grid_from_file(str(write_grid(tmp_path / "g3.yaml", **bad)))
         for text, message in (("- 1\n- 2\n", "must hold a mapping of keys, got a list"),

@@ -16,11 +16,11 @@ from choquet_emv.closedform import (
 from choquet_emv.distortion import BUILTIN_DISTORTIONS, get_distortion
 from choquet_emv.market import (
     SimConfig,
+    increment,
     mean_and_std_error,
     path_stream,
     pathwise_objectives,
     rollout,
-    step,
 )
 from choquet_emv.policy import running_reward
 from choquet_emv.rl import episode_draws
@@ -31,6 +31,12 @@ MARKET = MarketParams(mu=0.1, sigma=0.2, r=0.02)
 
 def spec_for(mode, lam, h=GAUSS):
     return EMVSpec(T=1.0, lam=lam, z=1.4, x0=1.0, mode=mode, h=h)
+
+
+def step(x, u, market, dt, noise):
+    """One Euler step of the wealth SDE under action u: the reference that
+    ``rollout`` is checked against."""
+    return x + market.sigma * u * increment(market, dt, noise)
 
 
 def mc_estimate(spec, sim, w, chunk=4096):
@@ -207,3 +213,20 @@ class TestStreams:
         a = path_stream(9, 4).standard_normal(8)
         b = path_stream(9, 4).standard_normal(8)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1, -1])
+    def test_rekeyed_generator_matches_a_fresh_one(self, seed):
+        rng = np.random.Generator(np.random.Philox(key=[5, 6]))
+        for index in (0, 1, 7, 2**63, -3):
+            # leave a half-used 32-bit word, a part-drawn buffer and an advanced counter
+            rng.integers(0, 2**32, size=3, dtype=np.uint32)
+            rng.random(3)
+            key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            assert path_stream(seed, index, rng) is rng
+            for k in (1, 5):
+                np.testing.assert_array_equal(rng.random(k), fresh.random(k))
+                np.testing.assert_array_equal(rng.standard_normal(k), fresh.standard_normal(k))
+            np.testing.assert_array_equal(
+                rng.integers(0, 2**32, size=3, dtype=np.uint32),
+                fresh.integers(0, 2**32, size=3, dtype=np.uint32))
