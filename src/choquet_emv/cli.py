@@ -51,9 +51,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def config_hash(payload) -> str:
-    if not isinstance(payload, dict):
-        payload = dict(payload)
+def config_hash(payload: dict) -> str:
     payload = {k: v for k, v in payload.items() if k not in ("fn", "out", "out_dir")}
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -210,7 +208,7 @@ def cmd_solve(args) -> int:
     market = MarketParams(mu=args.mu, sigma=args.sigma, r=args.r)
     spec = _spec(args.h, args.mode, args.lam, args.T, args.z, args.x0)
     w = lagrange_multiplier(spec, market)
-    meta = {"config_hash": config_hash(vars(args) | {"cmd": "solve"}),
+    meta = {"config_hash": config_hash(vars(args)),
             "seed": "-", "mode": args.mode, "h": args.h}
     rows = [
         ("lagrange_multiplier", "", w),
@@ -240,7 +238,7 @@ def cmd_simulate(args) -> int:
     schedule = optimal_schedule(spec, market, w)
     xT, objectives = pathwise_objectives(schedule, spec, market, sim, w)
     est, se = mean_and_std_error(objectives)
-    meta = {"config_hash": config_hash(vars(args) | {"cmd": "simulate"}),
+    meta = {"config_hash": config_hash(vars(args)),
             "seed": args.seed, "mode": args.mode, "h": args.h,
             "objective_estimate": est, "objective_std_error": se,
             "closed_form_value": value(0.0, spec.x0, spec, market, w)}
@@ -276,7 +274,7 @@ def cmd_train(args) -> int:
         print(f"choquet-emv: error: {exc}", file=sys.stderr)
         return 1
     mean, var, sharpe = log.last_window_stats()
-    meta = {"config_hash": config_hash(vars(args) | {"cmd": "train"}),
+    meta = {"config_hash": config_hash(vars(args)),
             "seed": args.seed, "mode": args.mode, "h": args.h,
             "last200_mean": mean, "last200_variance": var, "sharpe": sharpe,
             "clip_events": log.clip_events, "skipped_actions": log.skipped_actions}
@@ -345,7 +343,7 @@ def _run_cell(task) -> CellResult:
     else:
         status = "ok"
     return CellResult(mu, sigma, mode, h_name, lam, seed, status, mean, var, sharpe,
-                      blocks=log.block_means(100).tolist())
+                      blocks=log.block_means().tolist())
 
 
 def _run_grid(grid: ExperimentGrid, jobs: int, lam_overrides=None):
@@ -407,7 +405,7 @@ def cmd_trajectory(args) -> int:
         states, actions = rollout(spec.x0, w, -(market.rho / market.sigma),
                                   optimal_scale(times, spec, market), eta, market, sim.dt, noise)
         rows.extend((h_name.strip(), t, u, x) for t, u, x in zip(times, actions, states))
-    meta = {"config_hash": config_hash(vars(args) | {"cmd": "trajectory"}),
+    meta = {"config_hash": config_hash(vars(args)),
             "seed": args.seed, "mode": args.mode, "h": args.h}
     _write_csv(args.out, meta, ["h", "t", "action", "wealth"], rows)
     return 0

@@ -351,19 +351,19 @@ def policy_iteration(
     initial: FeedbackPolicyParams | tuple[float, float, float],
     spec: EMVSpec,
     market: MarketParams,
-    n_steps: int = 3,
 ) -> list[tuple[FeedbackPolicyParams, QuadraticValueFn]]:
-    """Iterate evaluation and improvement from a feedback-family policy.
+    """Three rounds of evaluation and improvement from a feedback-family policy.
 
-    Returns [(policy_0, value_0), ..., (policy_n, value_n)]; policy_2 equals
-    the mode's optimum and every later step is a fixed point.
+    Returns [(policy_k, value_k) for steps k = 0, 1, 2, 3]: policy_0 is the
+    initial one, policy_2 equals the mode's optimum and policy_3 confirms it
+    is a fixed point.
     """
     if not isinstance(initial, FeedbackPolicyParams):
         initial = FeedbackPolicyParams(*initial)
     w = lagrange_multiplier(spec, market)
     out = []
     fb = initial
-    for _ in range(n_steps + 1):
+    for _ in range(4):
         out.append((fb, feedback_value_fn(fb, spec, market, w)))
         fb = improve_feedback(fb, spec, market)
     return out
@@ -386,17 +386,16 @@ def optimal_schedule(spec: EMVSpec, market: MarketParams, w: float):
     return schedule
 
 
-def exploration_cost_by_quadrature(
-    spec: EMVSpec, market: MarketParams, n_nodes: int = 512
-) -> float:
+def exploration_cost_by_quadrature(spec: EMVSpec, market: MarketParams) -> float:
     """Definitional exploration cost: value gap plus the regularizer integral.
 
     Evaluates V(0,x0) - Vcl(0,x0) + lam * integral_0^T reg(S(t)) dt with the
-    optimal scale schedule under the mode's regularizer, by Gauss-Legendre
-    quadrature in time.  Serves as the independent check of the closed form.
+    optimal scale schedule under the mode's regularizer, by 512-node
+    Gauss-Legendre quadrature in time.  Serves as the independent check of
+    the closed form.
     """
     w = lagrange_multiplier(spec, market)
-    nodes, weights = gauss_legendre_01(n_nodes)
+    nodes, weights = gauss_legendre_01(512)
     scales = optimal_scale(nodes * spec.T, spec, market)
     reg = running_reward(scales * spec.h.l2_norm**2, spec.mode)
     integral = float(np.dot(weights, reg)) * spec.T

@@ -43,6 +43,11 @@ class DivergentIntegralError(ValueError):
     """A Choquet integral failed to evaluate to a finite value."""
 
 
+def _rule(smooth: bool) -> tuple[Array, Array]:
+    """Gauss-Legendre for integrands smooth up to the endpoints, else tanh-sinh."""
+    return gauss_legendre_01() if smooth else tanh_sinh_01()
+
+
 @dataclass(frozen=True)
 class Family:
     """Closed forms of the location-scale family a distortion induces.
@@ -64,8 +69,10 @@ class Family:
 class DistortionFn:
     """A concave distortion h with its right-derivative and L2 norm.
 
-    ``hprime_singular`` marks derivatives that are unbounded at an endpoint
-    of (0, 1); integrals involving them are routed to the tanh-sinh rule.
+    ``l2_norm`` is ||h'||_2: exact for the built-ins, measured by
+    ``l2_norm()`` for user-supplied distortions.  ``hprime_singular`` marks
+    derivatives that are unbounded at an endpoint of (0, 1); integrals
+    involving them are routed to the tanh-sinh rule.
     ``hprime_range`` is (inf h', sup h') over (0, 1), i.e. the limits at
     p -> 1 and p -> 0 since h' is nonincreasing; it determines the support
     of the induced location-scale family.  ``family`` holds that family's
@@ -77,23 +84,24 @@ class DistortionFn:
     h: ScalarFn
     hprime: ScalarFn
     l2_norm: float
-    l2_analytic: bool
     hprime_singular: bool = False
     hprime_range: tuple[float, float] = (-math.inf, math.inf)
     family: Family | None = None
 
     def rule(self) -> tuple[Array, Array]:
-        return tanh_sinh_01() if self.hprime_singular else gauss_legendre_01()
+        return _rule(not self.hprime_singular)
 
 
 @dataclass(frozen=True)
 class QuantileFn:
-    """A nondecreasing quantile function on (0, 1) with support bounds."""
+    """A nondecreasing quantile function on (0, 1).
+
+    ``smooth`` says Q is smooth up to both endpoints; False routes
+    integrals to the tanh-sinh rule.
+    """
 
     q: ScalarFn
-    lower: float = -math.inf
-    upper: float = math.inf
-    smooth: bool = True  # False routes integrals to the tanh-sinh rule
+    smooth: bool = True
 
     def __call__(self, p: Array) -> Array:
         return self.q(p)
@@ -121,7 +129,6 @@ BUILTIN_DISTORTIONS: dict[str, DistortionFn] = {
         h=_entropy_h,
         hprime=lambda p: -np.log(p) - 1.0,
         l2_norm=1.0,
-        l2_analytic=True,
         hprime_singular=True,
         hprime_range=(-1.0, math.inf),
         # shifted exponential: standardized density exp(-(y+1)) on y >= -1
@@ -137,7 +144,6 @@ BUILTIN_DISTORTIONS: dict[str, DistortionFn] = {
         h=_gaussian_h,
         hprime=lambda p: ndtri(1.0 - np.asarray(p, dtype=float)),
         l2_norm=1.0,
-        l2_analytic=True,
         hprime_singular=True,
         hprime_range=(-math.inf, math.inf),
         family=Family(
@@ -152,7 +158,6 @@ BUILTIN_DISTORTIONS: dict[str, DistortionFn] = {
         h=lambda p: np.asarray(p, dtype=float) * (1.0 - np.asarray(p, dtype=float)),
         hprime=lambda p: 1.0 - 2.0 * np.asarray(p, dtype=float),
         l2_norm=math.sqrt(1.0 / 3.0),
-        l2_analytic=True,
         hprime_singular=False,
         hprime_range=(-1.0, 1.0),
         # uniform on [-1, 1]
@@ -175,12 +180,12 @@ def get_distortion(name: str) -> DistortionFn:
         ) from None
 
 
-def validate_distortion(fn: DistortionFn, n_grid: int = 2048):
+def validate_distortion(fn: DistortionFn):
     """Sampled validity checks: h(0) = h(1) = 0 and h' nonincreasing."""
     ends = np.asarray(fn.h(np.array([0.0, 1.0])), dtype=float)
     if np.max(np.abs(ends)) > 1e-12:
         raise ValueError(f"distortion {fn.name!r} must vanish at 0 and 1, got {ends}")
-    grid = np.linspace(1e-9, 1.0 - 1e-9, n_grid)
+    grid = np.linspace(1e-9, 1.0 - 1e-9, 2048)
     vals = np.asarray(fn.hprime(grid), dtype=float)
     if np.any(np.diff(vals) > 1e-10):
         raise ValueError(f"distortion {fn.name!r} is not concave: h' increases on (0,1)")
@@ -192,7 +197,6 @@ def custom_distortion(
     hprime: ScalarFn,
     hprime_singular: bool = True,
     hprime_range: tuple[float, float] | None = None,
-    n_grid: int = 2048,
 ) -> DistortionFn:
     """Wrap a user-supplied (h, h') pair; ||h'||_2 is computed by quadrature.
 
@@ -208,13 +212,11 @@ def custom_distortion(
         h=h,
         hprime=hprime,
         l2_norm=1.0,  # placeholder until measured below
-        l2_analytic=False,
         hprime_singular=hprime_singular,
         hprime_range=hprime_range,
     )
-    validate_distortion(fn, n_grid=n_grid)
-    norm = l2_norm(fn)
-    return replace(fn, l2_norm=norm)
+    validate_distortion(fn)
+    return replace(fn, l2_norm=l2_norm(fn))
 
 
 def scale_distortion(fn: DistortionFn, c: float) -> DistortionFn:
@@ -233,10 +235,8 @@ def scale_distortion(fn: DistortionFn, c: float) -> DistortionFn:
     )
 
 
-def l2_norm(fn: DistortionFn, analytic_ok: bool = True) -> float:
-    """||h'||_2, analytic when the descriptor carries it, else by quadrature."""
-    if fn.l2_analytic and analytic_ok:
-        return fn.l2_norm
+def l2_norm(fn: DistortionFn) -> float:
+    """||h'||_2 measured by quadrature on the distortion's rule."""
     with np.errstate(over="ignore"):
         sq = integrate_01(lambda p: np.asarray(fn.hprime(p), dtype=float) ** 2, fn.rule())
     if not math.isfinite(sq) or sq <= 0.0:
@@ -244,28 +244,19 @@ def l2_norm(fn: DistortionFn, analytic_ok: bool = True) -> float:
     return math.sqrt(sq)
 
 
-def regularizer_of_quantile(fn: DistortionFn, quantile: QuantileFn | ScalarFn) -> float:
+def regularizer_of_quantile(fn: DistortionFn, quantile: QuantileFn) -> float:
     """Phi_h of a distribution given through its quantile function.
 
     Evaluates integral_0^1 Q(p) h'(1-p) dp on the tanh-sinh rule whenever
     either factor is endpoint-singular.  The complement 1-p is taken from
     the symmetric node layout, so h' is never evaluated at a rounded 0 or 1.
     """
-    smooth = not fn.hprime_singular
-    if isinstance(quantile, QuantileFn):
-        smooth = smooth and quantile.smooth
-        qf: ScalarFn = quantile.q
-    else:
-        qf = quantile
-        smooth = False
-    if smooth:
-        nodes, weights = gauss_legendre_01()
-        comp = 1.0 - nodes
-    else:
-        nodes, weights = tanh_sinh_01()
-        comp = nodes[::-1]  # layout is symmetric by construction, so exact
+    smooth = quantile.smooth and not fn.hprime_singular
+    nodes, weights = _rule(smooth)
+    comp = 1.0 - nodes if smooth else nodes[::-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(qf(nodes), dtype=float) * np.asarray(fn.hprime(comp), dtype=float)
+        vals = (np.asarray(quantile.q(nodes), dtype=float)
+                * np.asarray(fn.hprime(comp), dtype=float))
         total = float(np.dot(weights, vals))
     if not math.isfinite(total):
         raise DivergentIntegralError(
@@ -289,23 +280,13 @@ def max_constrained(fn: DistortionFn, m: float, s: float) -> tuple[QuantileFn, f
     def q(p: Array, _hp=fn.hprime, _m=m, _c=s / norm) -> Array:
         return _m + _c * np.asarray(_hp(1.0 - np.asarray(p, dtype=float)), dtype=float)
 
-    lo, hi = fn.hprime_range
-    return (
-        QuantileFn(q=q, lower=m + (s / norm) * lo, upper=m + (s / norm) * hi,
-                   smooth=not fn.hprime_singular),
-        s * norm,
-    )
+    return QuantileFn(q=q, smooth=not fn.hprime_singular), s * norm
 
 
-def quantile_moments(quantile: QuantileFn | ScalarFn, smooth: bool = False) -> tuple[float, float]:
+def quantile_moments(quantile: QuantileFn) -> tuple[float, float]:
     """(mean, variance) of a distribution given by its quantile function."""
-    if isinstance(quantile, QuantileFn):
-        smooth = quantile.smooth
-        qf: ScalarFn = quantile.q
-    else:
-        qf = quantile
-    nodes, weights = gauss_legendre_01() if smooth else tanh_sinh_01()
-    vals = np.asarray(qf(nodes), dtype=float)
+    nodes, weights = _rule(quantile.smooth)
+    vals = np.asarray(quantile.q(nodes), dtype=float)
     mean = float(np.dot(weights, vals))
     var = float(np.dot(weights, (vals - mean) ** 2))
     return mean, var

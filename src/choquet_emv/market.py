@@ -16,6 +16,8 @@ same bytes as a fresh generator per path at a fraction of the set-up cost.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.n_steps < 1 or not (0.0 < self.dt < math.inf) or self.n_paths < 1:
             raise ValueError("SimConfig requires n_steps >= 1, finite dt > 0, n_paths >= 1")
         if not math.isfinite(self.horizon):
@@ -72,7 +77,8 @@ def path_stream(seed: int, path_index: int,
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed & _U64, path_index & _U64], dtype=np.uint64)},
+                  "key": np.array([operator.index(seed) & _U64,
+                                  operator.index(path_index) & _U64], dtype=np.uint64)},
         "buffer": np.zeros(4, dtype=np.uint64),
         "buffer_pos": 4,
         "has_uint32": 0,

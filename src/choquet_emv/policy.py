@@ -49,14 +49,13 @@ class LocationScalePolicy:
 
 
 def sample(policy: LocationScalePolicy, p):
-    """Inverse-transform sample: Q(p) for a uniform draw p in (0, 1)."""
+    """Inverse-transform sample: Q(p) = M + S h'(1 - p) for a uniform draw p
+    in (0, 1), on the same unit-scale template as the trainer's draws."""
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("uniform draw must lie strictly inside (0, 1)")
-    if policy.scale == 0.0:
-        return np.full_like(p, policy.location) if p.ndim else float(policy.location)
-    out = policy.location + policy.scale * np.asarray(policy.h.hprime(1.0 - p), dtype=float)
-    return out if out.ndim else float(out)
+    out = policy.location + policy.scale * standardized_draw(policy.h, p)
+    return out if np.ndim(out) else float(out)
 
 
 def moments(policy: LocationScalePolicy) -> tuple[float, float]:
@@ -145,8 +144,12 @@ def cdf(policy: LocationScalePolicy, u):
 
 
 def standardized_draw(h: DistortionFn, p):
-    """h'(1 - p) for uniform draws p: the unit-scale sampling template."""
+    """h'(1 - p) for uniform draws p: the unit-scale sampling template.
+
+    Without a family record h' is evaluated at 1 - p, capped at 1 - 2**-53:
+    for p < 2**-54 the difference rounds to 1, where h' may be unbounded.
+    """
     p = np.asarray(p, dtype=float)
     if h.family is not None:
         return h.family.draw(p)
-    return np.asarray(h.hprime(1.0 - p), dtype=float)
+    return np.asarray(h.hprime(np.minimum(1.0 - p, 1.0 - 2.0**-53)), dtype=float)

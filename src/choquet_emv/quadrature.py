@@ -11,7 +11,7 @@ Two rules cover everything the library integrates:
 Both rules are returned as plain (nodes, weights) arrays so callers can
 evaluate vectorized integrands once and reuse the rule across many
 integrals.  Nodes are strictly inside (0, 1); the tanh-sinh rule truncates
-where the node would be closer to an endpoint than ``cutoff``, which for
+where the node would be closer to an endpoint than 1e-15, which for
 integrands with at worst logarithmic singularities contributes an error
 far below the tolerances used in this package.
 """
@@ -41,13 +41,14 @@ def gauss_legendre_01(n_nodes: int = 256, panels: int = 8) -> tuple[np.ndarray, 
 
 
 @lru_cache(maxsize=8)
-def tanh_sinh_01(step: float = 1.0 / 128.0, cutoff: float = 1e-15) -> tuple[np.ndarray, np.ndarray]:
+def tanh_sinh_01() -> tuple[np.ndarray, np.ndarray]:
     """Tanh-sinh rule on (0, 1): nodes, weights with sum(weights) ~= 1.
 
-    The node at level k is x = 1/2 + 1/2 tanh((pi/2) sinh(k*step)); the
+    The node at level k is x = 1/2 + 1/2 tanh((pi/2) sinh(k/128)); the
     distance to the nearer endpoint is computed from exp(-2u) directly so
-    nodes stay meaningful down to ``cutoff`` instead of rounding to 0 or 1.
+    nodes stay meaningful down to 1e-15 instead of rounding to 0 or 1.
     """
+    step, cutoff = 1.0 / 128.0, 1e-15
     # largest level still above the cutoff: pc = exp(-2u)/(1+exp(-2u)) >= cutoff
     u_max = -0.5 * math.log(cutoff)
     t_max = math.asinh(2.0 * u_max / math.pi)

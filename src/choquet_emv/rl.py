@@ -105,23 +105,22 @@ class TrainLog:
     def episodes(self) -> int:
         return len(self.terminal_wealth)
 
-    def last_window_stats(self, window: int = 200) -> tuple[float, float, float]:
-        """(mean, variance, Sharpe) of the last ``window`` terminal wealths.
+    def last_window_stats(self) -> tuple[float, float, float]:
+        """(mean, variance, Sharpe) of the last 200 terminal wealths.
 
         Sharpe is the study's statistic (mean - 1)/sqrt(variance), i.e.
         excess over a unit initial wealth.
         """
-        tail = self.terminal_wealth[-min(window, self.episodes):]
+        tail = self.terminal_wealth[-min(200, self.episodes):]
         mean = float(np.mean(tail))
         var = float(np.var(tail, ddof=0))
         sharpe = (mean - 1.0) / math.sqrt(var) if var > 0.0 else math.inf
         return mean, var, sharpe
 
-    def block_means(self, block: int = 100) -> np.ndarray:
-        n = (self.episodes // block) * block
-        if n == 0:
-            return np.empty(0)
-        return self.terminal_wealth[:n].reshape(-1, block).mean(axis=1)
+    def block_means(self) -> np.ndarray:
+        """Means of the consecutive 100-episode blocks of terminal wealth."""
+        n = (self.episodes // 100) * 100
+        return self.terminal_wealth[:n].reshape(-1, 100).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def random_feasible_quantile(rng: np.random.Generator, m: float, s: float) -> Qu
             out = out + sl * np.maximum(p - k, 0.0)
         return out
 
-    mean, var = quantile_moments(raw, smooth=False)
+    mean, var = quantile_moments(QuantileFn(q=raw, smooth=False))
     gain = s / np.sqrt(var)
 
     def q(p, _raw=raw, _mean=mean, _gain=gain, _m=m):

@@ -62,32 +62,32 @@ class TestDistortionInvariants:
 
 class TestL2Norm:
     def test_entropy_like_analytic(self):
-        assert l2_norm(get_distortion("entropy_like")) == 1.0
+        assert get_distortion("entropy_like").l2_norm == 1.0
 
     def test_gini_value(self):
         assert l2_norm(get_distortion("gini")) == pytest.approx(0.5773502691896258, abs=1e-15)
 
     def test_gaussian_quadrature_close_to_analytic(self):
         h = get_distortion("gaussian_score")
-        assert abs(l2_norm(h, analytic_ok=False) - 1.0) < 1e-6
+        assert abs(l2_norm(h) - 1.0) < 1e-6
 
     def test_quadrature_agrees_for_all(self):
         for name in ALL_NAMES:
             h = get_distortion(name)
-            assert abs(l2_norm(h, analytic_ok=False) - h.l2_norm) < 1e-9
+            assert abs(l2_norm(h) - h.l2_norm) < 1e-9
 
     def test_divergent_norm_raises(self):
         bad = DistortionFn(
             name="bad", h=lambda p: p, hprime=lambda p: np.exp(1.0 / np.asarray(p)),
-            l2_norm=1.0, l2_analytic=False, hprime_singular=True,
+            l2_norm=1.0, hprime_singular=True,
         )
         with pytest.raises(DivergentNormError):
-            l2_norm(bad, analytic_ok=False)
+            l2_norm(bad)
 
     def test_custom_distortion_measures_norm(self):
         base = get_distortion("gini")
         fn = custom_distortion("gini_copy", base.h, base.hprime, hprime_singular=False)
-        assert not fn.l2_analytic
+        assert fn.l2_norm == l2_norm(fn)
         assert fn.l2_norm == pytest.approx(base.l2_norm, abs=1e-10)
 
 
@@ -135,7 +135,7 @@ class TestMaxConstrained:
         np.testing.assert_allclose(q(ps), -np.log(1.0 - ps) - 1.0, atol=1e-12)
         mean, var = quantile_moments(q)
         assert abs(mean) < 1e-8 and abs(var - 1.0) < 1e-8
-        assert q.lower == pytest.approx(-1.0)
+        assert q(1e-12) == pytest.approx(-1.0)
 
     def test_gaussian_shifted_scaled(self):
         from scipy.special import ndtri
@@ -155,7 +155,7 @@ class TestMaxConstrained:
     def test_zero_distortion_rejected(self):
         flat = DistortionFn(name="flat", h=lambda p: 0.0 * np.asarray(p),
                             hprime=lambda p: 0.0 * np.asarray(p),
-                            l2_norm=0.0, l2_analytic=True)
+                            l2_norm=0.0)
         with pytest.raises(ValueError):
             max_constrained(flat, 0.0, 1.0)
 
@@ -208,7 +208,7 @@ class TestScaledDistortion:
     def test_norm_scales_linearly(self):
         h = scale_distortion(get_distortion("gini"), 3.0)
         assert h.l2_norm == pytest.approx(3.0 * math.sqrt(1 / 3))
-        assert abs(l2_norm(h, analytic_ok=False) - h.l2_norm) < 1e-9
+        assert abs(l2_norm(h) - h.l2_norm) < 1e-9
 
     def test_rejects_nonpositive_factor(self):
         with pytest.raises(ValueError):

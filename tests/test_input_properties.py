@@ -5,6 +5,7 @@ exception or a silent inf/NaN."""
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +20,9 @@ from choquet_emv.rl import TrainConfig
 
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 TRIPLE = st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
+# integers of every width and kind, and the floats and bools that are not seeds
+ANY_SEED = st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+                     st.integers(0, 2**64 - 1).map(np.uint64), ANY_FLOAT, st.booleans())
 FAMILIES = st.sampled_from(sorted(BUILTIN_DISTORTIONS)).map(get_distortion)
 GINI = get_distortion("gini")
 
@@ -30,6 +34,8 @@ FINITE = {
     TrainConfig: ("lam", "z", "x0", "alpha_theta", "alpha_phi", "alpha_w", "decay",
                   "theta_init", "phi_init", "w_init", "grad_clip"),
 }
+# integer-valued fields that must come out as a plain int
+INTEGER = {SimConfig: ("seed",)}
 VALID = {
     MarketParams: MarketParams(0.1, 0.2, 0.02),
     EMVSpec: EMVSpec(T=1.0, lam=0.1, z=1.4, x0=1.0, mode="log", h=GINI),
@@ -37,13 +43,14 @@ VALID = {
     TrainConfig: TrainConfig(episodes=10, h=GINI, lam=0.1, mode="plain",
                              sim=SimConfig(4, 0.25), z=1.4),
 }
-ONE_FIELD = [(cls, name) for cls, names in FINITE.items() for name in names
-             if name in {f.name for f in fields(cls)}]
+ONE_FIELD = [(cls, name) for table in (FINITE, INTEGER) for cls, names in table.items()
+             for name in names if name in {f.name for f in fields(cls)}]
 
 
 def builds_finite_or_refuses(make):
     """The record from ``make()`` holds only finite values in its FINITE
-    fields, or construction raises ValueError."""
+    fields and plain ints in its INTEGER fields, or construction raises
+    ValueError."""
     try:
         record = make()
     except ValueError:
@@ -52,13 +59,18 @@ def builds_finite_or_refuses(make):
         value = getattr(record, name)
         values = value if isinstance(value, tuple) else (value,)
         assert all(v is None or math.isfinite(v) for v in values), (name, value)
+    for name in INTEGER.get(type(record), ()):
+        assert type(getattr(record, name)) is int, (name, getattr(record, name))
 
 
 @settings(max_examples=60, deadline=None)
 @pytest.mark.parametrize("cls, name", ONE_FIELD, ids=[f"{c.__name__}.{n}" for c, n in ONE_FIELD])
 @given(data=st.data())
 def test_one_field_off_a_valid_record(cls, name, data):
-    value = data.draw(TRIPLE if name.endswith("_init") and name != "w_init" else ANY_FLOAT)
+    if name == "seed":
+        value = data.draw(ANY_SEED)
+    else:
+        value = data.draw(TRIPLE if name.endswith("_init") and name != "w_init" else ANY_FLOAT)
     builds_finite_or_refuses(lambda: replace(VALID[cls], **{name: value}))
 
 

@@ -65,6 +65,25 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="horizon"):
             SimConfig(n_steps=10, dt=1e308)
 
+    @pytest.mark.parametrize("seed, numpy_seed", [(3, np.int64(3)),
+                                                  (2**63 + 5, np.uint64(2**63 + 5))],
+                             ids=["int64", "uint64"])
+    def test_numpy_integer_seed_runs_as_its_int(self, seed, numpy_seed):
+        assert type(SimConfig(4, 0.25, seed=numpy_seed).seed) is int
+        spec = spec_for("plain", 0.01)
+        w = lagrange_multiplier(spec, MARKET)
+        a, b = (pathwise_objectives(optimal_schedule(spec, MARKET, w), spec, MARKET,
+                                    SimConfig.from_horizon(1.0, 64, n_paths=5, seed=s), w)
+                for s in (seed, numpy_seed))
+        assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+
+    @pytest.mark.parametrize("seed", [1.5, True], ids=["float", "bool"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(n_steps=4, dt=0.25, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig.from_horizon(1.0, 4, seed=seed)
+
 
 class TestStep:
     def test_no_position_is_inert(self):

@@ -27,6 +27,10 @@ def make_policy(name, loc=0.0, scale=1.0):
     return LocationScalePolicy(h=get_distortion(name), location=loc, scale=scale)
 
 
+SINE = custom_distortion("sine", lambda p: np.sin(np.pi * np.asarray(p)) / np.pi,
+                         lambda p: np.cos(np.pi * np.asarray(p)), hprime_singular=False)
+
+
 class TestSample:
     def test_gini_median_is_location(self):
         assert sample(make_policy("gini"), 0.5) == pytest.approx(0.0, abs=1e-15)
@@ -41,6 +45,27 @@ class TestSample:
 
     def test_degenerate_returns_location(self):
         assert sample(make_policy("gaussian_score", loc=2.5, scale=0.0), 0.3) == 2.5
+
+    @pytest.mark.parametrize("scale", [1.3, 0.0], ids=["scaled", "degenerate"])
+    @pytest.mark.parametrize("h", [*map(get_distortion, FAMILIES), SINE],
+                             ids=[*FAMILIES, "custom"])
+    def test_same_transform_as_the_trainer_draws(self, h, scale, rng):
+        pol = LocationScalePolicy(h=h, location=-0.7, scale=scale)
+        for p in (np.arange(1, 1024) / 1024.0, rng.random(4096)):
+            expected = -0.7 + scale * standardized_draw(h, p)
+            assert sample(pol, p).tobytes() == expected.tobytes()
+        # off the 2**-53 lattice, h'(1 - p) sees a rounded 1 - p; the template does not
+        for p in (0.1, 1e-10):
+            assert sample(pol, p) == -0.7 + scale * float(standardized_draw(h, p))
+
+    @pytest.mark.parametrize("scale", [1.0, 0.0], ids=["scaled", "degenerate"])
+    def test_unbounded_custom_derivative_where_one_minus_p_rounds_to_one(self, scale):
+        gauss = get_distortion("gaussian_score")
+        copy = custom_distortion("gaussian_copy", gauss.h, gauss.hprime)
+        u = sample(LocationScalePolicy(h=copy, location=2.5, scale=scale), 1e-20)
+        assert math.isfinite(u)
+        if scale == 0.0:
+            assert u == 2.5
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3])
     def test_draw_outside_open_interval_rejected(self, p):

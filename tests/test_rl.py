@@ -367,6 +367,12 @@ class TestTrain:
         np.testing.assert_array_equal(a.phi, b.phi)
         np.testing.assert_array_equal(a.w, b.w)
 
+    def test_numpy_integer_seed_trains_as_its_int(self):
+        a, b = (train(base_config(episodes=5, sim=SimConfig.from_horizon(T, 252, seed=s)), MARKET)
+                for s in (3, np.int64(3)))
+        for name in ("terminal_wealth", "theta", "phi", "w"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
     def test_updates_follow_decayed_gradients(self):
         # re-derive every update offline from the logged parameters
         cfg = base_config(episodes=4, avg_window=100)
@@ -472,7 +478,7 @@ class TestTrainLogStats:
         tw = np.arange(500, dtype=float)
         log = TrainLog(terminal_wealth=tw, theta=np.zeros((500, 3)),
                        phi=np.zeros((500, 3)), w=np.zeros(500))
-        bm = log.block_means(100)
+        bm = log.block_means()
         assert bm.shape == (5,)
         assert bm[0] == pytest.approx(np.mean(np.arange(100)))
 
