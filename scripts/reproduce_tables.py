@@ -35,7 +35,7 @@ def main() -> int:
         out = f"{args.out_dir}/table_{name}.csv"
         argv = ["table", "--config", CONFIGS[name], "--jobs", str(args.jobs),
                 "--out", out]
-        if args.episodes:
+        if args.episodes is not None:
             argv += ["--episodes", str(args.episodes)]
         print(f"[{name}] -> {out}", file=sys.stderr)
         status = status or cli.main(argv)

@@ -43,6 +43,8 @@ from .rl import TrainConfig, TrainingDivergedError, episode_draws, train
 
 OUTPUT_DIR_ENV = "CHOQUET_EMV_OUTPUT_DIR"
 DEFAULT_LAMBDA = {"plain": 0.01, "log": 0.1}
+# config-hash keys of the grid fields whose names differ; renaming one changes every hash
+_PAYLOAD_KEYS = {"mu_list": "mu", "sigma_list": "sigma", "h_names": "h"}
 
 
 def _fmt(x) -> str:
@@ -89,7 +91,7 @@ class ExperimentGrid:
     avg_window: int = 10
     seed: int = 0
     lambda_by_mode: dict = field(default_factory=lambda: dict(DEFAULT_LAMBDA))
-    lambdas: tuple[float, ...] = ()  # sweep values for figure series
+    lambdas: tuple[float, ...] = ()  # λ axis; empty means lambda_by_mode[mode]
     grad_clip: float | None = 1e3
     out_dir: str = "."
 
@@ -113,14 +115,8 @@ class ExperimentGrid:
                         yield mu, sigma, mode, h_name
 
     def payload(self) -> dict:
-        return {
-            "mu": list(self.mu_list), "sigma": list(self.sigma_list), "r": self.r,
-            "T": self.T, "dt": self.dt, "z": self.z, "x0": self.x0,
-            "modes": list(self.modes), "h": list(self.h_names),
-            "episodes": self.episodes, "avg_window": self.avg_window,
-            "seed": self.seed, "lambda_by_mode": self.lambda_by_mode,
-            "lambdas": list(self.lambdas), "grad_clip": self.grad_clip,
-        }
+        """The fields that shape the results, under the config hash's key names."""
+        return {_PAYLOAD_KEYS.get(k, k): v for k, v in vars(self).items() if k != "out_dir"}
 
 
 def _is_real(v) -> bool:
@@ -195,8 +191,18 @@ def _write_csv(out_path: str | None, meta: dict, header: list[str], rows):
             fh.close()
 
 
-def _spec(h_name, mode, lam, T, z, x0) -> EMVSpec:
-    return EMVSpec(T=T, lam=lam, z=z, x0=x0, mode=mode, h=get_distortion(h_name))
+def _problem(args, h_name: str) -> tuple[MarketParams, EMVSpec, float]:
+    """Market, EMV spec and Lagrange multiplier of a single-run command."""
+    market = MarketParams(mu=args.mu, sigma=args.sigma, r=args.r)
+    spec = EMVSpec(T=args.T, lam=args.lam, z=args.z, x0=args.x0, mode=args.mode,
+                   h=get_distortion(h_name))
+    return market, spec, lagrange_multiplier(spec, market)
+
+
+def _meta(args, seed, **extra) -> dict:
+    """CSV header of a single-run command: config hash, seed, mode, h, then ``extra``."""
+    return {"config_hash": config_hash(vars(args)), "seed": seed, "mode": args.mode,
+            "h": args.h, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +211,7 @@ def _spec(h_name, mode, lam, T, z, x0) -> EMVSpec:
 
 
 def cmd_solve(args) -> int:
-    market = MarketParams(mu=args.mu, sigma=args.sigma, r=args.r)
-    spec = _spec(args.h, args.mode, args.lam, args.T, args.z, args.x0)
-    w = lagrange_multiplier(spec, market)
-    meta = {"config_hash": config_hash(vars(args)),
-            "seed": "-", "mode": args.mode, "h": args.h}
+    market, spec, w = _problem(args, args.h)
     rows = [
         ("lagrange_multiplier", "", w),
         ("value_initial", "", value(0.0, spec.x0, spec, market, w)),
@@ -221,7 +223,7 @@ def cmd_solve(args) -> int:
         pol = optimal_policy(float(t), spec.x0, spec, market, w)
         rows.append(("policy_mean", t, pol.location))
         rows.append(("policy_scale", t, pol.scale))
-    _write_csv(args.out, meta, ["quantity", "t", "value"], rows)
+    _write_csv(args.out, _meta(args, "-"), ["quantity", "t", "value"], rows)
     return 0
 
 
@@ -231,17 +233,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    market = MarketParams(mu=args.mu, sigma=args.sigma, r=args.r)
-    spec = _spec(args.h, args.mode, args.lam, args.T, args.z, args.x0)
-    w = lagrange_multiplier(spec, market)
+    market, spec, w = _problem(args, args.h)
     sim = SimConfig.from_horizon(spec.T, args.n_steps, args.n_paths, args.seed)
     schedule = optimal_schedule(spec, market, w)
     xT, objectives = pathwise_objectives(schedule, spec, market, sim, w)
     est, se = mean_and_std_error(objectives)
-    meta = {"config_hash": config_hash(vars(args)),
-            "seed": args.seed, "mode": args.mode, "h": args.h,
-            "objective_estimate": est, "objective_std_error": se,
-            "closed_form_value": value(0.0, spec.x0, spec, market, w)}
+    meta = _meta(args, args.seed, objective_estimate=est, objective_std_error=se,
+                 closed_form_value=value(0.0, spec.x0, spec, market, w))
     rows = [(i, xT[i], objectives[i]) for i in range(len(xT))]
     _write_csv(args.out, meta, ["path", "terminal_wealth", "pathwise_objective"], rows)
     return 0
@@ -274,10 +272,8 @@ def cmd_train(args) -> int:
         print(f"choquet-emv: error: {exc}", file=sys.stderr)
         return 1
     mean, var, sharpe = log.last_window_stats()
-    meta = {"config_hash": config_hash(vars(args)),
-            "seed": args.seed, "mode": args.mode, "h": args.h,
-            "last200_mean": mean, "last200_variance": var, "sharpe": sharpe,
-            "clip_events": log.clip_events, "skipped_actions": log.skipped_actions}
+    meta = _meta(args, args.seed, last200_mean=mean, last200_variance=var, sharpe=sharpe,
+                 clip_events=log.clip_events, skipped_actions=log.skipped_actions)
     rows = []
     for j in range(log.episodes):
         rows.append((j + 1, log.terminal_wealth[j], *log.theta[j], *log.phi[j], log.w[j]))
@@ -318,15 +314,21 @@ class CellResult:
                 *values)
 
 
-def _run_cell(task) -> CellResult:
-    grid, mu, sigma, mode, h_name, lam_override = task
-    lam = lam_override if lam_override is not None else grid.lambda_by_mode[mode]
+def _cell_inputs(task) -> tuple[int, TrainConfig, MarketParams]:
+    """Seed, training config and market of one grid task; bad values raise ValueError."""
+    grid, mu, sigma, mode, h_name, lam = task
     seed = cell_seed(grid.seed, mu, sigma, mode, h_name)
     cfg, market = _train_config(
         mu, sigma, grid.r, h_name, grid.T, grid.dt, seed,
         episodes=grid.episodes, lam=lam, mode=mode, z=grid.z, x0=grid.x0,
         avg_window=grid.avg_window, grad_clip=grid.grad_clip,
     )
+    return seed, cfg, market
+
+
+def _run_cell(task) -> CellResult:
+    grid, mu, sigma, mode, h_name, lam = task
+    seed, cfg, market = _cell_inputs(task)
     try:
         log = train(cfg, market)
     except TrainingDivergedError as exc:
@@ -346,68 +348,59 @@ def _run_cell(task) -> CellResult:
                       blocks=log.block_means().tolist())
 
 
-def _run_grid(grid: ExperimentGrid, jobs: int, lam_overrides=None):
-    tasks = [(grid, *cell, lam) for cell in grid.cells() for lam in lam_overrides or [None]]
+def _run_grid(grid: ExperimentGrid, jobs: int):
+    tasks = [(grid, mu, sigma, mode, h_name, lam)
+             for mu, sigma, mode, h_name in grid.cells()
+             for lam in grid.lambdas or [grid.lambda_by_mode[mode]]]
+    # check every cell before any trains; workers rebuild the inputs from
+    # names because a DistortionFn holds lambdas and does not pickle
+    for task in tasks:
+        _cell_inputs(task)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_run_cell, tasks))
     return [_run_cell(t) for t in tasks]
 
 
-def _report_diverged(results):
+# per grid command: the value columns and the rows one cell writes; a cell
+# without block means (diverged, or under one block long) writes block 0
+_GRID_OUTPUTS = {
+    "table": (["mean", "variance", "sharpe"],
+              lambda r: [r.row(r.mean, r.variance, r.sharpe)]),
+    "figures": (["block", "block_mean"],
+                lambda r: [r.row(i + 1, bm) for i, bm in enumerate(r.blocks)]
+                if r.blocks else [r.row(0, math.nan)]),
+}
+
+
+def cmd_grid(args) -> int:
+    grid = grid_from_file(args.config, {"seed": args.seed, "episodes": args.episodes,
+                                        "out_dir": args.out_dir})
+    results = _run_grid(grid, args.jobs)
     for r in results:
         if r.error:
             print(f"choquet-emv: cell (mu={r.mu}, sigma={r.sigma}, mode={r.mode}, h={r.h}, "
                   f"lambda={r.lam}) diverged: {r.error}", file=sys.stderr)
-
-
-def cmd_table(args) -> int:
-    grid = grid_from_file(args.config, _grid_overrides(args))
-    results = _run_grid(grid, args.jobs)
-    _report_diverged(results)
-    meta = {"config_hash": config_hash(grid.payload() | {"cmd": "table"}),
+    columns, cell_rows = _GRID_OUTPUTS[args.cmd]
+    meta = {"config_hash": config_hash(grid.payload() | {"cmd": args.cmd}),
             "seed": grid.seed, "mode": ",".join(grid.modes)}
-    rows = [r.row(r.mean, r.variance, r.sharpe) for r in results]
-    _write_csv(_out_path(args, grid, "table.csv"), meta,
-               ["mu", "sigma", "mode", "h", "lambda", "cell_seed", "status",
-                "mean", "variance", "sharpe"], rows)
-    return 0
-
-
-def cmd_figures(args) -> int:
-    grid = grid_from_file(args.config, _grid_overrides(args))
-    lam_overrides = list(grid.lambdas) if grid.lambdas else None
-    results = _run_grid(grid, args.jobs, lam_overrides)
-    _report_diverged(results)
-    meta = {"config_hash": config_hash(grid.payload() | {"cmd": "figures"}),
-            "seed": grid.seed, "mode": ",".join(grid.modes)}
-    rows = []
-    for r in results:
-        if r.blocks is None:
-            rows.append(r.row(0, math.nan))
-            continue
-        rows.extend(r.row(idx + 1, bm) for idx, bm in enumerate(r.blocks))
-    _write_csv(_out_path(args, grid, "figures.csv"), meta,
-               ["mu", "sigma", "mode", "h", "lambda", "cell_seed", "status",
-                "block", "block_mean"], rows)
+    _write_csv(_out_path(args, grid), meta,
+               ["mu", "sigma", "mode", "h", "lambda", "cell_seed", "status", *columns],
+               [row for r in results for row in cell_rows(r)])
     return 0
 
 
 def cmd_trajectory(args) -> int:
-    market = MarketParams(mu=args.mu, sigma=args.sigma, r=args.r)
     rows = []
     for h_name in args.h.split(","):
-        spec = _spec(h_name.strip(), args.mode, args.lam, args.T, args.z, args.x0)
-        w = lagrange_multiplier(spec, market)
+        market, spec, w = _problem(args, h_name.strip())
         sim = SimConfig.from_horizon(spec.T, args.n_steps, 1, args.seed)
         eta, noise = episode_draws(spec.h, sim.seed, 0, sim.n_steps)
         times = sim.times()[:-1]
         states, actions = rollout(spec.x0, w, -(market.rho / market.sigma),
                                   optimal_scale(times, spec, market), eta, market, sim.dt, noise)
         rows.extend((h_name.strip(), t, u, x) for t, u, x in zip(times, actions, states))
-    meta = {"config_hash": config_hash(vars(args)),
-            "seed": args.seed, "mode": args.mode, "h": args.h}
-    _write_csv(args.out, meta, ["h", "t", "action", "wealth"], rows)
+    _write_csv(args.out, _meta(args, args.seed), ["h", "t", "action", "wealth"], rows)
     return 0
 
 
@@ -416,21 +409,16 @@ def cmd_trajectory(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _out_path(args, grid: ExperimentGrid, default_name: str) -> str | None:
+def _out_path(args, grid: ExperimentGrid) -> str | None:
     if args.out is not None:
         return args.out
     base = os.environ.get(OUTPUT_DIR_ENV) or grid.out_dir
     if base in (".", "", None):
         return None  # stdout
-    os.makedirs(base, exist_ok=True)
-    return os.path.join(base, default_name)
+    return os.path.join(base, f"{args.cmd}.csv")
 
 
-def _grid_overrides(args) -> dict:
-    return {"seed": args.seed, "episodes": args.episodes, "out_dir": args.out_dir}
-
-
-def _add_market_args(p: argparse.ArgumentParser):
+def _add_market_args(p: argparse.ArgumentParser, lam: float | None = 0.01):
     p.add_argument("--mu", type=float, default=0.1)
     p.add_argument("--sigma", type=float, default=0.2)
     p.add_argument("--r", type=float, default=0.02)
@@ -439,6 +427,8 @@ def _add_market_args(p: argparse.ArgumentParser):
     p.add_argument("--x0", type=float, default=1.0)
     p.add_argument("--mode", choices=MODES, default="plain")
     p.add_argument("--h", default="gaussian_score")
+    p.add_argument("--lambda", dest="lam", type=float, default=lam,
+                   help=None if lam is not None else "default 0.01 (plain) or 0.1 (log)")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
 
@@ -450,22 +440,18 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("solve", help="closed-form report for one market")
     _add_market_args(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01)
     p.add_argument("--grid-points", type=int, default=11)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("simulate", help="Monte Carlo paths under the optimal schedule")
     _add_market_args(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01)
     p.add_argument("--n-paths", type=int, default=10000)
     p.add_argument("--n-steps", type=int, default=252)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("train", help="run the actor-critic trainer once")
-    _add_market_args(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="default 0.01 (plain) or 0.1 (log)")
+    _add_market_args(p, lam=None)
     p.add_argument("--dt", type=float, default=1.0 / 252.0)
     p.add_argument("--episodes", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
@@ -476,8 +462,8 @@ def main(argv=None) -> int:
     p.add_argument("--grad-clip", type=float, default=None)
     p.set_defaults(fn=cmd_train)
 
-    for name, fn, hlp in (("table", cmd_table, "summary statistics per grid cell"),
-                          ("figures", cmd_figures, "terminal-wealth block means per cell")):
+    for name, hlp in (("table", "summary statistics per grid cell"),
+                      ("figures", "terminal-wealth block means per cell")):
         p = sub.add_parser(name, help=hlp)
         p.add_argument("--config", required=True, help="YAML grid description")
         p.add_argument("--jobs", type=int, default=1)
@@ -485,18 +471,24 @@ def main(argv=None) -> int:
         p.add_argument("--episodes", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--out-dir", default=None)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_grid)
 
     p = sub.add_parser("trajectory", help="one seeded action path per distortion")
     _add_market_args(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01)
     p.add_argument("--n-steps", type=int, default=252)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_trajectory)
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # stop quietly, as a filter that SIGPIPE ends does; stdout goes to
+        # devnull so the interpreter's exit-time flush fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13  # 128 + SIGPIPE
     except (ValueError, KeyError, OSError) as exc:
         # a KeyError's str() quotes its message, so print the message itself
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -1,5 +1,9 @@
 import csv
+import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +13,8 @@ import yaml
 from choquet_emv import cli
 from choquet_emv.rl import TrainingDivergedError
 
-CONFIGS = Path(__file__).parent.parent / "configs"
+ROOT = Path(__file__).parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def read_csv(path):
@@ -129,6 +134,13 @@ class TestTable:
         assert all(ln.endswith("training diverged at episode 7: forced for the test")
                    for ln in lines)
 
+    def test_lambda_sweep_emits_each_weight(self, tmp_path):
+        cfg = write_grid(tmp_path / "grid.yaml", episodes=30, lambdas=[0.005, 0.02])
+        out = tmp_path / "table.csv"
+        cli.main(["table", "--config", str(cfg), "--out", str(out)])
+        _, _, rows = read_csv(out)
+        assert [r[4] for r in rows] == ["0.005", "0.02"]
+
     def test_byte_reproducible(self, tmp_path):
         cfg = write_grid(tmp_path / "grid.yaml", episodes=40)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -186,6 +198,44 @@ class TestExitStatus:
                 "choquet-emv: error: lambda_by_mode has no weight for mode(s): log\n")
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("bad, message", [
+        (dict(h_names=["gaussian_score", "nope"]), "unknown distortion 'nope'"),
+        (dict(sigma_list=[0.2, -0.1]), "sigma must be positive, got -0.1"),
+        (dict(episodes=0), "episodes and avg_window must be >= 1"),
+    ], ids=["h_name", "sigma", "episodes"])
+    def test_bad_cell_stops_before_any_cell_trains(self, bad, message, jobs, tmp_path,
+                                                   monkeypatch, capsys):
+        calls = []
+
+        def no_training(cfg, market):
+            calls.append(cfg)
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        cfg = write_grid(tmp_path / "grid.yaml", **bad)
+        out = tmp_path / "t.csv"
+        assert cli.main(["table", "--config", str(cfg), "--jobs", jobs, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("choquet-emv: error: ") and message in err
+        assert err.count("\n") == 1
+        assert calls == [] and not out.exists()
+
+    def test_closed_pipe_ends_quietly_with_status_141(self):
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        # 20000 rows overflow the pipe's buffer, so the writer meets the closed end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "choquet_emv.cli", "simulate", "--n-paths", "20000",
+             "--n-steps", "16"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"# config_hash=")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
+
     @pytest.mark.parametrize("argv, named", [
         (["table", "--config", "{tmp}/missing.yaml"], "{tmp}/missing.yaml"),
         (["solve", "--out", "{tmp}/f/x.csv"], "{tmp}/f"),  # f is a regular file
@@ -215,6 +265,14 @@ class TestFigures:
         _, _, rows = read_csv(out)
         assert len(rows) == 5  # 500 episodes -> five blocks of 100
         assert [int(r[7]) for r in rows] == [1, 2, 3, 4, 5]
+
+    def test_short_cell_writes_block_zero(self, tmp_path):
+        cfg = write_grid(tmp_path / "grid.yaml", episodes=50)
+        out = tmp_path / "fig.csv"
+        assert cli.main(["figures", "--config", str(cfg), "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert len(rows) == 1  # under one 100-episode block
+        assert rows[0][6] == "ok" and rows[0][7:] == ["0", "nan"]
 
     def test_lambda_sweep_emits_each_weight(self, tmp_path):
         cfg = write_grid(tmp_path / "grid.yaml", episodes=200,
@@ -285,6 +343,12 @@ class TestGridConfig:
         g2 = cli.grid_from_file(str(write_grid(tmp_path / "g2.yaml", seed=100)))
         assert cli.config_hash(g1.payload()) != cli.config_hash(g2.payload())
 
+    @pytest.mark.parametrize("cmd, digest", [("table", "9b4c1cad1d83"),
+                                             ("figures", "aab47a0b7fe6")])
+    def test_golden_grid_hash_is_fixed(self, cmd, digest):
+        grid = cli.grid_from_file(str(ROOT / "tests" / "golden" / "grid.yaml"))
+        assert cli.config_hash(grid.payload() | {"cmd": cmd}) == digest
+
     def test_invalid_grid_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             cli.grid_from_file(str(write_grid(tmp_path / "g.yaml", dt=0.3)))
@@ -327,6 +391,21 @@ class TestGridConfig:
         assert base != cli.cell_seed(1, 0.3, 0.2, "plain", "gini")
         assert base != cli.cell_seed(1, 0.1, 0.2, "log", "gini")
         assert base != cli.cell_seed(1, 0.1, 0.2, "plain", "gaussian_score")
+
+
+class TestReproduceTablesScript:
+    def test_episodes_zero_is_passed_on(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "reproduce_tables", ROOT / "scripts" / "reproduce_tables.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
+        monkeypatch.setattr(sys, "argv", ["reproduce_tables.py", "--table", "gaussian",
+                                          "--episodes", "0"])
+        assert script.main() == 0
+        assert calls == [["table", "--config", "configs/table_gaussian.yaml", "--jobs", "4",
+                          "--out", "results/table_gaussian.csv", "--episodes", "0"]]
 
 
 class TestLambdaSweepContrast:
