@@ -25,6 +25,9 @@ def main() -> int:
     parser.add_argument("--episodes", type=int, default=20000)
     parser.add_argument("--seeds", type=int, default=5)
     args = parser.parse_args()
+    for name in ("episodes", "seeds"):
+        if getattr(args, name) < 1:
+            parser.error(f"--{name} must be >= 1, got {getattr(args, name)}")
 
     failures = 0
     for mu, sigma, ref_mean, ref_var in CELLS:

@@ -374,6 +374,8 @@ _GRID_OUTPUTS = {
 
 
 def cmd_grid(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     grid = grid_from_file(args.config, {"seed": args.seed, "episodes": args.episodes,
                                         "out_dir": args.out_dir})
     results = _run_grid(grid, args.jobs)

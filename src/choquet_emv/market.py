@@ -98,18 +98,17 @@ def rollout(x0, w, mean_coef, scale, eta, market: MarketParams, dt: float, noise
     """(states, actions): n + 1 wealths from x0 under the n feedback actions
     u_i = mean_coef (x_i - w) + scale_i eta_i.  A diverging path runs on to
     inf/nan without warnings; callers check the last state."""
-    c = increment(market, dt, noise)
-    sigma = market.sigma
-    states = np.empty(len(c) + 1)
-    actions = np.empty(len(c))
-    x = states[0] = float(x0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(c)):
-            u = float(mean_coef * (x - w) + scale[i] * eta[i])
-            x = x + sigma * u * c[i]
-            actions[i] = u
-            states[i + 1] = x
-    return states, actions
+    # Python floats round like float64 scalars and overflow to inf/nan
+    # silently, at a fraction of the per-step cost of numpy scalars
+    sigma, a, w = float(market.sigma), float(mean_coef), float(w)
+    x = float(x0)
+    states, actions = [x], []
+    for s, e, c in zip(scale.tolist(), eta.tolist(), increment(market, dt, noise).tolist()):
+        u = a * (x - w) + s * e
+        x = x + sigma * u * c
+        actions.append(u)
+        states.append(x)
+    return np.array(states), np.array(actions)
 
 
 def pathwise_objectives(

@@ -152,10 +152,11 @@ def critic_grad(theta, t, x, w, T, form: str = "standard"):
     tau = T - np.asarray(t, dtype=float)
     xw2 = (np.asarray(x, dtype=float) - w) ** 2
     grow = np.exp(th[0] * tau)
-    d0 = -th[1] * tau * grow
-    d1 = -grow if form == "standard" else -np.expm1(th[0] * tau)
-    d2 = -tau * xw2 * np.exp(-th[2] * tau)
-    return np.stack(np.broadcast_arrays(d0, d1, d2), axis=-1)
+    grad = np.empty(np.broadcast_shapes(tau.shape, xw2.shape) + (3,))
+    grad[..., 0] = -th[1] * tau * grow
+    grad[..., 1] = -grow if form == "standard" else -np.expm1(th[0] * tau)
+    grad[..., 2] = -tau * xw2 * np.exp(-th[2] * tau)
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +179,15 @@ def regularizer_schedule(phi, t, h: DistortionFn, mode: str, T):
     ph = np.asarray(phi, dtype=float)
     tau = T - np.asarray(t, dtype=float)
     l2 = h.l2_norm
+    grad = np.zeros(tau.shape + (3,))
     if check_mode(mode) == "plain":
         p = np.exp(0.5 * ph[1] + 0.5 * ph[2] * tau) * l2**2
-        grad = np.stack(np.broadcast_arrays(np.zeros_like(p), 0.5 * p, 0.5 * tau * p), axis=-1)
+        grad[..., 1] = 0.5 * p
+        grad[..., 2] = 0.5 * tau * p
     else:
         p = 0.5 * ph[1] + 0.5 * ph[2] * tau + 2.0 * math.log(l2)
-        zeros = np.zeros_like(p)
-        grad = np.stack(np.broadcast_arrays(zeros, zeros + 0.5, 0.5 * tau), axis=-1)
+        grad[..., 1] = 0.5
+        grad[..., 2] = 0.5 * tau
     return p, grad
 
 
@@ -220,15 +223,17 @@ def episode_gradients(times, states, actions, theta, phi, w, config: TrainConfig
         grad_theta = -dv.T @ delta
 
         scale = actor_scale(ph, t_left, T)
-        location = -ph[0] * (x_left - w)
-        dm, ds = log_density_grad_fields(h, actions, location, scale)
+        xw = x_left - w
+        dm, ds = log_density_grad_fields(h, actions, -ph[0] * xw, scale)
         in_support = np.isfinite(dm) & np.isfinite(ds)
         n_skipped = int(np.size(in_support) - np.count_nonzero(in_support))
         dm = np.where(in_support, dm, 0.0)
         ds = np.where(in_support, ds, 0.0)
         # chain rule through (M, S): M = -phi0 (x-w), S = e^{phi1/2 + phi2 tau/2}
-        dlog = np.stack([-(x_left - w) * dm, 0.5 * scale * ds, 0.5 * tau * scale * ds],
-                        axis=-1)
+        dlog = np.empty(xw.shape + (3,))
+        dlog[:, 0] = -xw * dm
+        dlog[:, 1] = 0.5 * scale * ds
+        dlog[:, 2] = 0.5 * tau * scale * ds
         grad_phi = dlog.T @ delta - lam * dp.T @ dts
 
     return grad_theta, grad_phi, n_skipped

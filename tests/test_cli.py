@@ -221,6 +221,20 @@ class TestExitStatus:
         assert err.count("\n") == 1
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("cmd", ["table", "figures"])
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_nonpositive_jobs_stops_before_any_cell_trains(self, cmd, jobs, tmp_path,
+                                                           monkeypatch, capsys):
+        def no_training(cfg, market):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        cfg = write_grid(tmp_path / "grid.yaml")
+        out = tmp_path / "t.csv"
+        assert cli.main([cmd, "--config", str(cfg), "--jobs", jobs, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"choquet-emv: error: --jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
+
     def test_closed_pipe_ends_quietly_with_status_141(self):
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -406,6 +420,21 @@ class TestReproduceTablesScript:
         assert script.main() == 0
         assert calls == [["table", "--config", "configs/table_gaussian.yaml", "--jobs", "4",
                           "--out", "results/table_gaussian.csv", "--episodes", "0"]]
+
+
+class TestStudyCellCheckScript:
+    @pytest.mark.parametrize("flag", ["--seeds", "--episodes"])
+    def test_zero_count_exits_2_before_training(self, flag, monkeypatch, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "study_cell_check", ROOT / "scripts" / "study_cell_check.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "train", lambda cfg, market: pytest.fail("a cell trained"))
+        monkeypatch.setattr(sys, "argv", ["study_cell_check.py", flag, "0"])
+        with pytest.raises(SystemExit) as stop:
+            script.main()
+        assert stop.value.code == 2
+        assert f"error: {flag} must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestLambdaSweepContrast:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,33 @@ class TestRollout:
             xs.append(x)
         np.testing.assert_array_equal(actions, us)
         np.testing.assert_array_equal(states, xs)
+
+    def test_diverging_path_matches_step_loop_bytes_silently(self):
+        n, dt, w, mean_coef = 64, 1.0 / 64, 1.6, 1e200
+        eta, noise = episode_draws(GAUSS, 4, 2, n)
+        scale = 0.4 * np.ones(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states, actions = rollout(1.0, w, mean_coef, scale, eta, MARKET, dt, noise)
+        assert np.isinf(states).any() and np.isnan(states[-1])
+        x, xs, us = 1.0, [1.0], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n):
+                u = mean_coef * (x - w) + scale[i] * eta[i]
+                x = step(x, u, MARKET, dt, noise[i])
+                us.append(u)
+                xs.append(x)
+        assert states.tobytes() == np.array(xs).tobytes()
+        assert actions.tobytes() == np.array(us).tobytes()
+
+    def test_numpy_scalar_inputs_match_python_floats(self):
+        n, dt = 64, 1.0 / 64
+        eta, noise = episode_draws(GAUSS, 4, 2, n)
+        scale = 0.4 * np.exp(0.6 * (1.0 - np.arange(n) * dt))
+        a = rollout(1.0, 1.6, -1.3, scale, eta, MARKET, dt, noise)
+        b = rollout(np.float64(1.0), np.float64(1.6), -np.float64(1.3), scale, eta, MARKET, dt,
+                    noise)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
 class TestMCObjective:

@@ -388,6 +388,34 @@ class TestTrain:
             np.testing.assert_allclose(log.phi[j - 1], phi, rtol=1e-12)
             np.testing.assert_array_equal(log.terminal_wealth[j - 1], episode.states[-1])
 
+    # a gini actor at scale e^-35 replays some boundary draws just outside
+    # its support, through rounding in (u - M) / S
+    @pytest.mark.parametrize("h_name, phi_init, grad_clip", [
+        ("gini", (2.0, -70.0, 1.0), 0.2),
+        ("gaussian_score", (2.0, -2.0, 1.0), 0.05),
+    ], ids=["gini", "gaussian"])
+    def test_counters_match_replayed_episodes(self, h_name, phi_init, grad_clip):
+        h = get_distortion(h_name)
+        cfg = base_config(episodes=20, avg_window=100, h=h, phi_init=phi_init,
+                          grad_clip=grad_clip, sim=SimConfig.from_horizon(T, 64, seed=1))
+        log = train(cfg, MARKET)
+        theta, phi, w = np.array(cfg.theta_init, float), np.array(cfg.phi_init, float), cfg.z
+        skipped = clipped = 0
+        for j in range(1, cfg.episodes + 1):
+            episode = rollout(phi, w, h, cfg, episode_seed=j)
+            gt, gp, n_skipped = episode_gradients(*episode, theta, phi, w, cfg)
+            gt, c1 = _clip(gt, cfg.grad_clip)
+            gp, c2 = _clip(gp, cfg.grad_clip)
+            skipped += n_skipped
+            clipped += c1 + c2
+            lr = j**-cfg.decay
+            theta = theta - cfg.alpha_theta * lr * gt
+            phi = phi - cfg.alpha_phi * lr * gp
+            np.testing.assert_array_equal(log.phi[j - 1], phi)
+        assert log.skipped_actions == skipped and log.clip_events == clipped
+        assert (skipped > 0) == (h_name == "gini")
+        assert 0 < clipped < 2 * cfg.episodes
+
     def test_multiplier_updates_use_last_window(self):
         cfg = base_config(episodes=20, avg_window=10)
         log = train(cfg, MARKET)
