@@ -11,14 +11,13 @@ location gradient) are flagged in the status column.
 
 import argparse
 import sys
+from pathlib import Path
 
 from choquet_emv import cli
 
-CONFIGS = {
-    "gaussian": "configs/table_gaussian.yaml",
-    "exponential": "configs/table_exponential.yaml",
-    "uniform": "configs/table_uniform.yaml",
-}
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = {name: str(CONFIG_DIR / f"table_{name}.yaml")
+           for name in ("gaussian", "exponential", "uniform")}
 
 
 def main() -> int:

@@ -39,9 +39,8 @@ from .closedform import (
 from .distortion import get_distortion
 from .market import SimConfig, mean_and_std_error, pathwise_objectives, rollout
 from .policy import MODES
-from .rl import TrainConfig, TrainingDivergedError, episode_draws, train
+from .rl import CRITIC_FORMS, TrainConfig, TrainingDivergedError, episode_draws, train
 
-OUTPUT_DIR_ENV = "CHOQUET_EMV_OUTPUT_DIR"
 DEFAULT_LAMBDA = {"plain": 0.01, "log": 0.1}
 # config-hash keys of the grid fields whose names differ; renaming one changes every hash
 _PAYLOAD_KEYS = {"mu_list": "mu", "sigma_list": "sigma", "h_names": "h"}
@@ -88,7 +87,7 @@ class ExperimentGrid:
     modes: tuple[str, ...] = ("plain", "log")
     h_names: tuple[str, ...] = ("gaussian_score",)
     episodes: int = 20000
-    avg_window: int = 10
+    avg_window: int = TrainConfig.avg_window
     seed: int = 0
     lambda_by_mode: dict = field(default_factory=lambda: dict(DEFAULT_LAMBDA))
     lambdas: tuple[float, ...] = ()  # λ axis; empty means lambda_by_mode[mode]
@@ -262,8 +261,7 @@ def cmd_train(args) -> int:
     cfg, market = _train_config(
         args.mu, args.sigma, args.r, args.h, args.T, args.dt, args.seed,
         episodes=args.episodes, lam=lam, mode=args.mode, z=args.z, x0=args.x0,
-        avg_window=args.m, alpha_theta=args.alpha, alpha_phi=args.alpha,
-        alpha_w=args.alpha, decay=args.decay, critic_form=args.critic_form,
+        avg_window=args.m, alpha=args.alpha, decay=args.decay, critic_form=args.critic_form,
         grad_clip=args.grad_clip,
     )
     try:
@@ -414,10 +412,9 @@ def cmd_trajectory(args) -> int:
 def _out_path(args, grid: ExperimentGrid) -> str | None:
     if args.out is not None:
         return args.out
-    base = os.environ.get(OUTPUT_DIR_ENV) or grid.out_dir
-    if base in (".", "", None):
+    if grid.out_dir in (".", ""):
         return None  # stdout
-    return os.path.join(base, f"{args.cmd}.csv")
+    return os.path.join(grid.out_dir, f"{args.cmd}.csv")
 
 
 def _add_market_args(p: argparse.ArgumentParser, lam: float | None = 0.01):
@@ -457,11 +454,12 @@ def main(argv=None) -> int:
     p.add_argument("--dt", type=float, default=1.0 / 252.0)
     p.add_argument("--episodes", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, default=10, help="terminal-wealth averaging window")
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--decay", type=float, default=0.51)
-    p.add_argument("--critic-form", choices=("standard", "corrected"), default="standard")
-    p.add_argument("--grad-clip", type=float, default=None)
+    p.add_argument("--m", type=int, default=TrainConfig.avg_window,
+                   help="terminal-wealth averaging window")
+    p.add_argument("--alpha", type=float, default=TrainConfig.alpha)
+    p.add_argument("--decay", type=float, default=TrainConfig.decay)
+    p.add_argument("--critic-form", choices=CRITIC_FORMS, default=TrainConfig.critic_form)
+    p.add_argument("--grad-clip", type=float, default=TrainConfig.grad_clip)
     p.set_defaults(fn=cmd_train)
 
     for name, hlp in (("table", "summary statistics per grid cell"),

@@ -29,6 +29,7 @@ two steps, which `policy_iteration` reproduces in parameter space.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -122,6 +123,15 @@ def _require_finite(record, *names: str):
     for name in names:
         if not math.isfinite(getattr(record, name)):
             raise ValueError(f"{name} must be finite, got {getattr(record, name)}")
+
+
+def _require_int(record, *names: str):
+    """Store each named field of a frozen record as an int; refuse floats and bools."""
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(record, name, int(value))
 
 
 def _require_rho(market: MarketParams) -> float:

@@ -271,7 +271,7 @@ def max_constrained(fn: DistortionFn, m: float, s: float) -> tuple[QuantileFn, f
     Returns the maximizing quantile Q*(p) = m + s h'(1-p)/||h'||_2 together
     with the maximum value s ||h'||_2.
     """
-    if s <= 0.0:
+    if not s > 0.0:
         raise ValueError(f"scale must be positive, got {s}")
     norm = fn.l2_norm
     if not (norm > 0.0):

@@ -16,13 +16,12 @@ same bytes as a fresh generator per path at a fraction of the set-up cost.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import EMVSpec, MarketParams
+from .closedform import EMVSpec, MarketParams, _require_int
 from .policy import running_reward
 
 _U64 = 2**64 - 1
@@ -38,13 +37,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        _require_int(self, "n_steps", "n_paths", "seed")
         if self.n_steps < 1 or not (0.0 < self.dt < math.inf) or self.n_paths < 1:
             raise ValueError("SimConfig requires n_steps >= 1, finite dt > 0, n_paths >= 1")
-        if not math.isfinite(self.horizon):
-            raise ValueError(f"horizon n_steps * dt must be finite, got {self.horizon}")
+        try:
+            horizon = self.horizon
+        except OverflowError:  # n_steps too large for a float
+            horizon = math.inf
+        if not math.isfinite(horizon):
+            raise ValueError(f"horizon n_steps * dt must be finite, got {horizon}")
 
     @classmethod
     def from_horizon(cls, T: float, n_steps: int, n_paths: int = 1, seed: int = 0) -> "SimConfig":

@@ -39,7 +39,7 @@ class LocationScalePolicy:
     scale: float
 
     def __post_init__(self):
-        if self.scale < 0.0:
+        if not self.scale >= 0.0:
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
     @property
@@ -52,7 +52,7 @@ def sample(policy: LocationScalePolicy, p):
     """Inverse-transform sample: Q(p) = M + S h'(1 - p) for a uniform draw p
     in (0, 1), on the same unit-scale template as the trainer's draws."""
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("uniform draw must lie strictly inside (0, 1)")
     out = policy.location + policy.scale * standardized_draw(policy.h, p)
     return out if np.ndim(out) else float(out)

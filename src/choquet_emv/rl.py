@@ -25,12 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import MarketParams, _require_finite
+from .closedform import MarketParams, _require_finite, _require_int
 from .distortion import DistortionFn
 from .market import SimConfig, path_stream, rollout
 from .policy import check_mode, log_density_grad_fields, standardized_draw
 
-_CRITIC_FORMS = ("standard", "corrected")
+CRITIC_FORMS = ("standard", "corrected")
+THETA_INIT = (1.0, 0.1, 1.0)
+# the phi start gives a modest initial exploration scale (about 0.4 near
+# the horizon) and a mean-reversion coefficient of 2; at the study's
+# learning rates the scale parameters barely move, so the start sets the
+# converged exploration level.
+PHI_INIT = (2.0, -2.0, 1.0)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -53,34 +59,23 @@ class TrainConfig:
     z: float
     x0: float = 1.0
     avg_window: int = 10
-    alpha_theta: float = 0.01
-    alpha_phi: float = 0.01
-    alpha_w: float = 0.01
+    alpha: float = 0.01  # learning rate of theta, phi and w
     decay: float = 0.51
-    # phi defaults give a modest initial exploration scale (about 0.4 near
-    # the horizon) and a mean-reversion coefficient of 2; at the study's
-    # learning rates the scale parameters barely move, so the init sets the
-    # converged exploration level.
-    theta_init: tuple[float, float, float] = (1.0, 0.1, 1.0)
-    phi_init: tuple[float, float, float] = (2.0, -2.0, 1.0)
-    w_init: float | None = None  # defaults to the wealth target z
     critic_form: str = "standard"
     grad_clip: float | None = None
 
     def __post_init__(self):
+        _require_int(self, "episodes", "avg_window")
         if self.episodes < 1 or self.avg_window < 1:
             raise ValueError("episodes and avg_window must be >= 1")
-        _require_finite(self, "alpha_theta", "alpha_phi", "alpha_w", "lam", "decay", "z", "x0")
-        starts = (*self.theta_init, *self.phi_init, 0.0 if self.w_init is None else self.w_init)
-        if not all(map(math.isfinite, starts)):
-            raise ValueError("theta_init, phi_init and w_init must be finite")
-        if min(self.alpha_theta, self.alpha_phi, self.alpha_w) <= 0.0:
-            raise ValueError("learning rates must be positive")
+        _require_finite(self, "alpha", "lam", "decay", "z", "x0")
+        if not self.alpha > 0.0:
+            raise ValueError(f"learning rate alpha must be positive, got {self.alpha}")
         if min(self.lam, self.decay) < 0.0:
             raise ValueError(f"lam and decay must be nonnegative, got {self.lam}, {self.decay}")
         check_mode(self.mode)
-        if self.critic_form not in _CRITIC_FORMS:
-            raise ValueError(f"critic_form must be one of {_CRITIC_FORMS}")
+        if self.critic_form not in CRITIC_FORMS:
+            raise ValueError(f"critic_form must be one of {CRITIC_FORMS}")
         if self.grad_clip is not None and not 0.0 < self.grad_clip < math.inf:
             raise ValueError(f"grad_clip must be positive and finite (or None for no clipping), "
                              f"got {self.grad_clip}")
@@ -270,6 +265,7 @@ def episode_draws(h: DistortionFn, seed: int, index: int, n_steps: int,
 def train(config: TrainConfig, market: MarketParams) -> TrainLog:
     """Run the episodic actor-critic loop and return the full history.
 
+    Starts from THETA_INIT, PHI_INIT (read when called) and w = z.
     Deterministic given config.sim.seed: episode j draws its uniforms and
     noise from a Philox stream keyed (seed, j), one generator rekeyed per
     episode.
@@ -278,9 +274,9 @@ def train(config: TrainConfig, market: MarketParams) -> TrainLog:
     T, h, z = config.T, config.h, config.z
     times = config.sim.times()
 
-    theta = np.array(config.theta_init, dtype=float)
-    phi = np.array(config.phi_init, dtype=float)
-    w = float(config.w_init) if config.w_init is not None else float(z)
+    theta = np.array(THETA_INIT, dtype=float)
+    phi = np.array(PHI_INIT, dtype=float)
+    w = float(z)
 
     K = config.episodes
     tw_log = np.empty(K)
@@ -306,14 +302,14 @@ def train(config: TrainConfig, market: MarketParams) -> TrainLog:
         clip_events += int(c1) + int(c2)
 
         lr = j ** (-config.decay)
-        theta = theta - config.alpha_theta * lr * g_theta
-        phi = phi - config.alpha_phi * lr * g_phi
+        theta = theta - config.alpha * lr * g_theta
+        phi = phi - config.alpha * lr * g_phi
         if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
             raise TrainingDivergedError(j, "non-finite parameters")
 
         tw_log[j - 1] = states[-1]
         if j % config.avg_window == 0:
-            w = lagrange_update(w, tw_log[j - config.avg_window:j], config.alpha_w, z)
+            w = lagrange_update(w, tw_log[j - config.avg_window:j], config.alpha, z)
             if not math.isfinite(w):
                 raise TrainingDivergedError(j, "non-finite multiplier")
         theta_log[j - 1] = theta

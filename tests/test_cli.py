@@ -155,6 +155,14 @@ class TestTable:
         cli.main(["table", "--config", str(cfg), "--jobs", "2", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_out_dir_flag_is_the_only_directory_switch(self, tmp_path, monkeypatch):
+        cfg = write_grid(tmp_path / "grid.yaml", episodes=10)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("CHOQUET_EMV_OUTPUT_DIR", "a")
+        assert cli.main(["table", "--config", str(cfg), "--out-dir", "b"]) == 0
+        assert (tmp_path / "b" / "table.csv").is_file()
+        assert not (tmp_path / "a").exists()
+
 
 class TestExitStatus:
     @pytest.mark.parametrize("argv, message", [
@@ -408,33 +416,20 @@ class TestGridConfig:
 
 
 class TestReproduceTablesScript:
-    def test_episodes_zero_is_passed_on(self, monkeypatch):
+    def test_episodes_zero_is_passed_on(self, tmp_path, monkeypatch):
         spec = importlib.util.spec_from_file_location(
             "reproduce_tables", ROOT / "scripts" / "reproduce_tables.py")
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
         calls = []
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
         monkeypatch.setattr(sys, "argv", ["reproduce_tables.py", "--table", "gaussian",
                                           "--episodes", "0"])
         assert script.main() == 0
-        assert calls == [["table", "--config", "configs/table_gaussian.yaml", "--jobs", "4",
+        config = str(CONFIGS.resolve() / "table_gaussian.yaml")
+        assert calls == [["table", "--config", config, "--jobs", "4",
                           "--out", "results/table_gaussian.csv", "--episodes", "0"]]
-
-
-class TestStudyCellCheckScript:
-    @pytest.mark.parametrize("flag", ["--seeds", "--episodes"])
-    def test_zero_count_exits_2_before_training(self, flag, monkeypatch, capsys):
-        spec = importlib.util.spec_from_file_location(
-            "study_cell_check", ROOT / "scripts" / "study_cell_check.py")
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        monkeypatch.setattr(script, "train", lambda cfg, market: pytest.fail("a cell trained"))
-        monkeypatch.setattr(sys, "argv", ["study_cell_check.py", flag, "0"])
-        with pytest.raises(SystemExit) as stop:
-            script.main()
-        assert stop.value.code == 2
-        assert f"error: {flag} must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestLambdaSweepContrast:

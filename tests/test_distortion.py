@@ -149,8 +149,9 @@ class TestMaxConstrained:
         assert abs(mean - 2.0) < 1e-8 and abs(var - 9.0) < 1e-7
 
     def test_nonpositive_scale_rejected(self):
-        with pytest.raises(ValueError):
-            max_constrained(get_distortion("gini"), 0.0, 0.0)
+        for s in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                max_constrained(get_distortion("gini"), 0.0, s)
 
     def test_zero_distortion_rejected(self):
         flat = DistortionFn(name="flat", h=lambda p: 0.0 * np.asarray(p),

@@ -19,10 +19,9 @@ from choquet_emv.policy import MODES
 from choquet_emv.rl import TrainConfig
 
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
-TRIPLE = st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
-# integers of every width and kind, and the floats and bools that are not seeds
-ANY_SEED = st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
-                     st.integers(0, 2**64 - 1).map(np.uint64), ANY_FLOAT, st.booleans())
+# integers of every width and kind, and the floats and bools that are not integers
+ANY_INTEGER = st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+                        st.integers(0, 2**64 - 1).map(np.uint64), ANY_FLOAT, st.booleans())
 FAMILIES = st.sampled_from(sorted(BUILTIN_DISTORTIONS)).map(get_distortion)
 GINI = get_distortion("gini")
 
@@ -31,11 +30,10 @@ FINITE = {
     MarketParams: ("mu", "sigma", "r", "rho"),
     EMVSpec: ("T", "lam", "z", "x0"),
     SimConfig: ("dt", "horizon"),
-    TrainConfig: ("lam", "z", "x0", "alpha_theta", "alpha_phi", "alpha_w", "decay",
-                  "theta_init", "phi_init", "w_init", "grad_clip"),
+    TrainConfig: ("lam", "z", "x0", "alpha", "decay", "grad_clip"),
 }
 # integer-valued fields that must come out as a plain int
-INTEGER = {SimConfig: ("seed",)}
+INTEGER = {SimConfig: ("n_steps", "n_paths", "seed"), TrainConfig: ("episodes", "avg_window")}
 VALID = {
     MarketParams: MarketParams(0.1, 0.2, 0.02),
     EMVSpec: EMVSpec(T=1.0, lam=0.1, z=1.4, x0=1.0, mode="log", h=GINI),
@@ -57,8 +55,7 @@ def builds_finite_or_refuses(make):
         return
     for name in FINITE[type(record)]:
         value = getattr(record, name)
-        values = value if isinstance(value, tuple) else (value,)
-        assert all(v is None or math.isfinite(v) for v in values), (name, value)
+        assert value is None or math.isfinite(value), (name, value)
     for name in INTEGER.get(type(record), ()):
         assert type(getattr(record, name)) is int, (name, getattr(record, name))
 
@@ -67,10 +64,7 @@ def builds_finite_or_refuses(make):
 @pytest.mark.parametrize("cls, name", ONE_FIELD, ids=[f"{c.__name__}.{n}" for c, n in ONE_FIELD])
 @given(data=st.data())
 def test_one_field_off_a_valid_record(cls, name, data):
-    if name == "seed":
-        value = data.draw(ANY_SEED)
-    else:
-        value = data.draw(TRIPLE if name.endswith("_init") and name != "w_init" else ANY_FLOAT)
+    value = data.draw(ANY_INTEGER if name in INTEGER.get(cls, ()) else ANY_FLOAT)
     builds_finite_or_refuses(lambda: replace(VALID[cls], **{name: value}))
 
 
@@ -95,15 +89,12 @@ def test_sim_config(n_steps, dt, T):
 
 
 @settings(max_examples=300, deadline=None)
-@given(lam=ANY_FLOAT, z=ANY_FLOAT, x0=ANY_FLOAT, alphas=TRIPLE, decay=ANY_FLOAT,
-       w_init=st.none() | ANY_FLOAT, grad_clip=st.none() | ANY_FLOAT, theta_init=TRIPLE,
-       phi_init=TRIPLE, mode=st.sampled_from(MODES), h=FAMILIES)
-def test_train_config(lam, z, x0, alphas, decay, w_init, grad_clip, theta_init, phi_init,
-                      mode, h):
+@given(lam=ANY_FLOAT, z=ANY_FLOAT, x0=ANY_FLOAT, alpha=ANY_FLOAT, decay=ANY_FLOAT,
+       grad_clip=st.none() | ANY_FLOAT, mode=st.sampled_from(MODES), h=FAMILIES)
+def test_train_config(lam, z, x0, alpha, decay, grad_clip, mode, h):
     builds_finite_or_refuses(lambda: TrainConfig(
         episodes=10, h=h, lam=lam, mode=mode, sim=SimConfig(4, 0.25), z=z, x0=x0,
-        alpha_theta=alphas[0], alpha_phi=alphas[1], alpha_w=alphas[2], decay=decay,
-        theta_init=theta_init, phi_init=phi_init, w_init=w_init, grad_clip=grad_clip))
+        alpha=alpha, decay=decay, grad_clip=grad_clip))
 
 
 YAML_VALUES = st.recursive(

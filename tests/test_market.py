@@ -63,8 +63,10 @@ class TestSimConfig:
         for dt in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 SimConfig(n_steps=10, dt=dt)
-        with pytest.raises(ValueError, match="horizon"):
-            SimConfig(n_steps=10, dt=1e308)
+        # the horizon overflows to inf, or an int beyond float range overflows in the product
+        for n_steps, dt in ((10, 1e308), (2**1100, 0.25)):
+            with pytest.raises(ValueError, match="horizon"):
+                SimConfig(n_steps=n_steps, dt=dt)
 
     @pytest.mark.parametrize("seed, numpy_seed", [(3, np.int64(3)),
                                                   (2**63 + 5, np.uint64(2**63 + 5))],
@@ -84,6 +86,12 @@ class TestSimConfig:
             SimConfig(n_steps=4, dt=0.25, seed=seed)
         with pytest.raises(ValueError, match="seed"):
             SimConfig.from_horizon(1.0, 4, seed=seed)
+        # the step and path counts take the same check
+        for name in ("n_steps", "n_paths"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SimConfig(**{"n_steps": 4, "dt": 0.25, name: seed})
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            SimConfig.from_horizon(1.0, seed)
 
 
 class TestStep:

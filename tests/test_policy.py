@@ -67,14 +67,15 @@ class TestSample:
         if scale == 0.0:
             assert u == 2.5
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3, math.nan])
     def test_draw_outside_open_interval_rejected(self, p):
         with pytest.raises(ValueError):
             sample(make_policy("gini"), p)
 
     def test_negative_scale_rejected(self):
-        with pytest.raises(ValueError):
-            make_policy("gini", scale=-0.1)
+        for scale in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                make_policy("gini", scale=scale)
 
 
 class TestMoments:

@@ -5,6 +5,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from choquet_emv import rl
 from choquet_emv.closedform import (
     EMVSpec,
     MarketParams,
@@ -377,13 +378,13 @@ class TestTrain:
         # re-derive every update offline from the logged parameters
         cfg = base_config(episodes=4, avg_window=100)
         log = train(cfg, MARKET)
-        theta, phi, w = np.array(cfg.theta_init, float), np.array(cfg.phi_init, float), cfg.z
+        theta, phi, w = np.array(rl.THETA_INIT, float), np.array(rl.PHI_INIT, float), cfg.z
         for j in range(1, cfg.episodes + 1):
             episode = rollout(phi, w, GAUSS, cfg, episode_seed=j)
             gt, gp, _ = episode_gradients(*episode, theta, phi, w, cfg)
             lr = j**-cfg.decay
-            theta = theta - cfg.alpha_theta * lr * gt
-            phi = phi - cfg.alpha_phi * lr * gp
+            theta = theta - cfg.alpha * lr * gt
+            phi = phi - cfg.alpha * lr * gp
             np.testing.assert_allclose(log.theta[j - 1], theta, rtol=1e-12)
             np.testing.assert_allclose(log.phi[j - 1], phi, rtol=1e-12)
             np.testing.assert_array_equal(log.terminal_wealth[j - 1], episode.states[-1])
@@ -394,12 +395,13 @@ class TestTrain:
         ("gini", (2.0, -70.0, 1.0), 0.2),
         ("gaussian_score", (2.0, -2.0, 1.0), 0.05),
     ], ids=["gini", "gaussian"])
-    def test_counters_match_replayed_episodes(self, h_name, phi_init, grad_clip):
+    def test_counters_match_replayed_episodes(self, h_name, phi_init, grad_clip, monkeypatch):
         h = get_distortion(h_name)
-        cfg = base_config(episodes=20, avg_window=100, h=h, phi_init=phi_init,
-                          grad_clip=grad_clip, sim=SimConfig.from_horizon(T, 64, seed=1))
+        monkeypatch.setattr(rl, "PHI_INIT", phi_init)
+        cfg = base_config(episodes=20, avg_window=100, h=h, grad_clip=grad_clip,
+                          sim=SimConfig.from_horizon(T, 64, seed=1))
         log = train(cfg, MARKET)
-        theta, phi, w = np.array(cfg.theta_init, float), np.array(cfg.phi_init, float), cfg.z
+        theta, phi, w = np.array(rl.THETA_INIT, float), np.array(phi_init, float), cfg.z
         skipped = clipped = 0
         for j in range(1, cfg.episodes + 1):
             episode = rollout(phi, w, h, cfg, episode_seed=j)
@@ -409,8 +411,8 @@ class TestTrain:
             skipped += n_skipped
             clipped += c1 + c2
             lr = j**-cfg.decay
-            theta = theta - cfg.alpha_theta * lr * gt
-            phi = phi - cfg.alpha_phi * lr * gp
+            theta = theta - cfg.alpha * lr * gt
+            phi = phi - cfg.alpha * lr * gp
             np.testing.assert_array_equal(log.phi[j - 1], phi)
         assert log.skipped_actions == skipped and log.clip_events == clipped
         assert (skipped > 0) == (h_name == "gini")
@@ -419,18 +421,18 @@ class TestTrain:
     def test_multiplier_updates_use_last_window(self):
         cfg = base_config(episodes=20, avg_window=10)
         log = train(cfg, MARKET)
-        w0 = cfg.z - cfg.alpha_w * (log.terminal_wealth[:10].mean() - cfg.z)
+        w0 = cfg.z - cfg.alpha * (log.terminal_wealth[:10].mean() - cfg.z)
         assert log.w[9] == pytest.approx(w0, rel=1e-12)
         assert np.all(log.w[:9] == cfg.z)
-        w1 = w0 - cfg.alpha_w * (log.terminal_wealth[10:20].mean() - cfg.z)
+        w1 = w0 - cfg.alpha * (log.terminal_wealth[10:20].mean() - cfg.z)
         assert log.w[19] == pytest.approx(w1, rel=1e-12)
 
     def test_clipping_bounds_updates_and_is_logged(self):
         cfg = base_config(episodes=10, grad_clip=1e-4)
         log = train(cfg, MARKET)
         assert log.clip_events > 0
-        step0 = np.abs(log.theta[0] - np.array(cfg.theta_init))
-        assert np.linalg.norm(step0) <= cfg.alpha_theta * 1e-4 * (1 + 1e-9)
+        step0 = np.abs(log.theta[0] - np.array(rl.THETA_INIT))
+        assert np.linalg.norm(step0) <= cfg.alpha * 1e-4 * (1 + 1e-9)
 
     def test_clip_leaves_overflowing_norm_to_the_parameter_check(self):
         vec = np.full(3, 1e200)
@@ -440,7 +442,7 @@ class TestTrain:
         assert clipped is vec and not engaged
 
     def test_divergence_reports_episode(self):
-        cfg = base_config(episodes=500, alpha_theta=2e4, alpha_phi=2e4)
+        cfg = base_config(episodes=500, alpha=2e4)
         with pytest.raises(TrainingDivergedError) as err:
             train(cfg, MARKET)
         assert err.value.episode >= 1
@@ -449,7 +451,7 @@ class TestTrain:
         with pytest.raises(ValueError):
             base_config(episodes=0)
         with pytest.raises(ValueError):
-            base_config(alpha_w=0.0)
+            base_config(alpha=0.0)
         with pytest.raises(ValueError):
             base_config(mode="hybrid")
         with pytest.raises(ValueError):
@@ -460,11 +462,15 @@ class TestTrain:
                 base_config(grad_clip=limit)
         # a negative decay makes the step size grow like j^|decay|
         for bad in (dict(lam=-1.0), dict(lam=math.nan), dict(decay=-3.0),
-                    dict(decay=math.inf), dict(alpha_phi=math.nan), dict(alpha_theta=math.inf),
-                    dict(z=math.nan), dict(x0=math.inf), dict(w_init=math.nan),
-                    dict(theta_init=(1.0, math.nan, 1.0)), dict(phi_init=(2.0, -math.inf, 1.0))):
+                    dict(decay=math.inf), dict(alpha=math.nan), dict(alpha=math.inf),
+                    dict(z=math.nan), dict(x0=math.inf)):
             with pytest.raises(ValueError):
                 base_config(**bad)
+        # a fractional count would truncate or fail deep inside train
+        for name in ("episodes", "avg_window"):
+            for bad in (2.5, 10.0, True):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    base_config(**{name: bad})
 
     def test_desk_scale_run_reaches_target_band(self):
         market = MarketParams(mu=0.3, sigma=0.2, r=0.02)
