@@ -25,7 +25,6 @@ from .closedform import (
 from .distortion import (
     BUILTIN_DISTORTIONS,
     DistortionFn,
-    QuantileFn,
     custom_distortion,
     get_distortion,
     l2_norm,
@@ -51,7 +50,6 @@ __all__ = [
     "LocationScalePolicy",
     "MarketParams",
     "QuadraticValueFn",
-    "QuantileFn",
     "SimConfig",
     "TrainConfig",
     "TrainLog",

@@ -43,11 +43,6 @@ class DivergentIntegralError(ValueError):
     """A Choquet integral failed to evaluate to a finite value."""
 
 
-def _rule(smooth: bool) -> tuple[Array, Array]:
-    """Gauss-Legendre for integrands smooth up to the endpoints, else tanh-sinh."""
-    return gauss_legendre_01() if smooth else tanh_sinh_01()
-
-
 @dataclass(frozen=True)
 class Family:
     """Closed forms of the location-scale family a distortion induces.
@@ -71,8 +66,8 @@ class DistortionFn:
 
     ``l2_norm`` is ||h'||_2: exact for the built-ins, measured by
     ``l2_norm()`` for user-supplied distortions.  ``hprime_singular`` marks
-    derivatives that are unbounded at an endpoint of (0, 1); integrals
-    involving them are routed to the tanh-sinh rule.
+    derivatives that are unbounded at an endpoint of (0, 1); it picks the
+    rule for ||h'||_2 (tanh-sinh if set, else Gauss-Legendre).
     ``hprime_range`` is (inf h', sup h') over (0, 1), i.e. the limits at
     p -> 1 and p -> 0 since h' is nonincreasing; it determines the support
     of the induced location-scale family.  ``family`` holds that family's
@@ -89,22 +84,8 @@ class DistortionFn:
     family: Family | None = None
 
     def rule(self) -> tuple[Array, Array]:
-        return _rule(not self.hprime_singular)
-
-
-@dataclass(frozen=True)
-class QuantileFn:
-    """A nondecreasing quantile function on (0, 1).
-
-    ``smooth`` says Q is smooth up to both endpoints; False routes
-    integrals to the tanh-sinh rule.
-    """
-
-    q: ScalarFn
-    smooth: bool = True
-
-    def __call__(self, p: Array) -> Array:
-        return self.q(p)
+        """The quadrature rule for ||h'||_2."""
+        return tanh_sinh_01() if self.hprime_singular else gauss_legendre_01()
 
 
 def _entropy_h(p: Array) -> Array:
@@ -221,8 +202,8 @@ def custom_distortion(
 
 def scale_distortion(fn: DistortionFn, c: float) -> DistortionFn:
     """Return the distortion c*h, whose derivative norm is c*||h'||_2."""
-    if c <= 0.0:
-        raise ValueError("scale factor must be positive")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"scale factor must be positive and finite, got {c}")
     lo, hi = fn.hprime_range
     return replace(
         fn,
@@ -244,19 +225,18 @@ def l2_norm(fn: DistortionFn) -> float:
     return math.sqrt(sq)
 
 
-def regularizer_of_quantile(fn: DistortionFn, quantile: QuantileFn) -> float:
+def regularizer_of_quantile(fn: DistortionFn, quantile: ScalarFn) -> float:
     """Phi_h of a distribution given through its quantile function.
 
-    Evaluates integral_0^1 Q(p) h'(1-p) dp on the tanh-sinh rule whenever
-    either factor is endpoint-singular.  The complement 1-p is taken from
-    the symmetric node layout, so h' is never evaluated at a rounded 0 or 1.
+    Evaluates integral_0^1 Q(p) h'(1-p) dp on the tanh-sinh rule, which
+    handles a quantile or an h' unbounded at an endpoint.  The complement
+    1-p is taken from the symmetric node layout, so h' is never evaluated
+    at a rounded 0 or 1.
     """
-    smooth = quantile.smooth and not fn.hprime_singular
-    nodes, weights = _rule(smooth)
-    comp = 1.0 - nodes if smooth else nodes[::-1]
+    nodes, weights = tanh_sinh_01()
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = (np.asarray(quantile.q(nodes), dtype=float)
-                * np.asarray(fn.hprime(comp), dtype=float))
+        vals = (np.asarray(quantile(nodes), dtype=float)
+                * np.asarray(fn.hprime(nodes[::-1]), dtype=float))
         total = float(np.dot(weights, vals))
     if not math.isfinite(total):
         raise DivergentIntegralError(
@@ -265,14 +245,16 @@ def regularizer_of_quantile(fn: DistortionFn, quantile: QuantileFn) -> float:
     return total
 
 
-def max_constrained(fn: DistortionFn, m: float, s: float) -> tuple[QuantileFn, float]:
+def max_constrained(fn: DistortionFn, m: float, s: float) -> tuple[ScalarFn, float]:
     """Maximize Phi_h over distributions with mean m and variance s^2.
 
     Returns the maximizing quantile Q*(p) = m + s h'(1-p)/||h'||_2 together
     with the maximum value s ||h'||_2.
     """
-    if not s > 0.0:
-        raise ValueError(f"scale must be positive, got {s}")
+    if not math.isfinite(m):
+        raise ValueError(f"mean must be finite, got {m}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {s}")
     norm = fn.l2_norm
     if not (norm > 0.0):
         raise ValueError(f"distortion {fn.name!r} is constantly zero")
@@ -280,13 +262,20 @@ def max_constrained(fn: DistortionFn, m: float, s: float) -> tuple[QuantileFn, f
     def q(p: Array, _hp=fn.hprime, _m=m, _c=s / norm) -> Array:
         return _m + _c * np.asarray(_hp(1.0 - np.asarray(p, dtype=float)), dtype=float)
 
-    return QuantileFn(q=q, smooth=not fn.hprime_singular), s * norm
+    return q, s * norm
 
 
-def quantile_moments(quantile: QuantileFn) -> tuple[float, float]:
-    """(mean, variance) of a distribution given by its quantile function."""
-    nodes, weights = _rule(quantile.smooth)
-    vals = np.asarray(quantile.q(nodes), dtype=float)
-    mean = float(np.dot(weights, vals))
-    var = float(np.dot(weights, (vals - mean) ** 2))
+def quantile_moments(quantile: ScalarFn) -> tuple[float, float]:
+    """(mean, variance) of a distribution given by its quantile function.
+
+    Both integrals run on the tanh-sinh rule; a non-finite one raises
+    ``DivergentIntegralError``.
+    """
+    nodes, weights = tanh_sinh_01()
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(quantile(nodes), dtype=float)
+        mean = float(np.dot(weights, vals))
+        var = float(np.dot(weights, (vals - mean) ** 2))
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise DivergentIntegralError("moment integrals of the quantile did not converge")
     return mean, var

@@ -51,7 +51,11 @@ class SimConfig:
     def from_horizon(cls, T: float, n_steps: int, n_paths: int = 1, seed: int = 0) -> "SimConfig":
         if n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-        return cls(n_steps=n_steps, dt=T / n_steps, n_paths=n_paths, seed=seed)
+        try:
+            dt = T / n_steps
+        except OverflowError:  # an integer beyond float range
+            raise ValueError("n_steps is too large: T / n_steps overflows a float") from None
+        return cls(n_steps=n_steps, dt=dt, n_paths=n_paths, seed=seed)
 
     @property
     def horizon(self) -> float:

@@ -2,11 +2,19 @@
 
 Two rules cover everything the library integrates:
 
-* a composite Gauss-Legendre rule for integrands that are smooth up to the
-  endpoints (e.g. polynomial distortion derivatives), and
 * a tanh-sinh (double-exponential) rule whose nodes approach 0 and 1
   double-exponentially fast, so integrable endpoint singularities such as
   log(p)^2 or squared normal quantiles converge to near machine precision.
+  Every integral over a quantile function (the Choquet regularizer and the
+  quantile's mean and variance) uses it, since nothing tells the library
+  whether a caller's quantile is bounded; so does ||h'||_2 for a distortion
+  whose ``hprime_singular`` is set;
+* a composite Gauss-Legendre rule for ||h'||_2 when h' is smooth up to the
+  endpoints (e.g. the Gini weight 1 - 2p), where it is exact to rounding
+  and tanh-sinh would drop the ~2e-15 of mass beyond its last node.
+
+The time integral in ``closedform.exploration_cost_by_quadrature`` uses a
+512-node Gauss-Legendre rule: its integrand is smooth in t.
 
 Both rules are returned as plain (nodes, weights) arrays so callers can
 evaluate vectorized integrands once and reuse the rule across many

@@ -2,10 +2,11 @@
 
 Candidates are convex combinations of the three built-in maximizer shapes
 plus nondecreasing piecewise-linear perturbations, affinely renormalized
-to a target mean and variance on the same quadrature rule the regularizer
-uses.  Affine renormalization with a positive slope preserves
-monotonicity, so every candidate is a genuine quantile function with the
-requested first two moments.
+to a target mean and variance by ``quantile_moments``, on the tanh-sinh
+rule the regularizer uses too.  Affine renormalization with a positive
+slope preserves monotonicity, so every candidate is a genuine quantile
+function with the requested first two moments.  A candidate is a plain
+callable p -> Q(p), the form every quantile takes in the library.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from choquet_emv.distortion import (
     BUILTIN_DISTORTIONS,
-    QuantileFn,
+    ScalarFn,
     quantile_moments,
 )
 from choquet_emv.policy import standardized_draw
@@ -22,7 +23,7 @@ from choquet_emv.policy import standardized_draw
 _TEMPLATES = tuple(BUILTIN_DISTORTIONS.values())
 
 
-def random_feasible_quantile(rng: np.random.Generator, m: float, s: float) -> QuantileFn:
+def random_feasible_quantile(rng: np.random.Generator, m: float, s: float) -> ScalarFn:
     weights = rng.dirichlet(np.ones(len(_TEMPLATES))) * rng.uniform(0.2, 3.0)
     n_knots = rng.integers(1, 6)
     knots = np.sort(rng.uniform(0.05, 0.95, size=n_knots))
@@ -38,10 +39,10 @@ def random_feasible_quantile(rng: np.random.Generator, m: float, s: float) -> Qu
             out = out + sl * np.maximum(p - k, 0.0)
         return out
 
-    mean, var = quantile_moments(QuantileFn(q=raw, smooth=False))
+    mean, var = quantile_moments(raw)
     gain = s / np.sqrt(var)
 
     def q(p, _raw=raw, _mean=mean, _gain=gain, _m=m):
         return _m + _gain * (_raw(p) - _mean)
 
-    return QuantileFn(q=q, smooth=False)
+    return q

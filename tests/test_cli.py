@@ -175,6 +175,8 @@ class TestExitStatus:
         (["train", "--T", "inf"], "T and dt must be finite and positive"),
         (["train", "--dt", "0"], "T and dt must be finite and positive"),
         (["simulate", "--n-steps", "0"], "n_steps must be >= 1, got 0"),
+        (["simulate", "--n-steps", str(2**1100)], "n_steps is too large"),
+        (["trajectory", "--n-steps", str(2**1100)], "n_steps is too large"),
     ])
     def test_bad_input_is_one_line_with_status_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"

@@ -10,7 +10,6 @@ from choquet_emv.distortion import (
     DistortionFn,
     DivergentIntegralError,
     DivergentNormError,
-    QuantileFn,
     custom_distortion,
     get_distortion,
     l2_norm,
@@ -95,26 +94,41 @@ class TestRegularizerOfQuantile:
     def test_degenerate_is_zero(self):
         for name in ALL_NAMES:
             h = get_distortion(name)
-            val = regularizer_of_quantile(h, QuantileFn(q=lambda p: np.full_like(p, 4.2)))
+            val = regularizer_of_quantile(h, lambda p: np.full_like(p, 4.2))
             assert abs(val) < 1e-12
 
     def test_standard_normal_under_gaussian_weight(self):
         from scipy.special import ndtri
 
         h = get_distortion("gaussian_score")
-        val = regularizer_of_quantile(h, QuantileFn(q=ndtri, smooth=False))
+        val = regularizer_of_quantile(h, ndtri)
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_unit_variance_uniform_under_gini(self):
         h = get_distortion("gini")
-        q = QuantileFn(q=lambda p: math.sqrt(3.0) * (2.0 * p - 1.0))
+        q = lambda p: math.sqrt(3.0) * (2.0 * p - 1.0)
         assert regularizer_of_quantile(h, q) == pytest.approx(math.sqrt(1 / 3), abs=1e-12)
 
     def test_divergent_integral_raises(self):
         h = get_distortion("gaussian_score")
-        q = QuantileFn(q=lambda p: np.exp(50.0 / (1.0 - np.asarray(p))), smooth=False)
+        q = lambda p: np.exp(50.0 / (1.0 - np.asarray(p)))
         with pytest.raises(DivergentIntegralError):
             regularizer_of_quantile(h, q)
+        with pytest.raises(DivergentIntegralError):
+            quantile_moments(q)
+
+    def test_bare_callable_with_endpoint_singularity(self):
+        from scipy.special import ndtri
+
+        # Nothing marks these quantiles as unbounded at an endpoint.  The
+        # exponential's variance misses the mass of log(1-p)^2 beyond the
+        # rule's last node, 1e-15 from the endpoint: about 1.3e-12.
+        exponential = lambda p: -np.log1p(-np.asarray(p)) - 1.0
+        for q, var_tol in ((ndtri, 1e-12), (exponential, 2e-12)):
+            mean, var = quantile_moments(q)
+            assert abs(mean) < 1e-12 and abs(var - 1.0) < var_tol
+        val = regularizer_of_quantile(get_distortion("gini"), ndtri)
+        assert val == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-12)
 
 
 class TestMaxConstrained:
@@ -149,9 +163,12 @@ class TestMaxConstrained:
         assert abs(mean - 2.0) < 1e-8 and abs(var - 9.0) < 1e-7
 
     def test_nonpositive_scale_rejected(self):
-        for s in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError):
+        for s in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="scale"):
                 max_constrained(get_distortion("gini"), 0.0, s)
+        for m in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="mean must be finite"):
+                max_constrained(get_distortion("gini"), m, 1.0)
 
     def test_zero_distortion_rejected(self):
         flat = DistortionFn(name="flat", h=lambda p: 0.0 * np.asarray(p),
@@ -170,8 +187,8 @@ class TestRegularizerProperties:
         for name in ALL_NAMES:
             h = get_distortion(name)
             ref = regularizer_of_quantile(h, base)
-            shifted = QuantileFn(q=lambda p, _q=base.q, _c=c: _q(p) + _c, smooth=False)
-            scaled = QuantileFn(q=lambda p, _q=base.q, _a=a: _a * _q(p), smooth=False)
+            shifted = lambda p, _q=base, _c=c: _q(p) + _c
+            scaled = lambda p, _q=base, _a=a: _a * _q(p)
             assert abs(regularizer_of_quantile(h, shifted) - ref) < 1e-10 * max(1.0, abs(c))
             assert abs(regularizer_of_quantile(h, scaled) - a * ref) < 1e-10 * max(1.0, a)
 
@@ -212,8 +229,9 @@ class TestScaledDistortion:
         assert abs(l2_norm(h) - h.l2_norm) < 1e-9
 
     def test_rejects_nonpositive_factor(self):
-        with pytest.raises(ValueError):
-            scale_distortion(get_distortion("gini"), 0.0)
+        for c in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="scale factor"):
+                scale_distortion(get_distortion("gini"), c)
 
 
 class TestQuadratureRules:

@@ -67,6 +67,9 @@ class TestSimConfig:
         for n_steps, dt in ((10, 1e308), (2**1100, 0.25)):
             with pytest.raises(ValueError, match="horizon"):
                 SimConfig(n_steps=n_steps, dt=dt)
+        # the step count overflows in T / n_steps before SimConfig sees it
+        with pytest.raises(ValueError, match="n_steps is too large"):
+            SimConfig.from_horizon(1.0, 2**1100)
 
     @pytest.mark.parametrize("seed, numpy_seed", [(3, np.int64(3)),
                                                   (2**63 + 5, np.uint64(2**63 + 5))],
