@@ -40,7 +40,7 @@ from .policy import (
     regularizer_value,
     sample,
 )
-from .rl import TrainConfig, TrainLog, train
+from .rl import TrainConfig, TrainLog, train, train_many
 
 __all__ = [
     "BUILTIN_DISTORTIONS",
@@ -73,6 +73,7 @@ __all__ = [
     "regularizer_value",
     "sample",
     "train",
+    "train_many",
     "value_log",
     "value_plain",
 ]

@@ -39,7 +39,14 @@ from .closedform import (
 from .distortion import get_distortion
 from .market import SimConfig, mean_and_std_error, pathwise_objectives, rollout
 from .policy import MODES
-from .rl import CRITIC_FORMS, TrainConfig, TrainingDivergedError, episode_draws, train
+from .rl import (
+    CRITIC_FORMS,
+    TrainConfig,
+    TrainingDivergedError,
+    episode_draws,
+    train,
+    train_many,
+)
 
 DEFAULT_LAMBDA = {"plain": 0.01, "log": 0.1}
 # config-hash keys of the grid fields whose names differ; renaming one changes every hash
@@ -324,19 +331,17 @@ def _cell_inputs(task) -> tuple[int, TrainConfig, MarketParams]:
     return seed, cfg, market
 
 
-def _run_cell(task) -> CellResult:
+def _cell_result(task, seed: int, log) -> CellResult:
+    """The table and figures record of one cell's TrainLog or divergence."""
     grid, mu, sigma, mode, h_name, lam = task
-    seed, cfg, market = _cell_inputs(task)
-    try:
-        log = train(cfg, market)
-    except TrainingDivergedError as exc:
-        return CellResult(mu, sigma, mode, h_name, lam, seed, "diverged", error=str(exc))
+    if isinstance(log, TrainingDivergedError):
+        return CellResult(mu, sigma, mode, h_name, lam, seed, "diverged", error=str(log))
     mean, var, sharpe = log.last_window_stats()
     # a run that saturates the gradient clip most of the time, or whose
     # terminal-wealth mean sits orders of magnitude from the target, never
     # settled; flag it so its numbers are not read as a converged result
     settled = math.isfinite(mean) and abs(mean - grid.z) <= 10.0
-    if log.clip_events > cfg.episodes // 2 or not settled:
+    if log.clip_events > grid.episodes // 2 or not settled:
         status = f"unstable(clipped:{log.clip_events})"
     elif log.clip_events:
         status = f"ok(clipped:{log.clip_events})"
@@ -344,6 +349,14 @@ def _run_cell(task) -> CellResult:
         status = "ok"
     return CellResult(mu, sigma, mode, h_name, lam, seed, status, mean, var, sharpe,
                       blocks=log.block_means().tolist())
+
+
+def _run_shard(tasks) -> list[CellResult]:
+    """Train a shard of grid tasks in one lockstep batch."""
+    inputs = [_cell_inputs(task) for task in tasks]
+    logs = train_many([cfg for _, cfg, _ in inputs], [market for _, _, market in inputs])
+    return [_cell_result(task, seed, log)
+            for task, (seed, _, _), log in zip(tasks, inputs, logs)]
 
 
 def _run_grid(grid: ExperimentGrid, jobs: int):
@@ -354,10 +367,17 @@ def _run_grid(grid: ExperimentGrid, jobs: int):
     # names because a DistortionFn holds lambdas and does not pickle
     for task in tasks:
         _cell_inputs(task)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_cell, tasks))
-    return [_run_cell(t) for t in tasks]
+    # shard k trains tasks k, k + shards, ...; every cell gives the same
+    # bytes whatever batch it is in, so the CSV does not depend on jobs
+    shards = min(jobs, len(tasks))
+    if shards == 1:
+        return _run_shard(tasks)
+    with ProcessPoolExecutor(max_workers=shards) as pool:
+        done = list(pool.map(_run_shard, [tasks[k::shards] for k in range(shards)]))
+    results = [None] * len(tasks)
+    for k, shard in enumerate(done):
+        results[k::shards] = shard
+    return results
 
 
 # per grid command: the value columns and the rows one cell writes; a cell

@@ -104,16 +104,18 @@ def rollout(x0, w, mean_coef, scale, eta, market: MarketParams, dt: float, noise
     u_i = mean_coef (x_i - w) + scale_i eta_i.  A diverging path runs on to
     inf/nan without warnings; callers check the last state."""
     # Python floats round like float64 scalars and overflow to inf/nan
-    # silently, at a fraction of the per-step cost of numpy scalars
+    # silently, at a fraction of the per-step cost of numpy scalars; the
+    # actions are then the same float64 operations on the whole path
     sigma, a, w = float(market.sigma), float(mean_coef), float(w)
     x = float(x0)
-    states, actions = [x], []
-    for s, e, c in zip(scale.tolist(), eta.tolist(), increment(market, dt, noise).tolist()):
-        u = a * (x - w) + s * e
-        x = x + sigma * u * c
-        actions.append(u)
-        states.append(x)
-    return np.array(states), np.array(actions)
+    explore = scale * eta
+    states = [x]
+    states += [x := x + sigma * (a * (x - w) + e) * c
+               for e, c in zip(explore.tolist(), increment(market, dt, noise).tolist())]
+    states = np.array(states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        actions = a * (states[:-1] - w) + explore
+    return states, actions
 
 
 def pathwise_objectives(

@@ -16,12 +16,17 @@ the score-function sum plus the explicit regularizer gradient.  Targets
 are frozen (no gradient flows through V at t_{i+1}).  A stochastic
 approximation step moves the multiplier w toward the wealth target every
 ``avg_window`` episodes.  Update magnitudes decay like j^{-decay}.
+
+``train_many`` runs a batch of such loops in lockstep: the draws and the
+rollout stay per cell, the TD machinery runs once per episode over the
+batch, and each cell gives the bytes it gives alone (``train`` is the
+one-cell case).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -119,6 +124,50 @@ class TrainLog:
 
 
 # ---------------------------------------------------------------------------
+# Batch layout
+# ---------------------------------------------------------------------------
+# The critic, actor and TD functions take one cell's (3,) parameters or a
+# (B, 3) batch of them.  With a batch, wealths and actions gain a leading
+# axis of B rows, the critic takes its multipliers as ``_per_cell`` shapes
+# them, and the grid times stay shared.
+
+
+def _per_cell(values):
+    """Per-cell values of a batch as a (B, 1) column that broadcasts against
+    its rows; a batch of one as its Python float, which broadcasts faster."""
+    values = np.asarray(values, dtype=float)
+    return float(values[0]) if len(values) == 1 else values[:, None]
+
+
+def _columns(params) -> np.ndarray:
+    """A (3,) parameter vector, or a (B, 3) batch as three ``_per_cell``
+    columns: ``p[k]`` broadcasts against a time grid either way."""
+    p = np.asarray(params, dtype=float)
+    if p.ndim == 1:
+        return p
+    return p[0] if len(p) == 1 else p.T[..., None]
+
+
+def _gap_squared(w, z):
+    """(w - z)^2 in the shape of w.  Each cell squares a Python float (libm
+    pow), as a single cell does: numpy's array square is x * x, which
+    differs from pow in the last bit for some inputs."""
+    if np.ndim(w) == 0:
+        return (w - z) ** 2
+    w = np.asarray(w, dtype=float)
+    return np.array([(v - z) ** 2 for v in w.ravel().tolist()]).reshape(w.shape)
+
+
+def _transpose_dot(a, b):
+    """a^T b per cell, (B, n, 3) by (B, n) or a shared (n,) to (B, 3).
+
+    numpy's stacked matmul runs the single-cell ``a.T @ b`` product matrix by
+    matrix, so each row rounds as it would alone (``np.einsum`` does not).
+    """
+    return (a.swapaxes(-1, -2) @ b[..., None])[..., 0]
+
+
+# ---------------------------------------------------------------------------
 # Critic
 # ---------------------------------------------------------------------------
 
@@ -131,23 +180,23 @@ def critic_value(theta, t, x, w, z, T, form: str = "standard"):
     theta1 (e^{theta0 (T-t)} - 1), which meets the terminal condition
     exactly.  Both share the same TD differences up to that constant.
     """
-    th = np.asarray(theta, dtype=float)
+    th = _columns(theta)
     tau = T - np.asarray(t, dtype=float)
     xw2 = (np.asarray(x, dtype=float) - w) ** 2
     if form == "standard":
         offset = th[1] * np.exp(th[0] * tau)
     else:
         offset = th[1] * np.expm1(th[0] * tau)
-    return xw2 * np.exp(-th[2] * tau) - offset - (w - z) ** 2
+    return xw2 * np.exp(-th[2] * tau) - offset - _gap_squared(w, z)
 
 
 def critic_grad(theta, t, x, w, T, form: str = "standard"):
     """dV_theta/dtheta, stacked on the last axis."""
-    th = np.asarray(theta, dtype=float)
+    th = _columns(theta)
     tau = T - np.asarray(t, dtype=float)
     xw2 = (np.asarray(x, dtype=float) - w) ** 2
     grow = np.exp(th[0] * tau)
-    grad = np.empty(np.broadcast_shapes(tau.shape, xw2.shape) + (3,))
+    grad = np.empty(np.broadcast(grow, xw2).shape + (3,))
     grad[..., 0] = -th[1] * tau * grow
     grad[..., 1] = -grow if form == "standard" else -np.expm1(th[0] * tau)
     grad[..., 2] = -tau * xw2 * np.exp(-th[2] * tau)
@@ -160,8 +209,14 @@ def critic_grad(theta, t, x, w, T, form: str = "standard"):
 
 
 def actor_scale(phi, t, T):
-    ph = np.asarray(phi, dtype=float)
+    ph = _columns(phi)
     return np.exp(0.5 * ph[1] + 0.5 * ph[2] * (T - np.asarray(t, dtype=float)))
+
+
+def _regularizer_form(h: DistortionFn, mode: str) -> tuple[bool, float]:
+    """(plain?, the constant of p): ||h'||^2 in plain mode, 2 log ||h'||_2 in log."""
+    l2 = h.l2_norm
+    return (True, l2**2) if check_mode(mode) == "plain" else (False, 2.0 * math.log(l2))
 
 
 def regularizer_schedule(phi, t, h: DistortionFn, mode: str, T):
@@ -170,19 +225,26 @@ def regularizer_schedule(phi, t, h: DistortionFn, mode: str, T):
     plain: p = S(t) ||h'||^2 with gradient (0, p/2, p (T-t)/2);
     log:   p = phi1/2 + phi2 (T-t)/2 + 2 log ||h'||_2 with gradient
            (0, 1/2, (T-t)/2).
+    With a (B, 3) batch of phi, ``h`` and ``mode`` are sequences of B.
     """
-    ph = np.asarray(phi, dtype=float)
+    ph = _columns(phi)
     tau = T - np.asarray(t, dtype=float)
-    l2 = h.l2_norm
-    grad = np.zeros(tau.shape + (3,))
-    if check_mode(mode) == "plain":
-        p = np.exp(0.5 * ph[1] + 0.5 * ph[2] * tau) * l2**2
-        grad[..., 1] = 0.5 * p
-        grad[..., 2] = 0.5 * tau * p
-    else:
-        p = 0.5 * ph[1] + 0.5 * ph[2] * tau + 2.0 * math.log(l2)
-        grad[..., 1] = 0.5
-        grad[..., 2] = 0.5 * tau
+    forms = list(map(_regularizer_form, h, mode)) if np.ndim(phi) == 2 else [
+        _regularizer_form(h, mode)]
+    log_scale = 0.5 * ph[1] + 0.5 * ph[2] * tau
+    # dp: dp/d(phi1/2), which is p in plain mode and 1 in log mode
+    if len(set(forms)) == 1:
+        plain, const = forms[0]
+        p = np.exp(log_scale) * const if plain else log_scale + const
+        dp = p if plain else 1.0
+    else:  # cells of both modes or of several norms, row by row
+        plain, const = (np.array(v)[:, None] for v in zip(*forms))
+        with np.errstate(over="ignore"):  # exp of a log-mode row is not used
+            p = np.where(plain, np.exp(log_scale) * const, log_scale + const)
+        dp = np.where(plain, p, 1.0)
+    grad = np.zeros(p.shape + (3,))
+    grad[..., 1] = 0.5 * dp
+    grad[..., 2] = 0.5 * tau * dp
     return p, grad
 
 
@@ -191,7 +253,23 @@ def regularizer_schedule(phi, t, h: DistortionFn, mode: str, T):
 # ---------------------------------------------------------------------------
 
 
-def episode_gradients(times, states, actions, theta, phi, w, config: TrainConfig):
+def _density_fields(configs, actions, location, scale):
+    """``log_density_grad_fields`` of each row's actions, called once per
+    family record among the rows' distortions."""
+    groups: dict[int, tuple[DistortionFn, list[int]]] = {}
+    for row, c in enumerate(configs):
+        groups.setdefault(id(c.h.family), (c.h, []))[1].append(row)
+    if len(groups) == 1:
+        return log_density_grad_fields(configs[0].h, actions, location, scale)
+    dm, ds = np.empty_like(location), np.empty_like(location)
+    for h, rows in groups.values():
+        dm[rows], ds[rows] = log_density_grad_fields(h, actions[rows], location[rows],
+                                                     scale[rows])
+    return dm, ds
+
+
+def episode_gradients(times, states, actions, theta, phi, w,
+                      config: TrainConfig | list[TrainConfig]):
     """Semi-gradient updates accumulated over one episode: n + 1 grid times
     and wealths, and the n actions taken between them.
 
@@ -200,37 +278,54 @@ def episode_gradients(times, states, actions, theta, phi, w, config: TrainConfig
     sum_i [dlog policy(u_i) delta_i - lam dp/dphi dt], and the count of
     replayed actions that fell outside the current policy support (their
     score terms are skipped).
+
+    For a batch, states are (B, n + 1), actions (B, n), theta and phi
+    (B, 3), w (B,), ``config`` a sequence of B configs sharing T, z and
+    critic_form, and the results gain the leading axis of B.
     """
-    th, ph = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    T, lam, mode, h = config.T, config.lam, config.mode, config.h
-    t_left, x_left = times[:-1], states[:-1]
-    dts = np.diff(times)
+    single = np.asarray(theta).ndim == 1
+    if single:  # the B = 1 case
+        states, actions = np.asarray(states)[None], np.asarray(actions)[None]
+        theta, phi = np.asarray(theta, dtype=float)[None], np.asarray(phi, dtype=float)[None]
+        w, config = np.array([w], dtype=float), [config]
+    T, z, form = config[0].T, config[0].z, config[0].critic_form
+    lam, wc = _per_cell([c.lam for c in config]), _per_cell(w)
+    t_left, x_left = times[:-1], states[:, :-1]
+    dts = times[1:] - times[:-1]
     tau = T - t_left
 
     # overflow in a diverging run shows up as non-finite parameters and is
     # reported by the caller; keep the arithmetic silent here
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = critic_value(th, times, states, w, config.z, T, config.critic_form)
-        p, dp = regularizer_schedule(ph, t_left, h, mode, T)
-        delta = v[1:] - v[:-1] - lam * p * dts
+        v = critic_value(theta, times, states, wc, z, T, form)
+        p, dp = regularizer_schedule(phi, t_left, [c.h for c in config],
+                                     [c.mode for c in config], T)
+        delta = v[:, 1:] - v[:, :-1] - lam * p * dts
 
-        dv = critic_grad(th, t_left, x_left, w, T, config.critic_form)
-        grad_theta = -dv.T @ delta
+        dv = critic_grad(theta, t_left, x_left, wc, T, form)
+        grad_theta = _transpose_dot(-dv, delta)
 
-        scale = actor_scale(ph, t_left, T)
-        xw = x_left - w
-        dm, ds = log_density_grad_fields(h, actions, -ph[0] * xw, scale)
+        scale = actor_scale(phi, t_left, T)
+        xw = x_left - wc
+        location = -_columns(phi)[0] * xw
+        dm, ds = _density_fields(config, actions, location, scale)
         in_support = np.isfinite(dm) & np.isfinite(ds)
-        n_skipped = int(np.size(in_support) - np.count_nonzero(in_support))
-        dm = np.where(in_support, dm, 0.0)
-        ds = np.where(in_support, ds, 0.0)
+        if in_support.all():
+            n_skipped = np.zeros(len(in_support), dtype=int)
+        else:
+            n_skipped = (~in_support).sum(axis=1)
+            dm = np.where(in_support, dm, 0.0)
+            ds = np.where(in_support, ds, 0.0)
         # chain rule through (M, S): M = -phi0 (x-w), S = e^{phi1/2 + phi2 tau/2}
         dlog = np.empty(xw.shape + (3,))
-        dlog[:, 0] = -xw * dm
-        dlog[:, 1] = 0.5 * scale * ds
-        dlog[:, 2] = 0.5 * tau * scale * ds
-        grad_phi = dlog.T @ delta - lam * dp.T @ dts
+        dlog[..., 0] = -xw * dm
+        dlog[..., 1] = 0.5 * scale * ds
+        dlog[..., 2] = 0.5 * tau * scale * ds
+        lam_dp = dp * (lam[..., None] if np.ndim(lam) else lam)
+        grad_phi = _transpose_dot(dlog, delta) - _transpose_dot(lam_dp, dts)
 
+    if single:
+        return grad_theta[0], grad_phi[0], int(n_skipped[0])
     return grad_theta, grad_phi, n_skipped
 
 
@@ -240,16 +335,19 @@ def lagrange_update(w: float, terminal_batch, alpha_w: float, z: float) -> float
     return w - alpha_w * (float(np.mean(batch)) - z)
 
 
-def _clip(vec: np.ndarray, limit: float | None) -> tuple[np.ndarray, bool]:
-    if limit is None:
-        return vec, False
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(vec))
-    if not math.isfinite(norm):
-        return vec, False  # diverged; the parameter check reports it
-    if norm > limit:
-        return vec * (limit / norm), True
-    return vec, False
+def _clip(vec: np.ndarray, limit: float):
+    """``vec`` (one gradient, or a (B, 3) batch of rows) scaled down to norm
+    ``limit`` where its norm exceeds it, and whether it was (a bool, or one
+    per row).  A non-finite norm is left to the parameter check.  Input that
+    needs no clipping comes back as is."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a 1 x 3 by 3 x 1 matmul is the dot product np.linalg.norm takes
+        norm = np.sqrt((vec[..., None, :] @ vec[..., :, None])[..., 0, 0])
+    engaged = (norm > limit) & np.isfinite(norm)
+    if engaged.any():
+        # unclipped rows divide limit by itself: a factor of exactly 1
+        vec = vec * (limit / np.where(engaged, norm, limit))[..., None]
+    return vec, (engaged if engaged.ndim else bool(engaged))
 
 
 def episode_draws(h: DistortionFn, seed: int, index: int, n_steps: int,
@@ -262,59 +360,142 @@ def episode_draws(h: DistortionFn, seed: int, index: int, n_steps: int,
     return eta, rng.standard_normal(n_steps)
 
 
+# the fields cells of one batch may differ in; the rest (and sim apart from
+# its seed) set the loop every cell runs
+_PER_CELL_FIELDS = ("h", "lam", "mode", "sim.seed")
+
+
+def _shared_settings(config: TrainConfig) -> dict:
+    flat = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "sim"}
+    flat.update({f"sim.{f.name}": getattr(config.sim, f.name) for f in fields(config.sim)})
+    return {k: v for k, v in flat.items() if k not in _PER_CELL_FIELDS}
+
+
+def _check_batch(configs: list, markets: list) -> TrainConfig:
+    """The first config, once every cell is known to share its loop settings."""
+    if not configs:
+        raise ValueError("train_many needs at least one config")
+    if len(markets) != len(configs):
+        raise ValueError(f"train_many got {len(configs)} configs but {len(markets)} markets")
+    shared = _shared_settings(configs[0])
+    for i, c in enumerate(configs[1:], 1):
+        for name, value in _shared_settings(c).items():
+            if value != shared[name]:
+                raise ValueError(f"cells of one batch must share {name}: config {i} has "
+                                 f"{value!r}, config 0 {shared[name]!r}")
+    return configs[0]
+
+
+def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
+    """Train a batch of cells in lockstep; cell i gives the bytes ``train``
+    gives for (configs[i], markets[i]), or the error it would raise.
+
+    Each cell draws from its own Philox stream and rolls out its own wealth
+    path; the critic, regularizer, gradients and updates run once per
+    episode over the whole batch.  Cells may differ only in h, lam, mode,
+    sim.seed and market; any other differing field raises ValueError.  A
+    cell whose wealth, parameters or multiplier turn non-finite leaves the
+    batch with the ``TrainingDivergedError`` of that episode and cause.
+    The logs of one batch are views of shared arrays.
+    """
+    configs, markets = list(configs), list(markets)
+    first = _check_batch(configs, markets)
+    n_steps, dt, T = first.sim.n_steps, first.sim.dt, first.T
+    K, m = first.episodes, first.avg_window
+    times = first.sim.times()
+    B = len(configs)
+
+    tw_log = np.empty((B, K))
+    theta_log = np.empty((B, K, 3))
+    phi_log = np.empty((B, K, 3))
+    w_log = np.empty((B, K))
+    results: list = [None] * B
+    rngs = [np.random.Generator(np.random.Philox()) for _ in range(B)]  # rekeyed per episode
+
+    # the batch rows: the cells still training, by index into configs
+    live = np.arange(B)
+    cols = slice(None)  # live as an index into the logs; a slice while no cell has left
+    row_configs = configs
+    theta = np.tile(np.array(THETA_INIT, dtype=float), (B, 1))
+    phi = np.tile(np.array(PHI_INIT, dtype=float), (B, 1))
+    w = np.full(B, float(first.z))
+    skipped = np.zeros(B, dtype=int)
+    clip_events = np.zeros(B, dtype=int)
+
+    for j in range(1, K + 1):
+        failed: dict[int, str] = {}  # row -> cause of the first check it fails
+        with np.errstate(over="ignore"):
+            scale = actor_scale(phi, times[None, :-1], T)  # (B, n), B = 1 too
+        states = np.empty((len(live), n_steps + 1))
+        actions = np.empty((len(live), n_steps))
+        for row, b in enumerate(live.tolist()):
+            c = configs[b]
+            eta, noise = episode_draws(c.h, c.sim.seed, j, n_steps, rngs[b])
+            states[row], actions[row] = rollout(c.x0, w[row], -phi[row, 0], scale[row], eta,
+                                                markets[b], dt, noise)
+            if not math.isfinite(states[row, -1]):
+                failed[row] = "non-finite wealth"
+
+        # a failed row rides along to the end of the episode: every batched
+        # step below is row by row, so it touches no other cell's numbers
+        g_theta, g_phi, n_skip = episode_gradients(times, states, actions, theta, phi, w,
+                                                   row_configs)
+        skipped += n_skip
+        if first.grad_clip is not None:
+            g_theta, c1 = _clip(g_theta, first.grad_clip)
+            g_phi, c2 = _clip(g_phi, first.grad_clip)
+            clip_events += c1
+            clip_events += c2
+
+        lr = j ** (-first.decay)
+        theta = theta - first.alpha * lr * g_theta
+        phi = phi - first.alpha * lr * g_phi
+        if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+            finite = np.isfinite(theta).all(axis=1) & np.isfinite(phi).all(axis=1)
+            for row in np.flatnonzero(~finite).tolist():
+                failed.setdefault(row, "non-finite parameters")
+
+        tw_log[cols, j - 1] = states[:, -1]
+        if j % m == 0:
+            for row, b in enumerate(live.tolist()):
+                if row in failed:
+                    continue
+                w[row] = lagrange_update(float(w[row]), tw_log[b, j - m:j], first.alpha,
+                                         first.z)
+                if not math.isfinite(w[row]):
+                    failed[row] = "non-finite multiplier"
+        theta_log[cols, j - 1] = theta
+        phi_log[cols, j - 1] = phi
+        w_log[cols, j - 1] = w
+
+        if failed:
+            for row, cause in failed.items():
+                results[live[row]] = TrainingDivergedError(j, cause)
+            keep = np.ones(len(live), dtype=bool)
+            keep[list(failed)] = False
+            live, theta, phi, w = live[keep], theta[keep], phi[keep], w[keep]
+            skipped, clip_events = skipped[keep], clip_events[keep]
+            cols = live
+            row_configs = [configs[b] for b in live.tolist()]
+            if not len(live):
+                break
+
+    for b, n_skipped, n_clipped in zip(live.tolist(), skipped.tolist(), clip_events.tolist()):
+        results[b] = TrainLog(terminal_wealth=tw_log[b], theta=theta_log[b], phi=phi_log[b],
+                              w=w_log[b], skipped_actions=n_skipped, clip_events=n_clipped)
+    return results
+
+
 def train(config: TrainConfig, market: MarketParams) -> TrainLog:
-    """Run the episodic actor-critic loop and return the full history.
+    """Run the episodic actor-critic loop and return the full history: the
+    one-cell case of ``train_many``, raising its ``TrainingDivergedError``.
 
     Starts from THETA_INIT, PHI_INIT (read when called) and w = z.
     Deterministic given config.sim.seed: episode j draws its uniforms and
     noise from a Philox stream keyed (seed, j), one generator rekeyed per
     episode.
     """
-    n_steps, dt = config.sim.n_steps, config.sim.dt
-    T, h, z = config.T, config.h, config.z
-    times = config.sim.times()
-
-    theta = np.array(THETA_INIT, dtype=float)
-    phi = np.array(PHI_INIT, dtype=float)
-    w = float(z)
-
-    K = config.episodes
-    tw_log = np.empty(K)
-    theta_log = np.empty((K, 3))
-    phi_log = np.empty((K, 3))
-    w_log = np.empty(K)
-    skipped = 0
-    clip_events = 0
-    rng = np.random.Generator(np.random.Philox())  # rekeyed for every episode
-
-    for j in range(1, K + 1):
-        eta, noise = episode_draws(h, config.sim.seed, j, n_steps, rng)
-        with np.errstate(over="ignore"):
-            scale = actor_scale(phi, times[:-1], T)
-        states, actions = rollout(config.x0, w, -phi[0], scale, eta, market, dt, noise)
-        if not math.isfinite(states[-1]):
-            raise TrainingDivergedError(j, "non-finite wealth")
-
-        g_theta, g_phi, n_skip = episode_gradients(times, states, actions, theta, phi, w, config)
-        skipped += n_skip
-        g_theta, c1 = _clip(g_theta, config.grad_clip)
-        g_phi, c2 = _clip(g_phi, config.grad_clip)
-        clip_events += int(c1) + int(c2)
-
-        lr = j ** (-config.decay)
-        theta = theta - config.alpha * lr * g_theta
-        phi = phi - config.alpha * lr * g_phi
-        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
-            raise TrainingDivergedError(j, "non-finite parameters")
-
-        tw_log[j - 1] = states[-1]
-        if j % config.avg_window == 0:
-            w = lagrange_update(w, tw_log[j - config.avg_window:j], config.alpha, z)
-            if not math.isfinite(w):
-                raise TrainingDivergedError(j, "non-finite multiplier")
-        theta_log[j - 1] = theta
-        phi_log[j - 1] = phi
-        w_log[j - 1] = w
-
-    return TrainLog(terminal_wealth=tw_log, theta=theta_log, phi=phi_log, w=w_log,
-                    skipped_actions=skipped, clip_events=clip_events)
+    (result,) = train_many([config], [market])
+    if isinstance(result, TrainingDivergedError):
+        raise result
+    return result

@@ -47,6 +47,7 @@ from choquet_emv.rl import (
     critic_value,
     regularizer_schedule,
     train,
+    train_many,
 )
 
 from adversarial import random_feasible_quantile
@@ -291,14 +292,16 @@ def test_criterion_9_smoke_table_reproduction(record_criterion):
 
 @pytest.mark.slow
 def test_criterion_9_full_table_reproduction(record_criterion):
+    # every (cell, seed) run trains in one lockstep batch
+    runs = [_study_config((mu, sigma, seed), episodes=20000)
+            for mu, sigma, _, _ in STUDY_CELLS for seed in range(1, 6)]
+    logs = train_many(*zip(*runs))
+    for log in logs:
+        if isinstance(log, Exception):
+            raise log
     results = []
-    for mu, sigma, table_mean, table_var in STUDY_CELLS:
-        means, vars_ = [], []
-        for seed in range(1, 6):
-            cfg, market = _study_config((mu, sigma, seed), episodes=20000)
-            mean, var, _ = train(cfg, market).last_window_stats()
-            means.append(mean)
-            vars_.append(var)
+    for k, (mu, sigma, table_mean, table_var) in enumerate(STUDY_CELLS):
+        means, vars_ = zip(*(log.last_window_stats()[:2] for log in logs[5 * k:5 * k + 5]))
         med_mean, med_var = float(np.median(means)), float(np.median(vars_))
         ok_cell = (abs(med_mean - table_mean) <= 0.03
                    and 0.5 * table_var <= med_var <= 1.5 * table_var)

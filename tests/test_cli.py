@@ -15,6 +15,7 @@ from choquet_emv.rl import TrainingDivergedError
 
 ROOT = Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
+GOLDEN_GRID = ROOT / "tests" / "golden" / "grid.yaml"
 
 
 def read_csv(path):
@@ -115,11 +116,11 @@ class TestTable:
     def test_failed_cell_is_flagged_and_run_continues(self, tmp_path, monkeypatch, capsys):
         calls = {"n": 0}
 
-        def flaky_train(cfg, market):
-            calls["n"] += 1
-            raise TrainingDivergedError(7, "forced for the test")
+        def flaky_train_many(configs, markets):
+            calls["n"] += len(configs)
+            return [TrainingDivergedError(7, "forced for the test") for _ in configs]
 
-        monkeypatch.setattr(cli, "train", flaky_train)
+        monkeypatch.setattr(cli, "train_many", flaky_train_many)
         cfg = write_grid(tmp_path / "grid.yaml", mu_list=[0.1, 0.3], episodes=10)
         out = tmp_path / "table.csv"
         assert cli.main(["table", "--config", str(cfg), "--out", str(out)]) == 0
@@ -154,6 +155,37 @@ class TestTable:
         cli.main(["table", "--config", str(cfg), "--out", str(a)])
         cli.main(["table", "--config", str(cfg), "--jobs", "2", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
+    def test_golden_grid_bytes_do_not_depend_on_jobs(self, jobs, tmp_path):
+        out = tmp_path / "table.csv"
+        assert cli.main(["table", "--config", str(GOLDEN_GRID), "--jobs", jobs,
+                         "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_GRID.parent / "table.csv").read_bytes()
+
+    def test_pool_is_capped_at_one_worker_per_cell(self, tmp_path, monkeypatch):
+        # an in-process stand-in for the pool records the size it was asked for
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+        out = tmp_path / "table.csv"
+        assert cli.main(["table", "--config", str(GOLDEN_GRID), "--jobs", "5000",
+                         "--out", str(out)]) == 0
+        assert sizes == [6]  # the golden grid's cells
+        assert out.read_bytes() == (GOLDEN_GRID.parent / "table.csv").read_bytes()
 
     def test_out_dir_flag_is_the_only_directory_switch(self, tmp_path, monkeypatch):
         cfg = write_grid(tmp_path / "grid.yaml", episodes=10)
@@ -218,11 +250,11 @@ class TestExitStatus:
                                                    monkeypatch, capsys):
         calls = []
 
-        def no_training(cfg, market):
-            calls.append(cfg)
+        def no_training(configs, markets):
+            calls.append(configs)
             raise AssertionError("a cell trained")
 
-        monkeypatch.setattr(cli, "train", no_training)
+        monkeypatch.setattr(cli, "train_many", no_training)
         cfg = write_grid(tmp_path / "grid.yaml", **bad)
         out = tmp_path / "t.csv"
         assert cli.main(["table", "--config", str(cfg), "--jobs", jobs, "--out", str(out)]) == 2
@@ -235,10 +267,10 @@ class TestExitStatus:
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_nonpositive_jobs_stops_before_any_cell_trains(self, cmd, jobs, tmp_path,
                                                            monkeypatch, capsys):
-        def no_training(cfg, market):
+        def no_training(configs, markets):
             raise AssertionError("a cell trained")
 
-        monkeypatch.setattr(cli, "train", no_training)
+        monkeypatch.setattr(cli, "train_many", no_training)
         cfg = write_grid(tmp_path / "grid.yaml")
         out = tmp_path / "t.csv"
         assert cli.main([cmd, "--config", str(cfg), "--jobs", jobs, "--out", str(out)]) == 2

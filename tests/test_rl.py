@@ -28,6 +28,7 @@ from choquet_emv.rl import (
     lagrange_update,
     regularizer_schedule,
     train,
+    train_many,
 )
 
 GAUSS = get_distortion("gaussian_score")
@@ -492,6 +493,123 @@ class TestTrain:
             early.append(abs(tail_early.mean() - 1.4))
             late.append(abs(log.last_window_stats()[0] - 1.4))
         assert np.mean(late) < np.mean(early)
+
+
+class TestTrainMany:
+    # one batch of every family in both modes on two markets, clipped at
+    # 1e3; at lambda 1000 the two gini cells diverge mid-run (their
+    # parameters turn non-finite at episodes 94 and 70) and entropy_like
+    # replays some actions outside its support
+    CELLS = [  # (h, mode, lam, mu, seed)
+        ("gaussian_score", "plain", 0.01, 0.3, 1),
+        ("entropy_like", "plain", 1000.0, -0.5, 6),
+        ("gini", "plain", 1000.0, 0.3, 3),
+        ("gini", "log", 1000.0, -0.5, 11),
+        ("gaussian_score", "log", 0.1, -0.5, 5),
+        ("entropy_like", "log", 100.0, 0.3, 8),
+        ("gini", "log", 0.1, 0.3, 7),
+    ]
+
+    def batch(self, cells=None, **shared):
+        configs, markets = [], []
+        for h_name, mode, lam, mu, seed in cells or self.CELLS:
+            configs.append(base_config(episodes=150, h=get_distortion(h_name), mode=mode, lam=lam,
+                                       grad_clip=1e3,
+                                       sim=SimConfig.from_horizon(T, 64, seed=seed), **shared))
+            markets.append(MarketParams(mu=mu, sigma=0.2, r=0.02))
+        return configs, markets
+
+    @staticmethod
+    def alone(config, market):
+        try:
+            return train(config, market)
+        except TrainingDivergedError as exc:
+            return exc
+
+    @staticmethod
+    def assert_same(a, b):
+        assert type(a) is type(b)
+        if isinstance(a, TrainingDivergedError):
+            assert (a.episode, str(a)) == (b.episode, str(b))
+            return
+        for name in ("terminal_wealth", "theta", "phi", "w"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert (a.skipped_actions, a.clip_events) == (b.skipped_actions, b.clip_events)
+
+    def test_batch_equals_each_cell_alone(self):
+        configs, markets = self.batch()
+        batch = train_many(configs, markets)
+        alone = [self.alone(c, m) for c, m in zip(configs, markets)]
+        for a, b in zip(batch, alone):
+            self.assert_same(a, b)
+        diverged = [r for r in alone if isinstance(r, TrainingDivergedError)]
+        assert len(diverged) == 2
+        assert all(10 < r.episode < 150 and str(r).endswith("non-finite parameters")
+                   for r in diverged)
+        logs = [r for r in alone if not isinstance(r, TrainingDivergedError)]
+        assert any(log.skipped_actions for log in logs)
+        assert any(log.clip_events for log in logs)
+
+    def test_cell_log_does_not_depend_on_its_batch(self):
+        configs, markets = self.batch()
+        order = [5, 2, 0, 6, 3, 1, 4]
+        batch = train_many([configs[i] for i in order], [markets[i] for i in order])
+        first = train_many(configs, markets)
+        for i, result in zip(order, batch):
+            self.assert_same(result, first[i])
+
+    @pytest.mark.parametrize("field, change", [
+        ("episodes", dict(episodes=151)),
+        ("sim.n_steps", dict(sim=SimConfig.from_horizon(T, 32, seed=9))),
+        ("alpha", dict(alpha=0.02)),
+    ])
+    def test_cells_must_share_the_loop_settings(self, field, change):
+        configs, markets = self.batch()
+        configs[3] = base_config(**{**vars(configs[3]), **change})
+        with pytest.raises(ValueError, match=f"must share {field}: config 3 has") as err:
+            train_many(configs, markets)
+        assert "\n" not in str(err.value)
+
+    def test_empty_or_unpaired_batch_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one config"):
+            train_many([], [])
+        configs, markets = self.batch()
+        with pytest.raises(ValueError, match="7 configs but 6 markets"):
+            train_many(configs, markets[:-1])
+
+    def test_critic_squares_each_multiplier_gap_as_a_python_float(self):
+        # numpy's x * x and libm's pow round this gap's square differently
+        d = 2.3480084736201086
+        assert d ** 2 == 5.5131437921918325 and d * d == 5.513143792191832
+        theta = np.array([[0.8, 0.3, 1.1], [0.2, 0.5, 0.9]])
+        t = np.linspace(0.0, T, 5)
+        x = np.array([np.linspace(1.0, 2.0, 5), np.linspace(0.5, 1.5, 5)])
+        w = np.array([[d], [1.7]])
+        batched = critic_value(theta, t, x, w, 0.0, T)
+        for row in range(2):
+            alone = critic_value(theta[row], t, x[row], float(w[row, 0]), 0.0, T)
+            assert batched[row].tobytes() == alone.tobytes()
+
+    def test_regularizer_term_scales_before_summing(self):
+        # with every action outside the gini support only the regularizer
+        # term -(lam dp)^T dt is left; lam * (dp^T dt) rounds differently
+        gini = get_distortion("gini")
+        cfg = base_config(h=gini, lam=0.3, sim=SimConfig.from_horizon(T, 16, seed=3))
+        times = cfg.sim.times()
+        states = np.full((2, 17), 1.2)
+        actions = np.full((2, 16), 100.0)
+        phi = np.array([[1.2, -0.8, 0.9], [0.3, -1.1, 1.7]])
+        _, grad_phi, skipped = episode_gradients(times, states, actions, np.ones((2, 3)), phi,
+                                                 np.array([1.4, 1.4]), [cfg, cfg])
+        assert skipped.tolist() == [16, 16]
+        rounded_apart = False
+        for row in range(2):
+            _, dp = regularizer_schedule(phi[row], times[:-1], gini, "plain", T)
+            dts = np.diff(times)
+            # exact equality: the first entry is a zero of either sign
+            assert np.array_equal(grad_phi[row], -((cfg.lam * dp.T) @ dts))
+            rounded_apart |= not np.array_equal(grad_phi[row], -(cfg.lam * (dp.T @ dts)))
+        assert rounded_apart
 
 
 class TestTrainLogStats:
