@@ -16,6 +16,7 @@ same bytes as a fresh generator per path at a fraction of the set-up cost.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -73,18 +74,20 @@ def path_stream(seed: int, path_index: int,
                 rng: np.random.Generator | None = None) -> np.random.Generator:
     """Philox stream for one path: counter-based, keyed by (seed, index).
 
-    A given Philox-backed ``rng`` is rekeyed in place and returned; its draws
-    then equal those of a fresh ``Generator(Philox(key=[seed, index]))`` bit
-    for bit, whatever it drew before.  Without one, a new generator is keyed.
+    The key is the uint64 array ``[seed mod 2**64, index mod 2**64]``.  A
+    given Philox-backed ``rng`` is rekeyed in place and returned; its draws
+    then equal those of a fresh ``Generator(Philox(key=key))`` bit for bit,
+    whatever it drew before.  Without one, a new generator is keyed.
     """
     if rng is None:
         rng = np.random.Generator(np.random.Philox())
+    # plain ints: the state setter reads each word by indexing, which costs
+    # far more on a uint64 array than on a list
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([operator.index(seed) & _U64,
-                                  operator.index(path_index) & _U64], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0],
+                  "key": [operator.index(seed) & _U64, operator.index(path_index) & _U64]},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -125,10 +128,13 @@ def pathwise_objectives(
     """(terminal wealths, pathwise objectives) for every configured path.
 
     Paths evolve on the schedule's (t, x) -> (action mean, action std) in
-    chunks of ``chunk`` paths.  Per path the objective is (X_T - w)^2
-    - lam * sum_i reg(t_i) dt - (w - z)^2, with the regularizer evaluated at
-    the left grid endpoint of each step.
+    chunks of ``chunk`` paths, an integer >= 1.  Per path the objective is
+    (X_T - w)^2 - lam * sum_i reg(t_i) dt - (w - z)^2, with the regularizer
+    evaluated at the left grid endpoint of each step, once per step when the
+    std is shared by all paths.
     """
+    if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) or chunk < 1:
+        raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
     sim.check_horizon(spec.T)
     rho, sigma = market.rho, market.sigma
     sdt = math.sqrt(sim.dt)
@@ -141,15 +147,16 @@ def pathwise_objectives(
         for row in range(n):
             path_stream(sim.seed, start + row, rng).standard_normal(sim.n_steps, out=noise[row])
         x = np.full(n, float(spec.x0))
-        reg_acc = np.zeros(n)
+        reg_acc = 0.0  # in the std's shape: a scalar while it depends on t only
         for i in range(sim.n_steps):
             mean, std = schedule(i * sim.dt, x)
-            mean = np.broadcast_to(np.asarray(mean, dtype=float), x.shape)
-            std = np.broadcast_to(np.asarray(std, dtype=float), x.shape)
+            std = np.asarray(std, dtype=float)
             if spec.lam != 0.0:
                 # Phi_h of the policy is (action std) * ||h'||_2, independent of location
                 reg_acc = reg_acc + spec.lam * running_reward(std * spec.h.l2_norm,
                                                               spec.mode) * sim.dt
+            mean = np.broadcast_to(np.asarray(mean, dtype=float), x.shape)
+            std = np.broadcast_to(std, x.shape)
             x = (x + rho * sigma * mean * sim.dt
                  + sigma * np.sqrt(mean**2 + std**2) * sdt * noise[:, i])
         xs[start:start + n] = x

@@ -269,7 +269,7 @@ def _density_fields(configs, actions, location, scale):
 
 
 def episode_gradients(times, states, actions, theta, phi, w,
-                      config: TrainConfig | list[TrainConfig]):
+                      config: TrainConfig | list[TrainConfig], scale=None):
     """Semi-gradient updates accumulated over one episode: n + 1 grid times
     and wealths, and the n actions taken between them.
 
@@ -282,6 +282,9 @@ def episode_gradients(times, states, actions, theta, phi, w,
     For a batch, states are (B, n + 1), actions (B, n), theta and phi
     (B, 3), w (B,), ``config`` a sequence of B configs sharing T, z and
     critic_form, and the results gain the leading axis of B.
+
+    ``scale`` is the actor scale ``actor_scale(phi, times[:-1], T)`` the
+    actions were drawn with, computed here when not given.
     """
     single = np.asarray(theta).ndim == 1
     if single:  # the B = 1 case
@@ -305,7 +308,8 @@ def episode_gradients(times, states, actions, theta, phi, w,
         dv = critic_grad(theta, t_left, x_left, wc, T, form)
         grad_theta = _transpose_dot(-dv, delta)
 
-        scale = actor_scale(phi, t_left, T)
+        if scale is None:
+            scale = actor_scale(phi, t_left, T)
         xw = x_left - wc
         location = -_columns(phi)[0] * xw
         dm, ds = _density_fields(config, actions, location, scale)
@@ -439,7 +443,7 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
         # a failed row rides along to the end of the episode: every batched
         # step below is row by row, so it touches no other cell's numbers
         g_theta, g_phi, n_skip = episode_gradients(times, states, actions, theta, phi, w,
-                                                   row_configs)
+                                                   row_configs, scale=scale)
         skipped += n_skip
         if first.grad_clip is not None:
             g_theta, c1 = _clip(g_theta, first.grad_clip)

@@ -228,6 +228,36 @@ class TestMCObjective:
         sim = SimConfig.from_horizon(1.0, 64, n_paths=1000, seed=9)
         assert mc_estimate(spec, sim, w, chunk=64) == mc_estimate(spec, sim, w, chunk=1000)
 
+    @pytest.mark.parametrize("chunk", [-1, 0, 2.5])
+    def test_bad_chunk_rejected(self, chunk):
+        spec = spec_for("plain", 0.01)
+        sim = SimConfig.from_horizon(1.0, 8, n_paths=3, seed=5)
+        with pytest.raises(ValueError, match="chunk"):
+            pathwise_objectives(lambda t, x: (0.0, 0.1), spec, MARKET, sim, w=1.0, chunk=chunk)
+
+    @pytest.mark.parametrize("mode, lam", [("plain", 0.01), ("log", 0.1)], ids=["plain", "log"])
+    def test_per_path_std_matches_shared_std(self, mode, lam):
+        # a scalar std runs the regularizer once per step, an array per path
+        spec = spec_for(mode, lam)
+        w = lagrange_multiplier(spec, MARKET)
+        shared = optimal_schedule(spec, MARKET, w)
+
+        def per_path(t, x):
+            mean, std = shared(t, x)
+            return mean, np.full(x.shape, std)
+
+        sim = SimConfig.from_horizon(1.0, 64, n_paths=300, seed=4)
+        a, b = (pathwise_objectives(s, spec, MARKET, sim, w, chunk=128) for s in (shared, per_path))
+        assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+
+    def test_column_std_is_rejected(self):
+        # an (n, 1) std must not broadcast against the n paths to (n, n)
+        spec = spec_for("plain", 0.01)
+        sim = SimConfig.from_horizon(1.0, 8, n_paths=3, seed=5)
+        with pytest.raises(ValueError):
+            pathwise_objectives(lambda t, x: (0.0, np.full((len(x), 1), 0.1)), spec, MARKET,
+                                sim, w=1.0)
+
     def test_discretization_consistency(self):
         spec = spec_for("plain", 0.01)
         w = lagrange_multiplier(spec, MARKET)
