@@ -415,10 +415,11 @@ def cmd_trajectory(args) -> int:
     for h_name in args.h.split(","):
         market, spec, w = _problem(args, h_name.strip())
         sim = SimConfig.from_horizon(spec.T, args.n_steps, 1, args.seed)
-        eta, noise = episode_draws(spec.h, sim.seed, 0, sim.n_steps)
+        (eta,), (increments,) = episode_draws(spec.h, market, sim, 0)
         times = sim.times()[:-1]
         states, actions = rollout(spec.x0, w, -(market.rho / market.sigma),
-                                  optimal_scale(times, spec, market), eta, market, sim.dt, noise)
+                                  optimal_scale(times, spec, market), eta, market.sigma,
+                                  increments)
         rows.extend((h_name.strip(), t, u, x) for t, u, x in zip(times, actions, states))
     _write_csv(args.out, _meta(args, args.seed), ["h", "t", "action", "wealth"], rows)
     return 0

@@ -71,8 +71,8 @@ class DistortionFn:
     ``hprime_range`` is (inf h', sup h') over (0, 1), i.e. the limits at
     p -> 1 and p -> 0 since h' is nonincreasing; it determines the support
     of the induced location-scale family.  ``family`` holds that family's
-    closed forms; it is None when none are known, as for user-supplied or
-    rescaled distortions.
+    closed forms; it is None when none are known, as for user-supplied
+    distortions.
     """
 
     name: str
@@ -201,10 +201,15 @@ def custom_distortion(
 
 
 def scale_distortion(fn: DistortionFn, c: float) -> DistortionFn:
-    """Return the distortion c*h, whose derivative norm is c*||h'||_2."""
+    """Return the distortion c*h, whose derivative norm is c*||h'||_2.
+
+    Its family, if fn has one, is fn's stretched by c: the standardized
+    coordinate y of c*h is c times that of h.
+    """
     if not 0.0 < c < math.inf:
         raise ValueError(f"scale factor must be positive and finite, got {c}")
     lo, hi = fn.hprime_range
+    base, log_c = fn.family, math.log(c)
     return replace(
         fn,
         name=f"{fn.name}_x{c:g}",
@@ -212,7 +217,12 @@ def scale_distortion(fn: DistortionFn, c: float) -> DistortionFn:
         hprime=lambda p, _f=fn.hprime: c * _f(p),
         l2_norm=c * fn.l2_norm,
         hprime_range=(c * lo, c * hi),
-        family=None,  # fn's closed forms hold at unit scale only
+        family=None if base is None else Family(
+            draw=lambda p: c * base.draw(p),
+            logpdf=lambda y: base.logpdf(y / c) - log_c,
+            dlogpdf=lambda y: base.dlogpdf(y / c) / c,
+            cdf=lambda y: base.cdf(y / c),
+        ),
     )
 
 

@@ -102,20 +102,21 @@ def increment(market: MarketParams, dt: float, noise):
     return market.rho * dt + math.sqrt(dt) * np.asarray(noise)
 
 
-def rollout(x0, w, mean_coef, scale, eta, market: MarketParams, dt: float, noise):
+def rollout(x0, w, mean_coef, scale, eta, sigma, increments):
     """(states, actions): n + 1 wealths from x0 under the n feedback actions
-    u_i = mean_coef (x_i - w) + scale_i eta_i.  A diverging path runs on to
+    u_i = mean_coef (x_i - w) + scale_i eta_i, wealth moving by sigma u_i
+    times ``increments`` (see ``increment``).  A diverging path runs on to
     inf/nan without warnings; callers check the last state."""
     # Python floats round like float64 scalars and overflow to inf/nan
     # silently, at a fraction of the per-step cost of numpy scalars; the
     # actions are then the same float64 operations on the whole path
-    sigma, a, w = float(market.sigma), float(mean_coef), float(w)
+    sigma, a, w = float(sigma), float(mean_coef), float(w)
     x = float(x0)
     explore = scale * eta
     states = [x]
     states += [x := x + sigma * (a * (x - w) + e) * c
-               for e, c in zip(explore.tolist(), increment(market, dt, noise).tolist())]
-    states = np.array(states)
+               for e, c in zip(explore.tolist(), np.asarray(increments).tolist())]
+    states = np.array(states, dtype=float)  # the dtype spares numpy a pass over the list
     with np.errstate(over="ignore", invalid="ignore"):
         actions = a * (states[:-1] - w) + explore
     return states, actions

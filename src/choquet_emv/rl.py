@@ -17,22 +17,23 @@ are frozen (no gradient flows through V at t_{i+1}).  A stochastic
 approximation step moves the multiplier w toward the wealth target every
 ``avg_window`` episodes.  Update magnitudes decay like j^{-decay}.
 
-``train_many`` runs a batch of such loops in lockstep: the draws and the
-rollout stay per cell, the TD machinery runs once per episode over the
-batch, and each cell gives the bytes it gives alone (``train`` is the
-one-cell case).
+``train_many`` runs a batch of such loops in lockstep: each cell draws
+its episodes by block and rolls out its own path, the TD machinery runs
+once per episode over the batch, and each cell gives the bytes it gives
+alone (``train`` is the one-cell case).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .closedform import MarketParams, _require_finite, _require_int
 from .distortion import DistortionFn
-from .market import SimConfig, path_stream, rollout
+from .market import SimConfig, increment, path_stream, rollout
 from .policy import check_mode, log_density_grad_fields, standardized_draw
 
 CRITIC_FORMS = ("standard", "corrected")
@@ -109,12 +110,16 @@ class TrainLog:
         """(mean, variance, Sharpe) of the last 200 terminal wealths.
 
         Sharpe is the study's statistic (mean - 1)/sqrt(variance), i.e.
-        excess over a unit initial wealth.
+        excess over a unit initial wealth.  A window of zero variance reads
+        +inf or -inf by the sign of the excess, and NaN without one.
         """
         tail = self.terminal_wealth[-min(200, self.episodes):]
         mean = float(np.mean(tail))
         var = float(np.var(tail, ddof=0))
-        sharpe = (mean - 1.0) / math.sqrt(var) if var > 0.0 else math.inf
+        if var > 0.0:
+            sharpe = (mean - 1.0) / math.sqrt(var)
+        else:
+            sharpe = math.copysign(math.inf, mean - 1.0) if mean != 1.0 else math.nan
         return mean, var, sharpe
 
     def block_means(self) -> np.ndarray:
@@ -172,6 +177,29 @@ def _transpose_dot(a, b):
 # ---------------------------------------------------------------------------
 
 
+def _critic_pass(theta, tau, x, w, form: str):
+    """theta's columns and the grid terms V and dV/dtheta share, each
+    evaluated once at the times to go ``tau``: e^{theta0 tau}, the factor of
+    theta1 in the offset (that exponential, or its expm1 in the corrected
+    form), e^{-theta2 tau} and (x - w)^2."""
+    th = _columns(theta)
+    grow = np.exp(th[0] * tau)
+    offset = grow if form == "standard" else np.expm1(th[0] * tau)
+    return th, grow, offset, np.exp(-th[2] * tau), (np.asarray(x, dtype=float) - w) ** 2
+
+
+def _value(th, offset, decay, xw2, gap2):
+    return xw2 * decay - th[1] * offset - gap2
+
+
+def _grad(tau, th, grow, offset, decay, xw2):
+    grad = np.empty(np.broadcast(grow, xw2).shape + (3,))
+    grad[..., 0] = -th[1] * tau * grow
+    grad[..., 1] = -offset
+    grad[..., 2] = -tau * xw2 * decay
+    return grad
+
+
 def critic_value(theta, t, x, w, z, T, form: str = "standard"):
     """Parameterized value surface V_theta(t, x).
 
@@ -180,27 +208,14 @@ def critic_value(theta, t, x, w, z, T, form: str = "standard"):
     theta1 (e^{theta0 (T-t)} - 1), which meets the terminal condition
     exactly.  Both share the same TD differences up to that constant.
     """
-    th = _columns(theta)
-    tau = T - np.asarray(t, dtype=float)
-    xw2 = (np.asarray(x, dtype=float) - w) ** 2
-    if form == "standard":
-        offset = th[1] * np.exp(th[0] * tau)
-    else:
-        offset = th[1] * np.expm1(th[0] * tau)
-    return xw2 * np.exp(-th[2] * tau) - offset - _gap_squared(w, z)
+    th, _, offset, decay, xw2 = _critic_pass(theta, T - np.asarray(t, dtype=float), x, w, form)
+    return _value(th, offset, decay, xw2, _gap_squared(w, z))
 
 
 def critic_grad(theta, t, x, w, T, form: str = "standard"):
     """dV_theta/dtheta, stacked on the last axis."""
-    th = _columns(theta)
     tau = T - np.asarray(t, dtype=float)
-    xw2 = (np.asarray(x, dtype=float) - w) ** 2
-    grow = np.exp(th[0] * tau)
-    grad = np.empty(np.broadcast(grow, xw2).shape + (3,))
-    grad[..., 0] = -th[1] * tau * grow
-    grad[..., 1] = -grow if form == "standard" else -np.expm1(th[0] * tau)
-    grad[..., 2] = -tau * xw2 * np.exp(-th[2] * tau)
-    return grad
+    return _grad(tau, *_critic_pass(theta, tau, x, w, form))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +234,15 @@ def _regularizer_form(h: DistortionFn, mode: str) -> tuple[bool, float]:
     return (True, l2**2) if check_mode(mode) == "plain" else (False, 2.0 * math.log(l2))
 
 
+def _regularizer_forms(hs, modes):
+    """The ``_regularizer_form`` of a batch's rows: one pair when every row
+    shares it, else a (B, 1) column of each."""
+    forms = list(map(_regularizer_form, hs, modes))
+    if len(set(forms)) == 1:
+        return forms[0]
+    return tuple(np.array(v)[:, None] for v in zip(*forms))
+
+
 def regularizer_schedule(phi, t, h: DistortionFn, mode: str, T):
     """Regularizer value p(t; phi) of the actor and its phi-gradient.
 
@@ -227,22 +251,33 @@ def regularizer_schedule(phi, t, h: DistortionFn, mode: str, T):
            (0, 1/2, (T-t)/2).
     With a (B, 3) batch of phi, ``h`` and ``mode`` are sequences of B.
     """
+    forms = _regularizer_forms(h, mode) if np.ndim(phi) == 2 else _regularizer_form(h, mode)
+    return _regularizer(phi, T - np.asarray(t, dtype=float), forms)
+
+
+def _regularizer(phi, tau, forms, scale=None):
+    """``regularizer_schedule`` at the times to go ``tau`` with the rows'
+    ``forms``.  In plain mode p is ``scale`` ||h'||^2: the actor scale at
+    those times, the same exp of the same exponent, computed here when not
+    given."""
     ph = _columns(phi)
-    tau = T - np.asarray(t, dtype=float)
-    forms = list(map(_regularizer_form, h, mode)) if np.ndim(phi) == 2 else [
-        _regularizer_form(h, mode)]
-    log_scale = 0.5 * ph[1] + 0.5 * ph[2] * tau
+    plain, const = forms
     # dp: dp/d(phi1/2), which is p in plain mode and 1 in log mode
-    if len(set(forms)) == 1:
-        plain, const = forms[0]
-        p = np.exp(log_scale) * const if plain else log_scale + const
-        dp = p if plain else 1.0
+    if np.ndim(plain) == 0:
+        if plain:
+            if scale is None:
+                scale = np.exp(0.5 * ph[1] + 0.5 * ph[2] * tau)
+            p = dp = scale * const
+        else:
+            p, dp = 0.5 * ph[1] + 0.5 * ph[2] * tau + const, 1.0
     else:  # cells of both modes or of several norms, row by row
-        plain, const = (np.array(v)[:, None] for v in zip(*forms))
+        log_scale = 0.5 * ph[1] + 0.5 * ph[2] * tau
         with np.errstate(over="ignore"):  # exp of a log-mode row is not used
-            p = np.where(plain, np.exp(log_scale) * const, log_scale + const)
+            if scale is None:
+                scale = np.exp(log_scale)
+            p = np.where(plain, scale * const, log_scale + const)
         dp = np.where(plain, p, 1.0)
-    grad = np.zeros(p.shape + (3,))
+    grad = np.zeros(np.shape(p) + (3,))
     grad[..., 1] = 0.5 * dp
     grad[..., 2] = 0.5 * tau * dp
     return p, grad
@@ -253,23 +288,45 @@ def regularizer_schedule(phi, t, h: DistortionFn, mode: str, T):
 # ---------------------------------------------------------------------------
 
 
-def _density_fields(configs, actions, location, scale):
-    """``log_density_grad_fields`` of each row's actions, called once per
-    family record among the rows' distortions."""
+class _Batch(NamedTuple):
+    """What the TD pass reads of a batch's configs and time grid: fixed
+    while the batch keeps its cells, so built once per layout."""
+
+    T: float
+    z: float
+    form: str
+    tau: np.ndarray  # T - t on the n + 1 grid times
+    dts: np.ndarray
+    lam: float | np.ndarray  # as ``_per_cell`` shapes it
+    forms: tuple  # the rows' ``_regularizer_forms``
+    groups: list  # (distortion, rows) per family record among the rows
+
+
+def _batch(times, configs) -> _Batch:
     groups: dict[int, tuple[DistortionFn, list[int]]] = {}
     for row, c in enumerate(configs):
         groups.setdefault(id(c.h.family), (c.h, []))[1].append(row)
+    first = configs[0]
+    return _Batch(first.T, first.z, first.critic_form, first.T - times, times[1:] - times[:-1],
+                  _per_cell([c.lam for c in configs]),
+                  _regularizer_forms([c.h for c in configs], [c.mode for c in configs]),
+                  list(groups.values()))
+
+
+def _density_fields(groups, actions, location, scale):
+    """``log_density_grad_fields`` of each row's actions, called once per
+    family record among the rows' distortions."""
     if len(groups) == 1:
-        return log_density_grad_fields(configs[0].h, actions, location, scale)
+        return log_density_grad_fields(groups[0][0], actions, location, scale)
     dm, ds = np.empty_like(location), np.empty_like(location)
-    for h, rows in groups.values():
+    for h, rows in groups:
         dm[rows], ds[rows] = log_density_grad_fields(h, actions[rows], location[rows],
                                                      scale[rows])
     return dm, ds
 
 
 def episode_gradients(times, states, actions, theta, phi, w,
-                      config: TrainConfig | list[TrainConfig], scale=None):
+                      config: TrainConfig | list[TrainConfig], scale=None, batch=None):
     """Semi-gradient updates accumulated over one episode: n + 1 grid times
     and wealths, and the n actions taken between them.
 
@@ -284,35 +341,36 @@ def episode_gradients(times, states, actions, theta, phi, w,
     critic_form, and the results gain the leading axis of B.
 
     ``scale`` is the actor scale ``actor_scale(phi, times[:-1], T)`` the
-    actions were drawn with, computed here when not given.
+    actions were drawn with, and ``batch`` the batch's ``_batch(times,
+    config)``; each is computed here when not given.
     """
     single = np.asarray(theta).ndim == 1
     if single:  # the B = 1 case
         states, actions = np.asarray(states)[None], np.asarray(actions)[None]
         theta, phi = np.asarray(theta, dtype=float)[None], np.asarray(phi, dtype=float)[None]
         w, config = np.array([w], dtype=float), [config]
-    T, z, form = config[0].T, config[0].z, config[0].critic_form
-    lam, wc = _per_cell([c.lam for c in config]), _per_cell(w)
-    t_left, x_left = times[:-1], states[:, :-1]
-    dts = times[1:] - times[:-1]
-    tau = T - t_left
+    if batch is None:
+        batch = _batch(times, config)
+    lam, wc = batch.lam, _per_cell(w)
+    x_left, dts = states[:, :-1], batch.dts
+    tau = batch.tau[:-1]
 
     # overflow in a diverging run shows up as non-finite parameters and is
     # reported by the caller; keep the arithmetic silent here
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = critic_value(theta, times, states, wc, z, T, form)
-        p, dp = regularizer_schedule(phi, t_left, [c.h for c in config],
-                                     [c.mode for c in config], T)
+        # one critic pass: V on the n + 1 grid, dV/dtheta on its first n points
+        th, grow, offset, decay, xw2 = _critic_pass(theta, batch.tau, states, wc, batch.form)
+        v = _value(th, offset, decay, xw2, _gap_squared(wc, batch.z))
+        dv = _grad(tau, th, *(a[..., :-1] for a in (grow, offset, decay, xw2)))
+        if scale is None:
+            scale = actor_scale(phi, times[:-1], batch.T)
+        p, dp = _regularizer(phi, tau, batch.forms, scale)
         delta = v[:, 1:] - v[:, :-1] - lam * p * dts
-
-        dv = critic_grad(theta, t_left, x_left, wc, T, form)
         grad_theta = _transpose_dot(-dv, delta)
 
-        if scale is None:
-            scale = actor_scale(phi, t_left, T)
         xw = x_left - wc
         location = -_columns(phi)[0] * xw
-        dm, ds = _density_fields(config, actions, location, scale)
+        dm, ds = _density_fields(batch.groups, actions, location, scale)
         in_support = np.isfinite(dm) & np.isfinite(ds)
         if in_support.all():
             n_skipped = np.zeros(len(in_support), dtype=int)
@@ -354,14 +412,26 @@ def _clip(vec: np.ndarray, limit: float):
     return vec, (engaged if engaged.ndim else bool(engaged))
 
 
-def episode_draws(h: DistortionFn, seed: int, index: int, n_steps: int,
-                  rng: np.random.Generator | None = None):
-    """(eta, noise) of one action path from the Philox stream keyed (seed, index):
-    eta = h'(1 - p) at uniforms p clipped into (0, 1), then the wealth normals.
-    A given ``rng`` is rekeyed for the path (see ``market.path_stream``)."""
-    rng = path_stream(seed, index, rng)
-    eta = standardized_draw(h, np.clip(rng.random(n_steps), 2.0**-53, 1.0 - 2.0**-53))
-    return eta, rng.standard_normal(n_steps)
+# episodes drawn at once: a block holds 16 n bytes per episode and cell,
+# 4 KB at 252 steps, so a 48-cell batch's draws stay near 6 MB
+DRAW_BLOCK = 32
+
+
+def episode_draws(h: DistortionFn, market: MarketParams, sim: SimConfig, index: int,
+                  count: int = 1, rng: np.random.Generator | None = None):
+    """(eta, increments) of the action paths of episodes index ... index +
+    count - 1, as (count, n) arrays.  Episode j draws from the Philox stream
+    keyed (sim.seed, j): uniforms p, clipped into (0, 1) and mapped to
+    eta = h'(1 - p), then the normals of the wealth increments (see
+    ``market.increment``).  A given ``rng`` is rekeyed for each episode (see
+    ``market.path_stream``)."""
+    p, noise = np.empty((2, count, sim.n_steps))
+    for k in range(count):
+        rng = path_stream(sim.seed, index + k, rng)
+        rng.random(out=p[k])
+        rng.standard_normal(out=noise[k])
+    eta = standardized_draw(h, np.clip(p, 2.0**-53, 1.0 - 2.0**-53))
+    return eta, increment(market, sim.dt, noise)
 
 
 # the fields cells of one batch may differ in; the rest (and sim apart from
@@ -404,7 +474,7 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
     """
     configs, markets = list(configs), list(markets)
     first = _check_batch(configs, markets)
-    n_steps, dt, T = first.sim.n_steps, first.sim.dt, first.T
+    n_steps, T = first.sim.n_steps, first.T
     K, m = first.episodes, first.avg_window
     times = first.sim.times()
     B = len(configs)
@@ -414,12 +484,13 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
     phi_log = np.empty((B, K, 3))
     w_log = np.empty((B, K))
     results: list = [None] * B
-    rngs = [np.random.Generator(np.random.Philox()) for _ in range(B)]  # rekeyed per episode
+    rng = np.random.Generator(np.random.Philox())  # rekeyed for each cell's episodes
 
     # the batch rows: the cells still training, by index into configs
     live = np.arange(B)
     cols = slice(None)  # live as an index into the logs; a slice while no cell has left
     row_configs = configs
+    batch = _batch(times, row_configs)
     theta = np.tile(np.array(THETA_INIT, dtype=float), (B, 1))
     phi = np.tile(np.array(PHI_INIT, dtype=float), (B, 1))
     w = np.full(B, float(first.z))
@@ -427,23 +498,26 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
     clip_events = np.zeros(B, dtype=int)
 
     for j in range(1, K + 1):
+        k = (j - 1) % DRAW_BLOCK  # episode j's row in the rows' draw blocks
+        if k == 0:
+            count = min(DRAW_BLOCK, K + 1 - j)
+            draws = [episode_draws(configs[b].h, markets[b], configs[b].sim, j, count, rng)
+                     for b in live.tolist()]
         failed: dict[int, str] = {}  # row -> cause of the first check it fails
         with np.errstate(over="ignore"):
             scale = actor_scale(phi, times[None, :-1], T)  # (B, n), B = 1 too
         states = np.empty((len(live), n_steps + 1))
         actions = np.empty((len(live), n_steps))
-        for row, b in enumerate(live.tolist()):
-            c = configs[b]
-            eta, noise = episode_draws(c.h, c.sim.seed, j, n_steps, rngs[b])
-            states[row], actions[row] = rollout(c.x0, w[row], -phi[row, 0], scale[row], eta,
-                                                markets[b], dt, noise)
+        for row, (b, (eta, incs)) in enumerate(zip(live.tolist(), draws)):
+            states[row], actions[row] = rollout(configs[b].x0, w[row], -phi[row, 0], scale[row],
+                                                eta[k], markets[b].sigma, incs[k])
             if not math.isfinite(states[row, -1]):
                 failed[row] = "non-finite wealth"
 
         # a failed row rides along to the end of the episode: every batched
         # step below is row by row, so it touches no other cell's numbers
         g_theta, g_phi, n_skip = episode_gradients(times, states, actions, theta, phi, w,
-                                                   row_configs, scale=scale)
+                                                   row_configs, scale=scale, batch=batch)
         skipped += n_skip
         if first.grad_clip is not None:
             g_theta, c1 = _clip(g_theta, first.grad_clip)
@@ -479,10 +553,12 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
             keep[list(failed)] = False
             live, theta, phi, w = live[keep], theta[keep], phi[keep], w[keep]
             skipped, clip_events = skipped[keep], clip_events[keep]
+            draws = [d for d, kept in zip(draws, keep.tolist()) if kept]
             cols = live
-            row_configs = [configs[b] for b in live.tolist()]
             if not len(live):
                 break
+            row_configs = [configs[b] for b in live.tolist()]
+            batch = _batch(times, row_configs)
 
     for b, n_skipped, n_clipped in zip(live.tolist(), skipped.tolist(), clip_events.tolist()):
         results[b] = TrainLog(terminal_wealth=tw_log[b], theta=theta_log[b], phi=phi_log[b],

@@ -40,6 +40,17 @@ def step(x, u, market, dt, noise):
     return x + market.sigma * u * increment(market, dt, noise)
 
 
+def draws(h, n, dt):
+    """(eta, noise) of the trainer's episode 2 at seed 4 on n steps of dt."""
+    sim = SimConfig(n_steps=n, dt=dt, seed=4)
+    (eta,), (increments,) = episode_draws(h, MARKET, sim, 2)
+    rng = path_stream(4, 2)
+    rng.random(n)  # the uniforms come first
+    noise = rng.standard_normal(n)
+    assert increments.tobytes() == increment(MARKET, dt, noise).tobytes()
+    return eta, noise
+
+
 def mc_estimate(spec, sim, w, chunk=4096):
     """Mean objective and its standard error under the optimal schedule."""
     _, vals = pathwise_objectives(optimal_schedule(spec, MARKET, w), spec, MARKET, sim, w,
@@ -123,9 +134,10 @@ class TestRollout:
     @pytest.mark.parametrize("level", [0.0, 0.4])
     def test_matches_step_loop_bitwise(self, h_name, level):
         n, dt, w, mean_coef = 64, 1.0 / 64, 1.6, -1.3
-        eta, noise = episode_draws(get_distortion(h_name), 4, 2, n)
+        eta, noise = draws(get_distortion(h_name), n, dt)
         scale = level * np.exp(0.6 * (1.0 - np.arange(n) * dt))
-        states, actions = rollout(1.0, w, mean_coef, scale, eta, MARKET, dt, noise)
+        states, actions = rollout(1.0, w, mean_coef, scale, eta, MARKET.sigma,
+                                  increment(MARKET, dt, noise))
         x, xs, us = 1.0, [1.0], []
         for i in range(n):
             u = mean_coef * (x - w) + scale[i] * eta[i]
@@ -137,11 +149,12 @@ class TestRollout:
 
     def test_diverging_path_matches_step_loop_bytes_silently(self):
         n, dt, w, mean_coef = 64, 1.0 / 64, 1.6, 1e200
-        eta, noise = episode_draws(GAUSS, 4, 2, n)
+        eta, noise = draws(GAUSS, n, dt)
         scale = 0.4 * np.ones(n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            states, actions = rollout(1.0, w, mean_coef, scale, eta, MARKET, dt, noise)
+            states, actions = rollout(1.0, w, mean_coef, scale, eta, MARKET.sigma,
+                                      increment(MARKET, dt, noise))
         assert np.isinf(states).any() and np.isnan(states[-1])
         x, xs, us = 1.0, [1.0], []
         with np.errstate(over="ignore", invalid="ignore"):
@@ -155,11 +168,12 @@ class TestRollout:
 
     def test_numpy_scalar_inputs_match_python_floats(self):
         n, dt = 64, 1.0 / 64
-        eta, noise = episode_draws(GAUSS, 4, 2, n)
+        eta, noise = draws(GAUSS, n, dt)
         scale = 0.4 * np.exp(0.6 * (1.0 - np.arange(n) * dt))
-        a = rollout(1.0, 1.6, -1.3, scale, eta, MARKET, dt, noise)
-        b = rollout(np.float64(1.0), np.float64(1.6), -np.float64(1.3), scale, eta, MARKET, dt,
-                    noise)
+        increments = increment(MARKET, dt, noise)
+        a = rollout(1.0, 1.6, -1.3, scale, eta, MARKET.sigma, increments)
+        b = rollout(np.float64(1.0), np.float64(1.6), -np.float64(1.3), scale, eta,
+                    np.float64(MARKET.sigma), increments)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 

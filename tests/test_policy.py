@@ -132,14 +132,33 @@ class TestLogDensity:
         # a user-supplied distortion that reuses a built-in name: h'(p) = 2 - 4p
         custom_distortion("gini", lambda p: 2.0 * p * (1.0 - p), lambda p: 2.0 - 4.0 * p,
                           hprime_singular=False, hprime_range=(-2.0, 2.0)),
-        scale_distortion(get_distortion("gini"), 3.0),
-    ], ids=["custom_named_gini", "scaled_gini"])
+    ], ids=["custom_named_gini"])
     def test_family_comes_from_record_not_name(self, h):
         assert standardized_draw(h, 0.9) == pytest.approx(h.hprime(0.1), rel=1e-15)
         pol = LocationScalePolicy(h=h, location=0.0, scale=1.0)
         for fn in (log_density, log_density_grad, cdf):
             with pytest.raises(DensityUnavailableError):
                 fn(pol, 1.5)
+
+    @pytest.mark.parametrize("c", [2.0, 0.3])
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_scaled_family_is_the_base_family_at_scale(self, name, c, rng):
+        # the policy of c*h at scale S is the policy of h at scale cS
+        base = get_distortion(name)
+        scaled = scale_distortion(base, c)
+        assert standardized_draw(scaled, 0.9) == pytest.approx(scaled.hprime(0.1), rel=1e-15)
+        pol = LocationScalePolicy(h=scaled, location=0.4, scale=0.7)
+        ref = LocationScalePolicy(h=base, location=0.4, scale=c * 0.7)
+        lo, hi = ref.support
+        u = np.clip(rng.normal(0.4, 2.0, 512), lo + 1e-9, hi - 1e-9)
+        close = dict(rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(log_density(pol, u), log_density(ref, u), **close)
+        np.testing.assert_allclose(cdf(pol, u), cdf(ref, u), **close)
+        (dm, ds), (dm_ref, ds_ref) = log_density_grad(pol, u), log_density_grad(ref, u)
+        np.testing.assert_allclose(dm, dm_ref, **close)
+        np.testing.assert_allclose(ds, c * ds_ref, **close)  # d/dS = c d/d(cS)
+        p = rng.random(512)
+        np.testing.assert_allclose(sample(pol, p), sample(ref, p), **close)
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_density_integrates_to_one(self, name):

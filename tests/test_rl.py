@@ -1,5 +1,7 @@
+import hashlib
 import math
 import warnings
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -14,7 +16,7 @@ from choquet_emv.closedform import (
     optimal_schedule,
     value_plain,
 )
-from choquet_emv.distortion import get_distortion
+from choquet_emv.distortion import get_distortion, scale_distortion
 from choquet_emv.market import SimConfig, path_stream, pathwise_objectives
 from choquet_emv.policy import LocationScalePolicy, standardized_draw
 from choquet_emv.rl import (
@@ -419,6 +421,12 @@ class TestTrain:
         assert (skipped > 0) == (h_name == "gini")
         assert 0 < clipped < 2 * cfg.episodes
 
+    def test_scaled_distortion_trains_on_its_stretched_family(self):
+        h = scale_distortion(get_distortion("gini"), 2.0)
+        log = train(base_config(episodes=20, h=h, sim=SimConfig.from_horizon(T, 64, seed=2)),
+                    MARKET)
+        assert np.isfinite(log.terminal_wealth).all() and log.skipped_actions == 0
+
     def test_multiplier_updates_use_last_window(self):
         cfg = base_config(episodes=20, avg_window=10)
         log = train(cfg, MARKET)
@@ -624,6 +632,23 @@ class TestTrainLogStats:
         assert var == pytest.approx(0.04)
         assert sharpe == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("wealth, sharpe", [(1.4, math.inf), (0.52, -math.inf),
+                                                 (1.0, math.nan)])
+    def test_zero_variance_window_reads_the_sign_of_the_excess(self, wealth, sharpe):
+        from choquet_emv.rl import TrainLog
+
+        log = TrainLog(terminal_wealth=np.full(1, wealth), theta=np.zeros((1, 3)),
+                       phi=np.zeros((1, 3)), w=np.zeros(1))
+        mean, var, got = log.last_window_stats()
+        assert (mean, var) == (wealth, 0.0)
+        assert got == sharpe or (math.isnan(sharpe) and math.isnan(got))
+
+    def test_one_losing_episode_reads_minus_inf(self):
+        cfg = base_config(episodes=1, sim=SimConfig.from_horizon(T, 252, seed=1))
+        log = train(cfg, MarketParams(mu=-0.5, sigma=0.1, r=0.02))
+        mean, _, sharpe = log.last_window_stats()
+        assert mean < 1.0 and sharpe == -math.inf
+
     def test_block_means(self):
         from choquet_emv.rl import TrainLog
 
@@ -634,3 +659,58 @@ class TestTrainLogStats:
         assert bm.shape == (5,)
         assert bm[0] == pytest.approx(np.mean(np.arange(100)))
 
+
+class TestTrainBytes:
+    """A sha256 over the full-precision bytes of many training logs.  The
+    goldens print 6 digits; this digest moves with any last-bit change in
+    the trainer, through ``train`` and through one ``train_many`` batch."""
+
+    # 151 episodes: no multiple of any draw block larger than one episode
+    EPISODES = 151
+    # the bytes of the trainer that drew one episode per call and evaluated
+    # the critic twice per episode; its block draws and one critic pass
+    # must not move them
+    DIGEST = "a82389bb781e46cbb9a911c297b1c54538dd813d6eed4959f9d6e3a799b638b2"
+
+    @staticmethod
+    def feed(digest, result):
+        if isinstance(result, TrainingDivergedError):
+            digest.update(f"{result.episode}:{result}".encode())
+            return
+        for name in ("terminal_wealth", "theta", "phi", "w"):
+            digest.update(np.ascontiguousarray(getattr(result, name), dtype=np.float64).tobytes())
+        digest.update(f"{result.skipped_actions}:{result.clip_events}".encode())
+
+    def runs(self):
+        """(config, market) of every ``train`` run: each family in both
+        modes with and without clipping, the corrected critic, and a cell
+        whose parameters turn non-finite mid-run."""
+        seed = 0
+        for h_name in ("gaussian_score", "entropy_like", "gini"):
+            for mode in ("plain", "log"):
+                for grad_clip in (None, 1.0):
+                    seed += 1
+                    mu = 0.1 if grad_clip is None else -0.5
+                    yield (base_config(episodes=self.EPISODES, h=get_distortion(h_name),
+                                       mode=mode, lam=0.1, grad_clip=grad_clip,
+                                       sim=SimConfig.from_horizon(T, 64, seed=seed)),
+                           MarketParams(mu=mu, sigma=0.2, r=0.02))
+        yield (base_config(episodes=self.EPISODES, critic_form="corrected",
+                           sim=SimConfig.from_horizon(T, 64, seed=40)), MARKET)
+        yield (base_config(episodes=self.EPISODES, h=get_distortion("gini"), lam=1000.0,
+                           grad_clip=1e3, sim=SimConfig.from_horizon(T, 64, seed=3)),
+               MarketParams(mu=0.3, sigma=0.2, r=0.02))
+
+    def test_logs_keep_their_bytes(self):
+        assert self.EPISODES % rl.DRAW_BLOCK  # the last block is a partial one
+        digest = hashlib.sha256()
+        results = [TestTrainMany.alone(c, m) for c, m in self.runs()]
+        configs, markets = TestTrainMany().batch()
+        results += train_many([replace(c, episodes=self.EPISODES) for c in configs], markets)
+        for result in results:
+            self.feed(digest, result)
+        logs = [r for r in results if not isinstance(r, TrainingDivergedError)]
+        diverged = [r for r in results if isinstance(r, TrainingDivergedError)]
+        assert len(diverged) == 3 and all(r.episode < self.EPISODES for r in diverged)
+        assert any(log.clip_events for log in logs) and any(log.skipped_actions for log in logs)
+        assert digest.hexdigest() == self.DIGEST
