@@ -41,7 +41,8 @@ from .quadrature import gauss_legendre_01
 
 
 class DegenerateSharpeError(ValueError):
-    """rho = 0 makes the requested closed form ill-defined."""
+    """rho = 0, or rho^2 T so small that e^{rho^2 T} rounds to 1, makes the
+    requested closed form ill-defined."""
 
 
 class ConvexityError(ValueError):
@@ -150,10 +151,26 @@ def _check_time(t: float, T: float):
 
 
 def lagrange_multiplier(spec: EMVSpec, market: MarketParams) -> float:
-    """w = (z e^{rho^2 T} - x0) / (e^{rho^2 T} - 1), pinning E[X_T] = z."""
+    """w = (z e^{rho^2 T} - x0) / (e^{rho^2 T} - 1), pinning E[X_T] = z.
+
+    Raises ``DegenerateSharpeError`` when e^{rho^2 T} rounds to 1 and
+    ``ValueError`` when rho^2 T or w overflows.
+    """
     rho = _require_rho(market)
-    growth = math.exp(rho**2 * spec.T)
-    return (spec.z * growth - spec.x0) / (growth - 1.0)
+    x = growth = math.inf
+    try:
+        x = rho**2 * spec.T
+        growth = math.exp(x)
+    except OverflowError:
+        pass
+    if growth == 1.0:
+        raise DegenerateSharpeError(
+            f"rho^2 T = {x:.3g} is too small: e^(rho^2 T) rounds to 1, so w is undefined"
+        )
+    w = (spec.z * growth - spec.x0) / (growth - 1.0)
+    if not math.isfinite(w):
+        raise ValueError(f"rho^2 T = {x:.3g} is too large: the multiplier w overflows")
+    return w
 
 
 def classical_solution(t, x, spec: EMVSpec, market: MarketParams, w: float):

@@ -72,7 +72,8 @@ class DistortionFn:
     p -> 1 and p -> 0 since h' is nonincreasing; it determines the support
     of the induced location-scale family.  ``family`` holds that family's
     closed forms; it is None when none are known, as for user-supplied
-    distortions.
+    distortions.  The record keeps its h'(1 - p) on the tanh-sinh nodes, so
+    the Choquet integrals evaluate h' once per distortion.
     """
 
     name: str
@@ -86,6 +87,25 @@ class DistortionFn:
     def rule(self) -> tuple[Array, Array]:
         """The quadrature rule for ||h'||_2."""
         return tanh_sinh_01() if self.hprime_singular else gauss_legendre_01()
+
+    def _hprime_on_rule(self, mirrored: bool) -> Array:
+        """h'(1 - p) on the tanh-sinh nodes, evaluated once.
+
+        ``mirrored`` reads 1 - p off the symmetric node layout (``nodes[::-1]``),
+        as ``regularizer_of_quantile`` does; otherwise 1 - p is ``1.0 - nodes``,
+        as in the quantile of ``max_constrained``.  The values are read-only
+        and kept with the node array they were computed on, so a rule rebuilt
+        after ``tanh_sinh_01.cache_clear()`` gets its own.
+        """
+        nodes = tanh_sinh_01()[0]
+        key = "_hprime_mirrored" if mirrored else "_hprime_minus"
+        kept = self.__dict__.get(key)
+        if kept is None or kept[0] is not nodes:
+            vals = np.array(self.hprime(nodes[::-1] if mirrored else 1.0 - nodes), dtype=float)
+            vals.flags.writeable = False
+            kept = (nodes, vals)
+            object.__setattr__(self, key, kept)
+        return kept[1]
 
 
 def _entropy_h(p: Array) -> Array:
@@ -245,8 +265,7 @@ def regularizer_of_quantile(fn: DistortionFn, quantile: ScalarFn) -> float:
     """
     nodes, weights = tanh_sinh_01()
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = (np.asarray(quantile(nodes), dtype=float)
-                * np.asarray(fn.hprime(nodes[::-1]), dtype=float))
+        vals = np.asarray(quantile(nodes), dtype=float) * fn._hprime_on_rule(mirrored=True)
         total = float(np.dot(weights, vals))
     if not math.isfinite(total):
         raise DivergentIntegralError(
@@ -259,7 +278,8 @@ def max_constrained(fn: DistortionFn, m: float, s: float) -> tuple[ScalarFn, flo
     """Maximize Phi_h over distributions with mean m and variance s^2.
 
     Returns the maximizing quantile Q*(p) = m + s h'(1-p)/||h'||_2 together
-    with the maximum value s ||h'||_2.
+    with the maximum value s ||h'||_2.  On the tanh-sinh rule's own nodes
+    the quantile reads the h'(1-p) that ``fn`` keeps there.
     """
     if not math.isfinite(m):
         raise ValueError(f"mean must be finite, got {m}")
@@ -269,8 +289,10 @@ def max_constrained(fn: DistortionFn, m: float, s: float) -> tuple[ScalarFn, flo
     if not (norm > 0.0):
         raise ValueError(f"distortion {fn.name!r} is constantly zero")
 
-    def q(p: Array, _hp=fn.hprime, _m=m, _c=s / norm) -> Array:
-        return _m + _c * np.asarray(_hp(1.0 - np.asarray(p, dtype=float)), dtype=float)
+    def q(p: Array, _fn=fn, _m=m, _c=s / norm) -> Array:
+        if p is tanh_sinh_01()[0]:
+            return _m + _c * _fn._hprime_on_rule(mirrored=False)
+        return _m + _c * np.asarray(_fn.hprime(1.0 - np.asarray(p, dtype=float)), dtype=float)
 
     return q, s * norm
 

@@ -16,9 +16,10 @@ Two rules cover everything the library integrates:
 The time integral in ``closedform.exploration_cost_by_quadrature`` uses a
 512-node Gauss-Legendre rule: its integrand is smooth in t.
 
-Both rules are returned as plain (nodes, weights) arrays so callers can
-evaluate vectorized integrands once and reuse the rule across many
-integrals.  Nodes are strictly inside (0, 1); the tanh-sinh rule truncates
+Both rules are cached and returned as plain, read-only (nodes, weights)
+arrays, so callers can evaluate vectorized integrands once and reuse the
+rule across many integrals, and no caller can change another's rule in
+place.  Nodes are strictly inside (0, 1); the tanh-sinh rule truncates
 where the node would be closer to an endpoint than 1e-15, which for
 integrands with at worst logarithmic singularities contributes an error
 far below the tolerances used in this package.
@@ -45,7 +46,7 @@ def gauss_legendre_01(n_nodes: int = 256, panels: int = 8) -> tuple[np.ndarray, 
         half = 0.5 * (b - a)
         nodes.append(half * x + 0.5 * (a + b))
         weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return _read_only(np.concatenate(nodes), np.concatenate(weights))
 
 
 @lru_cache(maxsize=8)
@@ -69,7 +70,13 @@ def tanh_sinh_01() -> tuple[np.ndarray, np.ndarray]:
     pc, w = pc[keep], w[keep]
     nodes = np.concatenate([pc[::-1], [0.5], 1.0 - pc])
     weights = np.concatenate([w[::-1], [step * 0.25 * math.pi], w])
-    return nodes, weights
+    return _read_only(nodes, weights)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def integrate_01(f, rule: tuple[np.ndarray, np.ndarray]) -> float:

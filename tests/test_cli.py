@@ -209,6 +209,13 @@ class TestExitStatus:
         (["simulate", "--n-steps", "0"], "n_steps must be >= 1, got 0"),
         (["simulate", "--n-steps", str(2**1100)], "n_steps is too large"),
         (["trajectory", "--n-steps", str(2**1100)], "n_steps is too large"),
+        (["solve", "--mu", "0.020000000001", "--r", "0.02", "--sigma", "0.2"],
+         "rho^2 T = 2.5e-23 is too small"),
+        (["solve", "--mu", "6.02", "--r", "0.02", "--sigma", "0.2"], "rho^2 T = 900 is too large"),
+        (["simulate", "--mu", "6.02", "--r", "0.02", "--sigma", "0.2"], "rho^2 T = 900 is too large"),
+        (["solve", "--mu", "1e155", "--sigma", "0.2"], "rho^2 T = inf is too large"),
+        (["simulate", "--mu", "1e155", "--sigma", "0.2"], "rho^2 T = inf is too large"),
+        (["trajectory", "--mu", "1e155", "--sigma", "0.2"], "rho^2 T = inf is too large"),
     ])
     def test_bad_input_is_one_line_with_status_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"

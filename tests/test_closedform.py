@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -27,7 +28,14 @@ from choquet_emv.closedform import (
     value_log,
     value_plain,
 )
-from choquet_emv.distortion import get_distortion, scale_distortion
+from choquet_emv.distortion import (
+    custom_distortion,
+    get_distortion,
+    max_constrained,
+    quantile_moments,
+    regularizer_of_quantile,
+    scale_distortion,
+)
 from choquet_emv.market import SimConfig, pathwise_objectives
 from choquet_emv.policy import moments
 
@@ -88,6 +96,20 @@ class TestLagrangeMultiplier:
     def test_degenerate_sharpe(self):
         with pytest.raises(DegenerateSharpeError):
             lagrange_multiplier(spec_for("plain"), MarketParams(mu=0.02, sigma=0.2, r=0.02))
+
+    def test_growth_rounding_to_one_is_degenerate(self):
+        # rho^2 T = 2.5e-23: e^{rho^2 T} is 1.0 and the formula divided by zero
+        market = MarketParams(mu=0.020000000001, sigma=0.2, r=0.02)
+        with pytest.raises(DegenerateSharpeError, match=r"rho\^2 T = 2.5e-23 is too small"):
+            lagrange_multiplier(spec_for("plain"), market)
+
+    @pytest.mark.parametrize("mu, z", [(6.02, 1.4), (0.02 + 26.6 * 0.2, 10.0), (1e155, 1.4)])
+    def test_overflowing_multiplier_is_a_value_error(self, mu, z):
+        # e^{900} overflows; at rho^2 T = 707.6 the growth is finite but z times it
+        # is not; at rho = 5e155 rho^2 itself overflows
+        spec = EMVSpec(T=1.0, lam=0.01, z=z, x0=1.0, mode="plain", h=GAUSS)
+        with pytest.raises(ValueError, match="is too large: the multiplier w overflows"):
+            lagrange_multiplier(spec, MarketParams(mu=mu, sigma=0.2, r=0.02))
 
 
 class TestClassicalSolution:
@@ -421,3 +443,50 @@ class TestFeedbackValueFn:
         w = lagrange_multiplier(spec, MARKET)
         vf = feedback_value_fn(FeedbackPolicyParams(0.3, 0.5, 0.2), spec, MARKET, w)
         assert vf.value(1.0, 2.0) == pytest.approx((2.0 - w) ** 2 - (w - spec.z) ** 2, abs=1e-12)
+
+
+class TestClosedFormBytes:
+    """A sha256 over the full-precision bytes of the closed forms and their
+    quadrature checks.  The 6-digit goldens cannot see a last-bit change;
+    this digest moves with any, through the multiplier, the value function,
+    the HJB residual, policy iteration, the exploration cost by quadrature
+    and the Choquet integrals of the maximising quantile."""
+
+    # the bytes of the closed forms that evaluated h' on the tanh-sinh rule
+    # at every integral and read rho through a property
+    DIGEST = "dc757ca6d4c7886b67550d190f3a9898a5e9e78130d49a30bf126259c8fc164e"
+    MARKETS = (MARKET, MarketParams(mu=-0.25, sigma=0.3, r=0.02))  # rho 0.4 and -0.9
+
+    @staticmethod
+    def distortions():
+        """The three built-ins and two user-supplied distortions, one with
+        an h' unbounded at 0."""
+        return [get_distortion(n) for n in ("gaussian_score", "entropy_like", "gini")] + [
+            custom_distortion("sine", lambda p: np.sin(np.pi * np.asarray(p)) / np.pi,
+                              lambda p: np.cos(np.pi * np.asarray(p)), hprime_singular=False),
+            custom_distortion("root", lambda p: np.asarray(p) ** 0.75 - np.asarray(p),
+                              lambda p: 0.75 * np.asarray(p) ** -0.25 - 1.0),
+        ]
+
+    @staticmethod
+    def numbers(h, market, mode):
+        spec = spec_for(mode, h=h)
+        w = lagrange_multiplier(spec, market)
+        out = [w]
+        for t, x in ((0.0, spec.x0), (0.25, -1.0), (0.5, 0.3), (1.0, 2.5)):
+            out += [value(t, x, spec, market, w), hjb_residual(t, x, spec, market, w)]
+        for fb, vf in policy_iteration((0.8, 0.7, 0.3), spec, market):
+            out += [fb.mean_coef, fb.scale_base, fb.scale_rate, vf.value(0.0, spec.x0)]
+        out.append(exploration_cost_by_quadrature(spec, market))
+        policy = optimal_policy(0.0, spec.x0, spec, market, w)
+        qstar, bound = max_constrained(h, policy.location, policy.scale * h.l2_norm)
+        out += [bound, regularizer_of_quantile(h, qstar), *quantile_moments(qstar)]
+        return out
+
+    def test_closed_forms_keep_their_bytes(self):
+        digest = hashlib.sha256()
+        for h in self.distortions():
+            for market in self.MARKETS:
+                for mode in ("plain", "log"):
+                    digest.update(np.array(self.numbers(h, market, mode), dtype=np.float64).tobytes())
+        assert digest.hexdigest() == self.DIGEST

@@ -245,10 +245,74 @@ class TestQuadratureRules:
         comp = nodes[::-1]
         assert np.dot(weights, np.log(comp) ** 2) == pytest.approx(2.0, abs=1e-10)
 
+    def test_rules_are_read_only(self):
+        # the rules are cached: a write in place would change every later integral
+        for rule in (tanh_sinh_01(), gauss_legendre_01(), gauss_legendre_01(512)):
+            for a in rule:
+                with pytest.raises(ValueError, match="read-only"):
+                    a *= 2.0
+
     def test_gauss_legendre_exact_on_polynomials(self):
         nodes, weights = gauss_legendre_01()
         for k in range(6):
             assert np.dot(weights, nodes**k) == pytest.approx(1.0 / (k + 1), abs=1e-14)
+
+
+class TestHprimeOnRule:
+    """h'(1 - p) kept on the tanh-sinh nodes, once per distortion, moves no
+    integral by a bit."""
+
+    @staticmethod
+    def distortions():
+        return [get_distortion(n) for n in ALL_NAMES] + [
+            custom_distortion("sine", lambda p: np.sin(np.pi * np.asarray(p)) / np.pi,
+                              lambda p: np.cos(np.pi * np.asarray(p)), hprime_singular=False),
+            scale_distortion(get_distortion("gini"), 2.0),
+        ]
+
+    @staticmethod
+    def integrals(h):
+        q, _ = max_constrained(h, 0.3, 1.7)
+        return (regularizer_of_quantile(h, q), *quantile_moments(q)), q
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_integrals_equal_the_uncached_ones(self, index):
+        h = self.distortions()[index]
+        (phi, mean, var), q = self.integrals(h)
+        nodes, weights = tanh_sinh_01()
+        copy = nodes.copy()  # not the rule's array: h' is evaluated afresh
+        vals = q(copy)
+        assert np.array_equal(vals, q(nodes))
+        assert phi == float(np.dot(weights, vals * np.asarray(h.hprime(copy[::-1]), dtype=float)))
+        assert mean == float(np.dot(weights, vals))
+        assert var == float(np.dot(weights, (vals - mean) ** 2))
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_a_rebuilt_rule_gets_its_own_values(self, index):
+        h = self.distortions()[index]
+        before, _ = self.integrals(h)
+        old = tanh_sinh_01()[0]
+        kept = [h._hprime_on_rule(mirrored) for mirrored in (True, False)]
+        tanh_sinh_01.cache_clear()
+        assert tanh_sinh_01()[0] is not old
+        assert self.integrals(h)[0] == before
+        for mirrored, was in zip((True, False), kept):
+            now = h._hprime_on_rule(mirrored)
+            assert now is not was and np.array_equal(now, was)
+            assert now is h._hprime_on_rule(mirrored)
+
+    def test_kept_values_are_read_only(self):
+        h = get_distortion("gaussian_score")
+        for mirrored in (True, False):
+            with pytest.raises(ValueError, match="read-only"):
+                h._hprime_on_rule(mirrored)[0] = 0.0
+
+    def test_a_scaled_distortion_keeps_its_own_values(self):
+        base = get_distortion("gini")
+        scaled = scale_distortion(base, 2.0)
+        for mirrored in (True, False):
+            assert np.array_equal(scaled._hprime_on_rule(mirrored),
+                                  2.0 * base._hprime_on_rule(mirrored))
 
 
 class TestCustomValidation:
