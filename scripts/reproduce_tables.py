@@ -2,14 +2,11 @@
 """Run the full simulation-study grids and write one summary CSV per family.
 
 Each table is 6 drifts x 4 volatilities x {plain, log}, trained for 20000
-episodes per cell. Expect roughly 1.2 s per cell per core: at --jobs 2 on a
-2-vCPU Xeon (Python 3.11, numpy 2.4) the Gaussian table took 28 s, the
-exponential 26 s and the uniform table, whose diverging cells stop early,
-18 s; host speed drifts by up to half within an hour. --jobs splits
-the cells into that many shards, one process each, and each shard trains
-as one lockstep batch. Cells that diverge (which happens for the uniform
-family at strongly negative drifts, where the uniform score carries no
-location gradient) are flagged in the status column.
+episodes per cell. --jobs splits the cells into that many shards, one
+process each, and each shard trains as one lockstep batch. Cells that
+diverge (which happens for the uniform family at strongly negative drifts,
+where the uniform score carries no location gradient) are flagged in the
+status column and stop early.
 """
 
 import argparse

@@ -510,9 +510,11 @@ def main(argv=None) -> int:
         # devnull so the interpreter's exit-time flush fails no more
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 128 + 13  # 128 + SIGPIPE
-    except (ValueError, KeyError, OSError) as exc:
-        # a KeyError's str() quotes its message, so print the message itself
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
+        # a KeyError's str() quotes its message, so print the message itself;
+        # a bare MemoryError has none, so print its name
+        message = (exc.args[0] if isinstance(exc, KeyError) and exc.args
+                   else str(exc) or type(exc).__name__)
         print(f"choquet-emv: error: {message}", file=sys.stderr)
         return 2
 

@@ -9,8 +9,12 @@ are discretized with Euler-Maruyama on the time grid, by ``rollout`` (the one
 action-by-action path) and ``pathwise_objectives`` (many paths on the moments).
 Noise comes from counter-based Philox streams keyed by (seed, path index),
 so paths are reproducible independently of chunking or parallel order.  A run
-holds one generator and rekeys it for each path or episode, which draws the
+holds one generator per worker, rekeyed per path or episode, which draws the
 same bytes as a fresh generator per path at a fraction of the set-up cost.
+``pathwise_objectives`` cuts its chunks into one contiguous block per usable
+CPU (at most one per chunk); the caller runs the first block and forked
+children the others.  With one chunk, one usable CPU or no ``os.fork`` it
+runs every chunk in-process.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +139,15 @@ def pathwise_objectives(
     (X_T - w)^2 - lam * sum_i reg(t_i) dt - (w - z)^2, with the regularizer
     evaluated at the left grid endpoint of each step, once per step when the
     std is shared by all paths.
+
+    The chunks are cut into one contiguous block per usable CPU, at most one
+    per chunk.  The caller runs the first block and a forked child each other
+    one, so the schedule is never pickled; there is one generator per worker,
+    rekeyed per path, and ``chunk`` bounds each worker's memory.  With one
+    chunk, one usable CPU or no ``os.fork`` every chunk runs in-process, and
+    a block whose fork fails runs there too.  A block whose child fails is
+    run again in-process, which raises the child's exception; no child
+    outlives the call.
     """
     if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) or chunk < 1:
         raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
@@ -141,28 +156,86 @@ def pathwise_objectives(
     sdt = math.sqrt(sim.dt)
     xs = np.empty(sim.n_paths)
     vals = np.empty(sim.n_paths)
-    rng = np.random.Generator(np.random.Philox())  # rekeyed for every path
-    for start in range(0, sim.n_paths, chunk):
-        n = min(chunk, sim.n_paths - start)
-        noise = np.empty((n, sim.n_steps))
-        for row in range(n):
-            path_stream(sim.seed, start + row, rng).standard_normal(sim.n_steps, out=noise[row])
-        x = np.full(n, float(spec.x0))
-        reg_acc = 0.0  # in the std's shape: a scalar while it depends on t only
-        for i in range(sim.n_steps):
-            mean, std = schedule(i * sim.dt, x)
-            std = np.asarray(std, dtype=float)
-            if spec.lam != 0.0:
-                # Phi_h of the policy is (action std) * ||h'||_2, independent of location
-                reg_acc = reg_acc + spec.lam * running_reward(std * spec.h.l2_norm,
-                                                              spec.mode) * sim.dt
-            mean = np.broadcast_to(np.asarray(mean, dtype=float), x.shape)
-            std = np.broadcast_to(std, x.shape)
-            x = (x + rho * sigma * mean * sim.dt
-                 + sigma * np.sqrt(mean**2 + std**2) * sdt * noise[:, i])
-        xs[start:start + n] = x
-        vals[start:start + n] = (x - w) ** 2 - reg_acc - (w - spec.z) ** 2
+
+    def fill(lo, hi):
+        rng = np.random.Generator(np.random.Philox())  # rekeyed for every path
+        for start in range(lo, hi, chunk):
+            n = min(chunk, hi - start)
+            noise = np.empty((n, sim.n_steps))
+            for row in range(n):
+                path_stream(sim.seed, start + row, rng).standard_normal(sim.n_steps,
+                                                                        out=noise[row])
+            x = np.full(n, float(spec.x0))
+            reg_acc = 0.0  # in the std's shape: a scalar while it depends on t only
+            for i in range(sim.n_steps):
+                mean, std = schedule(i * sim.dt, x)
+                std = np.asarray(std, dtype=float)
+                if spec.lam != 0.0:
+                    # Phi_h of the policy is (action std) * ||h'||_2, independent of location
+                    reg_acc = reg_acc + spec.lam * running_reward(std * spec.h.l2_norm,
+                                                                  spec.mode) * sim.dt
+                mean = np.broadcast_to(np.asarray(mean, dtype=float), x.shape)
+                std = np.broadcast_to(std, x.shape)
+                x = (x + rho * sigma * mean * sim.dt
+                     + sigma * np.sqrt(mean**2 + std**2) * sdt * noise[:, i])
+            xs[start:start + n] = x
+            vals[start:start + n] = (x - w) ** 2 - reg_acc - (w - spec.z) ** 2
+
+    n_chunks = -(-sim.n_paths // chunk)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(n_chunks, cpus) if hasattr(os, "fork") else 1
+    edges = [min(b * n_chunks // workers * chunk, sim.n_paths) for b in range(workers + 1)]
+    blocks = list(zip(edges, edges[1:]))
+    own = blocks[:1]  # the blocks this process runs
+    children = []  # (pid, read end of its pipe, lo, hi), until reaped
+    try:
+        for lo, hi in blocks[1:]:
+            try:
+                children.append((*_fork_block(fill, lo, hi, xs, vals), lo, hi))
+            except OSError:  # no process to spare
+                own.append((lo, hi))
+        for lo, hi in own:
+            fill(lo, hi)
+        while children:
+            pid, reader, lo, hi = children[0]
+            with reader:
+                sent = all(reader.readinto(out) == out.nbytes for out in (xs[lo:hi], vals[lo:hi]))
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if not sent or status != 0:
+                fill(lo, hi)  # raises the child's exception, if it raised one
+    finally:
+        for pid, reader, _, _ in children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return xs, vals
+
+
+def _fork_block(fill, lo, hi, *outs):
+    """(pid, reader) of a forked child that runs ``fill(lo, hi)`` and writes
+    each of ``outs[lo:hi]``, raw, to the pipe behind ``reader``."""
+    r, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(wfd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            fill(lo, hi)
+            with open(wfd, "wb") as writer:
+                for out in outs:
+                    writer.write(out[lo:hi])
+            status = 0
+        finally:
+            os._exit(status)  # never return into the caller's frames
+    os.close(wfd)
+    return pid, open(r, "rb")
 
 
 def mean_and_std_error(values) -> tuple[float, float]:

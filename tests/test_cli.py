@@ -216,6 +216,10 @@ class TestExitStatus:
         (["solve", "--mu", "1e155", "--sigma", "0.2"], "rho^2 T = inf is too large"),
         (["simulate", "--mu", "1e155", "--sigma", "0.2"], "rho^2 T = inf is too large"),
         (["trajectory", "--mu", "1e155", "--sigma", "0.2"], "rho^2 T = inf is too large"),
+        # 1 PiB per array: beyond the x86-64 user address space, so numpy's
+        # allocation fails at once, before any path or episode runs
+        (["simulate", "--n-paths", str(2**47)], "Unable to allocate 1.00 PiB"),
+        (["train", "--episodes", str(2**47)], "Unable to allocate 1.00 PiB"),
     ])
     def test_bad_input_is_one_line_with_status_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"

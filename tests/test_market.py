@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -280,6 +283,111 @@ class TestMCObjective:
         est_c, se_c = mc_estimate(spec, coarse, w)
         est_f, _ = mc_estimate(spec, fine, w)
         assert abs(est_f - est_c) < 3 * se_c
+
+
+class TestForkedWorkers:
+    """``pathwise_objectives`` over several processes, forced by reporting
+    three usable CPUs: 300 paths in chunks of 37 make blocks of 111, 111 and
+    78 paths, the last ending in the partial chunk of 4."""
+
+    SIM = SimConfig.from_horizon(1.0, 16, n_paths=300, seed=11)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        pids, real_fork = [], os.fork
+
+        def counted_fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        yield pids
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("mode, lam", [("plain", 0.01), ("log", 0.1), ("plain", 0.0)],
+                             ids=["plain", "log", "lam0"])
+    def test_blocks_match_one_chunk_in_process(self, mode, lam, forks):
+        spec = spec_for(mode, lam)
+        w = lagrange_multiplier(spec, MARKET)
+        schedule = optimal_schedule(spec, MARKET, w)
+        forked = pathwise_objectives(schedule, spec, MARKET, self.SIM, w, chunk=37)
+        assert len(forks) == 2
+        whole = pathwise_objectives(schedule, spec, MARKET, self.SIM, w, chunk=300)
+        assert len(forks) == 2
+        assert forked[0].tobytes() == whole[0].tobytes()
+        assert forked[1].tobytes() == whole[1].tobytes()
+
+    def test_child_exception_reaches_the_caller(self, forks):
+        def fails_on_last_chunk(t, x):
+            if len(x) == 4:
+                raise ValueError("schedule failed on the partial chunk")
+            return 0.0, 0.1
+
+        with pytest.raises(ValueError, match="partial chunk"):
+            pathwise_objectives(fails_on_last_chunk, spec_for("plain", 0.01), MARKET,
+                                self.SIM, w=1.0, chunk=37)
+        assert len(forks) == 2
+
+    def test_killed_child_is_recomputed_in_process(self, forks):
+        spec = spec_for("plain", 0.01)
+        w = lagrange_multiplier(spec, MARKET)
+        schedule, parent = optimal_schedule(spec, MARKET, w), os.getpid()
+
+        def child_dies(t, x):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return schedule(t, x)
+
+        got = pathwise_objectives(child_dies, spec, MARKET, self.SIM, w, chunk=37)
+        want = pathwise_objectives(schedule, spec, MARKET, self.SIM, w, chunk=300)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+    def test_caller_exception_kills_and_reaps_children(self, exc, forks):
+        parent = os.getpid()
+
+        def caller_fails(t, x):
+            if os.getpid() == parent:
+                raise exc("the caller's block failed")
+            time.sleep(60)  # a child that would outlast the test unless killed
+
+        start = time.monotonic()
+        with pytest.raises(exc, match="caller's block"):
+            pathwise_objectives(caller_fails, spec_for("plain", 0.01), MARKET, self.SIM,
+                                w=1.0, chunk=37)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 2
+
+    def test_failed_fork_runs_the_block_in_process(self, monkeypatch):
+        def fork_fails():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        spec = spec_for("log", 0.1)
+        w = lagrange_multiplier(spec, MARKET)
+        schedule = optimal_schedule(spec, MARKET, w)
+        want = pathwise_objectives(schedule, spec, MARKET, self.SIM, w, chunk=300)
+        monkeypatch.setattr(os, "fork", fork_fails)
+        got = pathwise_objectives(schedule, spec, MARKET, self.SIM, w, chunk=37)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("chunk, cpus", [(300, {0, 1, 2}), (37, {0})],
+                             ids=["one_chunk", "one_cpu"])
+    def test_runs_in_process_without_forking(self, chunk, cpus, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(os, "fork", no_fork)
+        spec = spec_for("plain", 0.01)
+        w = lagrange_multiplier(spec, MARKET)
+        xs, vals = pathwise_objectives(optimal_schedule(spec, MARKET, w), spec, MARKET,
+                                       self.SIM, w, chunk=chunk)
+        assert np.isfinite(xs).all() and np.isfinite(vals).all()
 
 
 class TestLawAgreement:
