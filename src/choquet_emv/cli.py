@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -217,6 +218,8 @@ def _meta(args, seed, **extra) -> dict:
 
 
 def cmd_solve(args) -> int:
+    if args.grid_points < 1:
+        raise ValueError(f"--grid-points must be >= 1, got {args.grid_points}")
     market, spec, w = _problem(args, args.h)
     rows = [
         ("lagrange_multiplier", "", w),
@@ -372,6 +375,10 @@ def _run_grid(grid: ExperimentGrid, jobs: int):
     shards = min(jobs, len(tasks))
     if shards == 1:
         return _run_shard(tasks)
+    # the forked workers inherit scipy.special instead of each importing it
+    # for its first Gaussian draw
+    import scipy.special  # noqa: F401
+
     with ProcessPoolExecutor(max_workers=shards) as pool:
         done = list(pool.map(_run_shard, [tasks[k::shards] for k in range(shards)]))
     results = [None] * len(tasks)
@@ -396,7 +403,11 @@ def cmd_grid(args) -> int:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     grid = grid_from_file(args.config, {"seed": args.seed, "episodes": args.episodes,
                                         "out_dir": args.out_dir})
-    results = _run_grid(grid, args.jobs)
+    try:
+        results = _run_grid(grid, args.jobs)
+    except BrokenProcessPool as exc:  # a worker was killed or exited
+        print(f"choquet-emv: error: {exc}", file=sys.stderr)
+        return 1
     for r in results:
         if r.error:
             print(f"choquet-emv: cell (mu={r.mu}, sigma={r.sigma}, mode={r.mode}, h={r.h}, "

@@ -16,6 +16,12 @@ with maximum value s ||h'||_2.  That maximizer is what turns each
 distortion into a location-scale family of exploration samplers: the
 standard normal quantile weight yields Gaussians, -p log p yields shifted
 exponentials and the Gini weight p - p^2 yields uniforms.
+
+The Gaussian records evaluate ``scipy.special``'s ``ndtri`` and ``ndtr``
+through this module's functions of the same names, which import
+``scipy.special`` on their first call.  A run that never evaluates a
+Gaussian quantile or CDF never loads it; a grid run on a process pool
+loads it once, in the parent, before the workers are forked.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .quadrature import gauss_legendre_01, integrate_01, tanh_sinh_01
 
@@ -33,6 +38,22 @@ Array = np.ndarray
 ScalarFn = Callable[[Array], Array]
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def ndtri(p):
+    """The standard normal quantile, ``scipy.special.ndtri``; loads scipy.special
+    on the first call."""
+    import scipy.special
+
+    return scipy.special.ndtri(p)
+
+
+def ndtr(y):
+    """The standard normal CDF, ``scipy.special.ndtr``; loads scipy.special on
+    the first call."""
+    import scipy.special
+
+    return scipy.special.ndtr(y)
 
 
 class DivergentNormError(ValueError):

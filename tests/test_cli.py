@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -16,6 +17,19 @@ from choquet_emv.rl import TrainingDivergedError
 ROOT = Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
 GOLDEN_GRID = ROOT / "tests" / "golden" / "grid.yaml"
+
+
+def package_env() -> dict:
+    """The environment of a child interpreter that imports the package from source."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+def exiting_shard(tasks):
+    """A stand-in for ``cli._run_shard`` that ends its pool worker at once; at
+    module level, so the pool can pickle it by name."""
+    os._exit(1)
 
 
 def read_csv(path):
@@ -220,6 +234,8 @@ class TestExitStatus:
         # allocation fails at once, before any path or episode runs
         (["simulate", "--n-paths", str(2**47)], "Unable to allocate 1.00 PiB"),
         (["train", "--episodes", str(2**47)], "Unable to allocate 1.00 PiB"),
+        (["solve", "--grid-points", "0"], "--grid-points must be >= 1, got 0"),
+        (["solve", "--grid-points", "-3"], "--grid-points must be >= 1, got -3"),
     ])
     def test_bad_input_is_one_line_with_status_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -288,10 +304,21 @@ class TestExitStatus:
         assert capsys.readouterr().err == f"choquet-emv: error: --jobs must be >= 1, got {jobs}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", ["table", "figures"])
+    def test_dead_pool_worker_is_one_line_with_status_1(self, cmd, tmp_path, monkeypatch,
+                                                         capsys):
+        # the forked workers inherit the patched module global
+        monkeypatch.setattr(cli, "_run_shard", exiting_shard)
+        out = tmp_path / "t.csv"
+        assert cli.main([cmd, "--config", str(GOLDEN_GRID), "--jobs", "2",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("choquet-emv: error: ") and "terminated abruptly" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_closed_pipe_ends_quietly_with_status_141(self):
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        env = package_env()
         # 20000 rows overflow the pipe's buffer, so the writer meets the closed end
         proc = subprocess.Popen(
             [sys.executable, "-m", "choquet_emv.cli", "simulate", "--n-paths", "20000",
@@ -492,3 +519,36 @@ class TestLambdaSweepContrast:
             finals.setdefault(mode, {})[lam] = float(bm)  # last block wins
         spread = {mode: np.std(list(by_lam.values())) for mode, by_lam in finals.items()}
         assert spread["plain"] > spread["log"]
+
+
+class TestScipyLoading:
+    """scipy.special loads on the first Gaussian quantile or CDF, not at import."""
+
+    @staticmethod
+    def loaded_after(argvs) -> list[bool]:
+        # a fresh interpreter: the test process has long since loaded scipy
+        script = (
+            "import json, os, sys\n"
+            "import choquet_emv, choquet_emv.cli as cli\n"
+            "seen = ['scipy.special' in sys.modules]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv + ['--out', os.devnull]) == 0, argv\n"
+            "    seen.append('scipy.special' in sys.modules)\n"
+            "print(json.dumps(seen))\n")
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              capture_output=True, text=True, env=package_env(), timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    def test_only_a_gaussian_draw_loads_it(self):
+        assert self.loaded_after([
+            ["solve"],
+            ["simulate", "--n-paths", "50", "--n-steps", "8", "--seed", "3"],
+            ["trajectory", "--h", "gini", "--n-steps", "8"],
+            ["trajectory", "--h", "gaussian_score", "--n-steps", "8"],
+        ]) == [False, False, False, False, True]
+
+    def test_a_pooled_grid_loads_it_in_the_parent(self):
+        assert self.loaded_after([
+            ["table", "--config", str(GOLDEN_GRID), "--jobs", "2"],
+        ]) == [False, True]

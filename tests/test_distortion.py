@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choquet_emv import distortion
 from choquet_emv.distortion import (
     BUILTIN_DISTORTIONS,
     DistortionFn,
@@ -327,3 +329,27 @@ class TestCustomValidation:
             custom_distortion("convex", lambda p: np.asarray(p) * (np.asarray(p) - 1.0),
                               lambda p: 2.0 * np.asarray(p) - 1.0,
                               hprime_singular=False)
+
+
+class TestLazyGaussianFunctions:
+    """The lazily loaded ndtri and ndtr give scipy.special's results bit for bit."""
+
+    POINTS = [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0, math.nan, -0.25, 1.5, -40.0, math.inf]
+
+    def results(self, fns):
+        inputs = [np.array(self.POINTS), *self.POINTS, *map(np.float64, self.POINTS)]
+        return [fn(x) for fn in fns for x in inputs]
+
+    def test_equal_scipy_bit_for_bit(self, monkeypatch):
+        g = get_distortion("gaussian_score")
+        lazy = self.results([distortion.ndtri, distortion.ndtr, g.family.draw, g.family.cdf,
+                             g.hprime, g.h])
+        # the record's h and h' read the module's names at call time
+        monkeypatch.setattr(distortion, "ndtri", scipy.special.ndtri)
+        monkeypatch.setattr(distortion, "ndtr", scipy.special.ndtr)
+        want = self.results([scipy.special.ndtri, scipy.special.ndtr, scipy.special.ndtri,
+                             scipy.special.ndtr, g.hprime, g.h])
+        for got, ref in zip(lazy, want, strict=True):
+            assert type(got) is type(ref)
+            assert np.asarray(got).dtype == np.asarray(ref).dtype
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
