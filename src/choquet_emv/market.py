@@ -111,21 +111,40 @@ def increment(market: MarketParams, dt: float, noise):
 def rollout(x0, w, mean_coef, scale, eta, sigma, increments):
     """(states, actions): n + 1 wealths from x0 under the n feedback actions
     u_i = mean_coef (x_i - w) + scale_i eta_i, wealth moving by sigma u_i
-    times ``increments`` (see ``increment``).  A diverging path runs on to
-    inf/nan without warnings; callers check the last state."""
-    # Python floats round like float64 scalars and overflow to inf/nan
-    # silently, at a fraction of the per-step cost of numpy scalars; the
-    # actions are then the same float64 operations on the whole path
-    sigma, a, w = float(sigma), float(mean_coef), float(w)
-    x = float(x0)
-    explore = scale * eta
-    states = [x]
-    states += [x := x + sigma * (a * (x - w) + e) * c
-               for e, c in zip(explore.tolist(), np.asarray(increments).tolist())]
-    states = np.array(states, dtype=float)  # the dtype spares numpy a pass over the list
+    times ``increments`` (see ``increment``).  ``eta`` and ``increments``
+    are 1-D of one length n, and ``scale`` broadcasts to them.  A diverging
+    path runs on to inf/nan without warnings; callers check the last state."""
+    eta = np.asarray(eta, dtype=float)
+    increments = np.asarray(increments, dtype=float)
+    if eta.ndim != 1 or eta.shape != increments.shape:
+        raise ValueError(f"rollout needs eta and increments of one length, got shapes "
+                         f"{eta.shape} and {increments.shape}")
+    try:
+        fits = np.broadcast_shapes(np.shape(scale), eta.shape) == eta.shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ValueError(f"rollout's scale of shape {np.shape(scale)} does not broadcast "
+                         f"to the {len(eta)} draws")
+    a, w = float(mean_coef), float(w)
     with np.errstate(over="ignore", invalid="ignore"):
+        explore = scale * eta
+        states = _wealths(x0, w, a, explore, sigma, increments, np.empty(len(eta) + 1))
         actions = a * (states[:-1] - w) + explore
     return states, actions
+
+
+def _wealths(x0, w, mean_coef, explore, sigma, increments, out):
+    """``out``, an (n + 1,) row, filled with the wealths of ``rollout`` from
+    x0 under the n exploration terms ``explore`` = scale eta."""
+    # Python floats round like float64 scalars and overflow to inf/nan
+    # silently, at a fraction of the per-step cost of numpy scalars;
+    # memoryviews hand the loop the rows' floats without a list copy
+    sigma, a, w = float(sigma), float(mean_coef), float(w)
+    x = out[0] = float(x0)
+    out[1:] = [x := x + sigma * (a * (x - w) + e) * c
+               for e, c in zip(memoryview(explore), memoryview(increments))]
+    return out
 
 
 def pathwise_objectives(

@@ -18,9 +18,9 @@ approximation step moves the multiplier w toward the wealth target every
 ``avg_window`` episodes.  Update magnitudes decay like j^{-decay}.
 
 ``train_many`` runs a batch of such loops in lockstep: each cell draws
-its episodes by block and rolls out its own path, the TD machinery runs
-once per episode over the batch, and each cell gives the bytes it gives
-alone (``train`` is the one-cell case).
+its episodes by block and steps its own wealth recurrence, the actions and
+the TD machinery run once per episode over the batch, and each cell gives
+the bytes it gives alone (``train`` is the one-cell case).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .closedform import MarketParams, _require_finite, _require_int
 from .distortion import DistortionFn
-from .market import SimConfig, increment, path_stream, rollout
+from .market import SimConfig, _wealths, increment, path_stream
 from .policy import check_mode, log_density_grad_fields, standardized_draw
 
 CRITIC_FORMS = ("standard", "corrected")
@@ -139,9 +139,8 @@ class TrainLog:
 
 def _per_cell(values):
     """Per-cell values of a batch as a (B, 1) column that broadcasts against
-    its rows; a batch of one as its Python float, which broadcasts faster."""
-    values = np.asarray(values, dtype=float)
-    return float(values[0]) if len(values) == 1 else values[:, None]
+    its rows."""
+    return np.asarray(values, dtype=float)[:, None]
 
 
 def _columns(params) -> np.ndarray:
@@ -177,27 +176,29 @@ def _transpose_dot(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _critic_pass(theta, tau, x, w, form: str):
+def _critic_pass(theta, tau, xw, form: str):
     """theta's columns and the grid terms V and dV/dtheta share, each
-    evaluated once at the times to go ``tau``: e^{theta0 tau}, the factor of
-    theta1 in the offset (that exponential, or its expm1 in the corrected
-    form), e^{-theta2 tau} and (x - w)^2."""
+    evaluated once at the times to go ``tau`` and the gaps ``xw`` = x - w:
+    e^{theta0 tau}, the factor of theta1 in the offset (that exponential,
+    or its expm1 in the corrected form), e^{-theta2 tau} and (x - w)^2."""
     th = _columns(theta)
     grow = np.exp(th[0] * tau)
     offset = grow if form == "standard" else np.expm1(th[0] * tau)
-    return th, grow, offset, np.exp(-th[2] * tau), (np.asarray(x, dtype=float) - w) ** 2
+    return th, grow, offset, np.exp(-th[2] * tau), xw ** 2
 
 
 def _value(th, offset, decay, xw2, gap2):
     return xw2 * decay - th[1] * offset - gap2
 
 
-def _grad(tau, th, grow, offset, decay, xw2):
-    grad = np.empty(np.broadcast(grow, xw2).shape + (3,))
-    grad[..., 0] = -th[1] * tau * grow
-    grad[..., 1] = -offset
-    grad[..., 2] = -tau * xw2 * decay
-    return grad
+def _neg_grad(tau, th, grow, offset, decay, xw2, out):
+    """``out`` filled with -dV/dtheta.  Each entry is the exact negation of
+    the gradient's own product, (-theta1 tau) e^{theta0 tau} and
+    (-tau (x - w)^2) e^{-theta2 tau}: IEEE products round symmetrically."""
+    np.multiply(th[1] * tau, grow, out=out[..., 0])
+    out[..., 1] = offset
+    np.multiply(tau * xw2, decay, out=out[..., 2])
+    return out
 
 
 def critic_value(theta, t, x, w, z, T, form: str = "standard"):
@@ -208,14 +209,17 @@ def critic_value(theta, t, x, w, z, T, form: str = "standard"):
     theta1 (e^{theta0 (T-t)} - 1), which meets the terminal condition
     exactly.  Both share the same TD differences up to that constant.
     """
-    th, _, offset, decay, xw2 = _critic_pass(theta, T - np.asarray(t, dtype=float), x, w, form)
+    th, _, offset, decay, xw2 = _critic_pass(theta, T - np.asarray(t, dtype=float),
+                                             np.asarray(x, dtype=float) - w, form)
     return _value(th, offset, decay, xw2, _gap_squared(w, z))
 
 
 def critic_grad(theta, t, x, w, T, form: str = "standard"):
     """dV_theta/dtheta, stacked on the last axis."""
     tau = T - np.asarray(t, dtype=float)
-    return _grad(tau, *_critic_pass(theta, tau, x, w, form))
+    th, grow, offset, decay, xw2 = _critic_pass(theta, tau, np.asarray(x, dtype=float) - w, form)
+    out = np.empty(np.broadcast(grow, xw2).shape + (3,))
+    return -_neg_grad(tau, th, grow, offset, decay, xw2, out)
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +256,22 @@ def regularizer_schedule(phi, t, h: DistortionFn, mode: str, T):
     With a (B, 3) batch of phi, ``h`` and ``mode`` are sequences of B.
     """
     forms = _regularizer_forms(h, mode) if np.ndim(phi) == 2 else _regularizer_form(h, mode)
-    return _regularizer(phi, T - np.asarray(t, dtype=float), forms)
+    tau = T - np.asarray(t, dtype=float)
+    p, dp = _regularizer(phi, tau, forms)
+    grad = np.zeros(np.shape(p) + (3,))
+    grad[..., 1] = 0.5 * dp
+    grad[..., 2] = 0.5 * tau * dp
+    return p, grad
 
 
 def _regularizer(phi, tau, forms, scale=None):
-    """``regularizer_schedule`` at the times to go ``tau`` with the rows'
-    ``forms``.  In plain mode p is ``scale`` ||h'||^2: the actor scale at
-    those times, the same exp of the same exponent, computed here when not
+    """(p, dp) of ``regularizer_schedule`` at the times to go ``tau`` with
+    the rows' ``forms``, dp being dp/d(phi1/2): p in plain mode, 1 in log
+    mode.  In plain mode p is ``scale`` ||h'||^2: the actor scale at those
+    times, the same exp of the same exponent, computed here when not
     given."""
     ph = _columns(phi)
     plain, const = forms
-    # dp: dp/d(phi1/2), which is p in plain mode and 1 in log mode
     if np.ndim(plain) == 0:
         if plain:
             if scale is None:
@@ -277,10 +286,7 @@ def _regularizer(phi, tau, forms, scale=None):
                 scale = np.exp(log_scale)
             p = np.where(plain, scale * const, log_scale + const)
         dp = np.where(plain, p, 1.0)
-    grad = np.zeros(np.shape(p) + (3,))
-    grad[..., 1] = 0.5 * dp
-    grad[..., 2] = 0.5 * tau * dp
-    return p, grad
+    return p, dp
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +295,31 @@ def _regularizer(phi, tau, forms, scale=None):
 
 
 class _Batch(NamedTuple):
-    """What the TD pass reads of a batch's configs and time grid: fixed
-    while the batch keeps its cells, so built once per layout."""
+    """What the TD pass reads of a batch's configs and time grid, and the
+    buffers it fills: fixed while the batch keeps its cells, so built once
+    per layout."""
 
     T: float
     z: float
     form: str
     tau: np.ndarray  # T - t on the n + 1 grid times
+    tau_left: np.ndarray  # T - t on the first n
+    half_tau: np.ndarray  # 0.5 tau_left
     dts: np.ndarray
-    lam: float | np.ndarray  # as ``_per_cell`` shapes it
+    lam: np.ndarray  # a ``_per_cell`` column
     forms: tuple  # the rows' ``_regularizer_forms``
     groups: list  # (distortion, rows) per family record among the rows
+    # (B, n, 3) buffers: -dV/dtheta, the score's chain-rule factors, and
+    # lam dp/dphi, whose first column stays 0
+    neg_dv: np.ndarray
+    dlog: np.ndarray
+    lam_dp: np.ndarray
+
+
+def _rows(rows: list[int]):
+    """Ascending ``rows`` as a slice when they form one contiguous run, an
+    index that views the batch's arrays instead of copying them."""
+    return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows
 
 
 def _batch(times, configs) -> _Batch:
@@ -307,10 +327,13 @@ def _batch(times, configs) -> _Batch:
     for row, c in enumerate(configs):
         groups.setdefault(id(c.h.family), (c.h, []))[1].append(row)
     first = configs[0]
-    return _Batch(first.T, first.z, first.critic_form, first.T - times, times[1:] - times[:-1],
-                  _per_cell([c.lam for c in configs]),
+    tau = first.T - times
+    buffers = np.empty((3, len(configs), len(times) - 1, 3))
+    buffers[2, ..., 0] = 0.0
+    return _Batch(first.T, first.z, first.critic_form, tau, tau[:-1], 0.5 * tau[:-1],
+                  times[1:] - times[:-1], _per_cell([c.lam for c in configs]),
                   _regularizer_forms([c.h for c in configs], [c.mode for c in configs]),
-                  list(groups.values()))
+                  [(h, _rows(rows)) for h, rows in groups.values()], *buffers)
 
 
 def _density_fields(groups, actions, location, scale):
@@ -352,23 +375,24 @@ def episode_gradients(times, states, actions, theta, phi, w,
     if batch is None:
         batch = _batch(times, config)
     lam, wc = batch.lam, _per_cell(w)
-    x_left, dts = states[:, :-1], batch.dts
-    tau = batch.tau[:-1]
+    tau, half_tau, dts = batch.tau_left, batch.half_tau, batch.dts
 
     # overflow in a diverging run shows up as non-finite parameters and is
     # reported by the caller; keep the arithmetic silent here
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # one critic pass: V on the n + 1 grid, dV/dtheta on its first n points
-        th, grow, offset, decay, xw2 = _critic_pass(theta, batch.tau, states, wc, batch.form)
+        xw = states - wc
+        th, grow, offset, decay, xw2 = _critic_pass(theta, batch.tau, xw, batch.form)
         v = _value(th, offset, decay, xw2, _gap_squared(wc, batch.z))
-        dv = _grad(tau, th, *(a[..., :-1] for a in (grow, offset, decay, xw2)))
+        neg_dv = _neg_grad(tau, th, *(a[..., :-1] for a in (grow, offset, decay, xw2)),
+                           batch.neg_dv)
         if scale is None:
             scale = actor_scale(phi, times[:-1], batch.T)
         p, dp = _regularizer(phi, tau, batch.forms, scale)
         delta = v[:, 1:] - v[:, :-1] - lam * p * dts
-        grad_theta = _transpose_dot(-dv, delta)
+        grad_theta = _transpose_dot(neg_dv, delta)
 
-        xw = x_left - wc
+        xw = xw[:, :-1]
         location = -_columns(phi)[0] * xw
         dm, ds = _density_fields(batch.groups, actions, location, scale)
         in_support = np.isfinite(dm) & np.isfinite(ds)
@@ -378,12 +402,14 @@ def episode_gradients(times, states, actions, theta, phi, w,
             n_skipped = (~in_support).sum(axis=1)
             dm = np.where(in_support, dm, 0.0)
             ds = np.where(in_support, ds, 0.0)
-        # chain rule through (M, S): M = -phi0 (x-w), S = e^{phi1/2 + phi2 tau/2}
-        dlog = np.empty(xw.shape + (3,))
-        dlog[..., 0] = -xw * dm
-        dlog[..., 1] = 0.5 * scale * ds
-        dlog[..., 2] = 0.5 * tau * scale * ds
-        lam_dp = dp * (lam[..., None] if np.ndim(lam) else lam)
+        # chain rule through (M, S): M = -phi0 (x-w), S = e^{phi1/2 + phi2 tau/2};
+        # -(xw dm) is (-xw) dm exactly
+        dlog, lam_dp = batch.dlog, batch.lam_dp
+        np.negative(np.multiply(xw, dm, out=dlog[..., 0]), out=dlog[..., 0])
+        np.multiply(0.5 * scale, ds, out=dlog[..., 1])
+        np.multiply(half_tau * scale, ds, out=dlog[..., 2])
+        np.multiply(0.5 * dp, lam, out=lam_dp[..., 1])
+        np.multiply(half_tau * dp, lam, out=lam_dp[..., 2])
         grad_phi = _transpose_dot(dlog, delta) - _transpose_dot(lam_dp, dts)
 
     if single:
@@ -464,9 +490,9 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
     """Train a batch of cells in lockstep; cell i gives the bytes ``train``
     gives for (configs[i], markets[i]), or the error it would raise.
 
-    Each cell draws from its own Philox stream and rolls out its own wealth
-    path; the critic, regularizer, gradients and updates run once per
-    episode over the whole batch.  Cells may differ only in h, lam, mode,
+    Each cell draws from its own Philox stream and steps its own wealth
+    path; the actions, critic, regularizer, gradients and updates run once
+    per episode over the whole batch.  Cells may differ only in h, lam, mode,
     sim.seed and market; any other differing field raises ValueError.  A
     cell whose wealth, parameters or multiplier turn non-finite leaves the
     batch with the ``TrainingDivergedError`` of that episode and cause.
@@ -490,6 +516,7 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
     live = np.arange(B)
     cols = slice(None)  # live as an index into the logs; a slice while no cell has left
     row_configs = configs
+    sigmas = [m.sigma for m in markets]  # the rows' market volatilities
     batch = _batch(times, row_configs)
     theta = np.tile(np.array(THETA_INIT, dtype=float), (B, 1))
     phi = np.tile(np.array(PHI_INIT, dtype=float), (B, 1))
@@ -501,18 +528,23 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
         k = (j - 1) % DRAW_BLOCK  # episode j's row in the rows' draw blocks
         if k == 0:
             count = min(DRAW_BLOCK, K + 1 - j)
-            draws = [episode_draws(configs[b].h, markets[b], configs[b].sim, j, count, rng)
-                     for b in live.tolist()]
+            eta, incs = np.empty((2, len(live), count, n_steps))
+            for row, b in enumerate(live.tolist()):
+                eta[row], incs[row] = episode_draws(configs[b].h, markets[b], configs[b].sim,
+                                                    j, count, rng)
         failed: dict[int, str] = {}  # row -> cause of the first check it fails
-        with np.errstate(over="ignore"):
-            scale = actor_scale(phi, times[None, :-1], T)  # (B, n), B = 1 too
+        # the rollout: each row's wealth recurrence, and the (B, n) terms of
+        # market.rollout's actions once over the batch
         states = np.empty((len(live), n_steps + 1))
-        actions = np.empty((len(live), n_steps))
-        for row, (b, (eta, incs)) in enumerate(zip(live.tolist(), draws)):
-            states[row], actions[row] = rollout(configs[b].x0, w[row], -phi[row, 0], scale[row],
-                                                eta[k], markets[b].sigma, incs[k])
-            if not math.isfinite(states[row, -1]):
-                failed[row] = "non-finite wealth"
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = actor_scale(phi, times[None, :-1], T)  # (B, n), B = 1 too
+            explore = scale * eta[:, k]
+            for out, e, c, wr, a, sigma in zip(states, explore, incs[:, k], w.tolist(),
+                                               (-phi[:, 0]).tolist(), sigmas):
+                _wealths(first.x0, wr, a, e, sigma, c, out)
+            actions = -phi[:, :1] * (states[:, :-1] - w[:, None]) + explore
+        for row in np.flatnonzero(~np.isfinite(states[:, -1])).tolist():
+            failed[row] = "non-finite wealth"
 
         # a failed row rides along to the end of the episode: every batched
         # step below is row by row, so it touches no other cell's numbers
@@ -553,11 +585,12 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
             keep[list(failed)] = False
             live, theta, phi, w = live[keep], theta[keep], phi[keep], w[keep]
             skipped, clip_events = skipped[keep], clip_events[keep]
-            draws = [d for d, kept in zip(draws, keep.tolist()) if kept]
+            eta, incs = eta[keep], incs[keep]
             cols = live
             if not len(live):
                 break
             row_configs = [configs[b] for b in live.tolist()]
+            sigmas = [markets[b].sigma for b in live.tolist()]
             batch = _batch(times, row_configs)
 
     for b, n_skipped, n_clipped in zip(live.tolist(), skipped.tolist(), clip_events.tolist()):

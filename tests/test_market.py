@@ -179,6 +179,24 @@ class TestRollout:
                     np.float64(MARKET.sigma), increments)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
+    @pytest.mark.parametrize("n_increments", [7, 3])
+    def test_draws_and_increments_of_other_lengths_are_rejected(self, n_increments):
+        eta, noise = draws(GAUSS, 7, 1.0 / 7)
+        increments = increment(MARKET, 1.0 / 7, noise)[:n_increments]
+        with pytest.raises(ValueError, match=r"eta and increments of one length, got shapes "
+                                             rf"\(5,\) and \({n_increments},\)") as err:
+            rollout(1.0, 1.6, -1.3, 0.4, eta[:5], MARKET.sigma, increments)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("scale_shape", [(4,), (2, 5)])
+    def test_scale_that_does_not_broadcast_to_the_draws_is_rejected(self, scale_shape):
+        eta, noise = draws(GAUSS, 5, 1.0 / 5)
+        with pytest.raises(ValueError, match=rf"scale of shape \({scale_shape[0]},"
+                                             r".* does not broadcast to the 5 draws") as err:
+            rollout(1.0, 1.6, -1.3, np.full(scale_shape, 0.4), eta, MARKET.sigma,
+                    increment(MARKET, 1.0 / 5, noise))
+        assert "\n" not in str(err.value)
+
 
 class TestMCObjective:
     def test_degenerate_schedule_keeps_wealth_constant(self):

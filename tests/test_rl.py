@@ -566,6 +566,31 @@ class TestTrainMany:
         for i, result in zip(order, batch):
             self.assert_same(result, first[i])
 
+    def test_non_finite_wealth_leaves_after_the_first_draw_block(self):
+        # on sigma 1e-300 the wealth stays at x0 while the log-mode
+        # regularizer at lambda 5000 drives the exploration scale up; the
+        # scale overflows in episode 33, the second draw block, and the
+        # wealth turns non-finite before any parameter does.  The gaussian
+        # rows are not one contiguous run, before or after it leaves.
+        cells = [  # (h, mode, lam, market, seed)
+            ("gaussian_score", "plain", 0.01, MarketParams(mu=0.3, sigma=0.2, r=0.02), 1),
+            ("gaussian_score", "log", 5000.0, MarketParams(mu=0.02, sigma=1e-300, r=0.02), 3),
+            ("gini", "log", 0.1, MarketParams(mu=0.3, sigma=0.2, r=0.02), 7),
+            ("gaussian_score", "log", 0.1, MarketParams(mu=-0.5, sigma=0.2, r=0.02), 5),
+        ]
+        configs = [base_config(episodes=80, h=get_distortion(h_name), mode=mode, lam=lam,
+                               sim=SimConfig.from_horizon(T, 64, seed=seed))
+                   for h_name, mode, lam, _, seed in cells]
+        markets = [market for *_, market, _ in cells]
+        batch = train_many(configs, markets)
+        for config, market, result in zip(configs, markets, batch):
+            self.assert_same(result, self.alone(config, market))
+        diverged = batch.pop(1)
+        assert (diverged.episode, str(diverged)) == (
+            33, "training diverged at episode 33: non-finite wealth")
+        assert diverged.episode > rl.DRAW_BLOCK
+        assert not any(isinstance(r, TrainingDivergedError) for r in batch)
+
     @pytest.mark.parametrize("field, change", [
         ("episodes", dict(episodes=151)),
         ("sim.n_steps", dict(sim=SimConfig.from_horizon(T, 32, seed=9))),
