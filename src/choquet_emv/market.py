@@ -111,40 +111,43 @@ def increment(market: MarketParams, dt: float, noise):
 def rollout(x0, w, mean_coef, scale, eta, sigma, increments):
     """(states, actions): n + 1 wealths from x0 under the n feedback actions
     u_i = mean_coef (x_i - w) + scale_i eta_i, wealth moving by sigma u_i
-    times ``increments`` (see ``increment``).  ``eta`` and ``increments``
-    are 1-D of one length n, and ``scale`` broadcasts to them.  A diverging
-    path runs on to inf/nan without warnings; callers check the last state."""
+    times ``increments`` (see ``increment``).
+
+    ``eta`` and ``increments`` are one path's (n,) draws, or (B, n) rows of
+    B paths, of one shape; ``scale`` broadcasts to them, and for rows x0,
+    w, mean_coef and sigma are scalars or one per row.  Each path steps its
+    own recurrence, and the actions are formed once over all of them.  A
+    diverging path runs on to inf/nan without warnings; callers check the
+    last state."""
     eta = np.asarray(eta, dtype=float)
     increments = np.asarray(increments, dtype=float)
-    if eta.ndim != 1 or eta.shape != increments.shape:
-        raise ValueError(f"rollout needs eta and increments of one length, got shapes "
-                         f"{eta.shape} and {increments.shape}")
-    try:
-        fits = np.broadcast_shapes(np.shape(scale), eta.shape) == eta.shape
-    except ValueError:
-        fits = False
-    if not fits:
-        raise ValueError(f"rollout's scale of shape {np.shape(scale)} does not broadcast "
-                         f"to the {len(eta)} draws")
-    a, w = float(mean_coef), float(w)
+    if eta.ndim not in (1, 2) or eta.shape != increments.shape:
+        raise ValueError(f"rollout needs eta and increments of one shape, (n,) or (B, n), "
+                         f"got shapes {eta.shape} and {increments.shape}")
+    one_path = eta.ndim == 1
+    rows = 1 if one_path else len(eta)
+    per_row = np.empty((4, rows))  # each row's x0, w, mean_coef and sigma
+    per_row[0], per_row[1], per_row[2], per_row[3] = x0, w, mean_coef, sigma
+    explore = np.empty(eta.shape)
+    states = np.empty((rows, eta.shape[-1] + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        explore = scale * eta
-        states = _wealths(x0, w, a, explore, sigma, increments, np.empty(len(eta) + 1))
-        actions = a * (states[:-1] - w) + explore
-    return states, actions
-
-
-def _wealths(x0, w, mean_coef, explore, sigma, increments, out):
-    """``out``, an (n + 1,) row, filled with the wealths of ``rollout`` from
-    x0 under the n exploration terms ``explore`` = scale eta."""
-    # Python floats round like float64 scalars and overflow to inf/nan
-    # silently, at a fraction of the per-step cost of numpy scalars;
-    # memoryviews hand the loop the rows' floats without a list copy
-    sigma, a, w = float(sigma), float(mean_coef), float(w)
-    x = out[0] = float(x0)
-    out[1:] = [x := x + sigma * (a * (x - w) + e) * c
-               for e, c in zip(memoryview(explore), memoryview(increments))]
-    return out
+        try:  # an output of eta's shape admits only a scale that broadcasts to it
+            np.multiply(scale, eta, out=explore)
+        except ValueError:
+            raise ValueError(f"rollout's scale of shape {np.shape(scale)} does not broadcast "
+                             f"to the draws of shape {eta.shape}") from None
+        explore = explore.reshape(rows, -1)
+        # Python floats round like float64 scalars and overflow to inf/nan
+        # silently, at a fraction of the per-step cost of numpy scalars;
+        # memoryviews hand the loop the rows' floats without a list copy
+        for out, x, wr, ar, sr, e, c in zip(states, *per_row.tolist(), explore,
+                                            increments.reshape(rows, -1)):
+            out[0] = x
+            out[1:] = [x := x + sr * (ar * (x - wr) + ei) * ci
+                       for ei, ci in zip(memoryview(e), memoryview(c))]
+        w, a = per_row[1:3, :, None]
+        actions = a * (states[:, :-1] - w) + explore
+    return (states[0], actions[0]) if one_path else (states, actions)
 
 
 def pathwise_objectives(

@@ -33,7 +33,7 @@ import numpy as np
 
 from .closedform import MarketParams, _require_finite, _require_int
 from .distortion import DistortionFn
-from .market import SimConfig, _wealths, increment, path_stream
+from .market import SimConfig, increment, path_stream, rollout
 from .policy import check_mode, log_density_grad_fields, standardized_draw
 
 CRITIC_FORMS = ("standard", "corrected")
@@ -256,22 +256,18 @@ def regularizer_schedule(phi, t, h: DistortionFn, mode: str, T):
     With a (B, 3) batch of phi, ``h`` and ``mode`` are sequences of B.
     """
     forms = _regularizer_forms(h, mode) if np.ndim(phi) == 2 else _regularizer_form(h, mode)
-    tau = T - np.asarray(t, dtype=float)
-    p, dp = _regularizer(phi, tau, forms)
-    grad = np.zeros(np.shape(p) + (3,))
-    grad[..., 1] = 0.5 * dp
-    grad[..., 2] = 0.5 * tau * dp
-    return p, grad
+    return _regularizer(phi, T - np.asarray(t, dtype=float), forms)
 
 
-def _regularizer(phi, tau, forms, scale=None):
-    """(p, dp) of ``regularizer_schedule`` at the times to go ``tau`` with
-    the rows' ``forms``, dp being dp/d(phi1/2): p in plain mode, 1 in log
-    mode.  In plain mode p is ``scale`` ||h'||^2: the actor scale at those
-    times, the same exp of the same exponent, computed here when not
-    given."""
+def _regularizer(phi, tau, forms, scale=None, grad=None, lam=1.0):
+    """``regularizer_schedule`` at the times to go ``tau`` with the rows'
+    ``forms``, its gradient times ``lam``.  In plain mode p is ``scale``
+    ||h'||^2: the actor scale at those times, the same exp of the same
+    exponent, computed here when not given.  The gradient fills ``grad``
+    when given, a buffer of p's shape by 3 whose first column is 0."""
     ph = _columns(phi)
     plain, const = forms
+    # dp: dp/d(phi1/2), which is p in plain mode and 1 in log mode
     if np.ndim(plain) == 0:
         if plain:
             if scale is None:
@@ -286,7 +282,11 @@ def _regularizer(phi, tau, forms, scale=None):
                 scale = np.exp(log_scale)
             p = np.where(plain, scale * const, log_scale + const)
         dp = np.where(plain, p, 1.0)
-    return p, dp
+    if grad is None:
+        grad = np.zeros(np.shape(p) + (3,))
+    np.multiply(0.5 * dp, lam, out=grad[..., 1])
+    np.multiply(0.5 * tau * dp, lam, out=grad[..., 2])
+    return p, grad
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +303,6 @@ class _Batch(NamedTuple):
     z: float
     form: str
     tau: np.ndarray  # T - t on the n + 1 grid times
-    tau_left: np.ndarray  # T - t on the first n
-    half_tau: np.ndarray  # 0.5 tau_left
     dts: np.ndarray
     lam: np.ndarray  # a ``_per_cell`` column
     forms: tuple  # the rows' ``_regularizer_forms``
@@ -330,8 +328,8 @@ def _batch(times, configs) -> _Batch:
     tau = first.T - times
     buffers = np.empty((3, len(configs), len(times) - 1, 3))
     buffers[2, ..., 0] = 0.0
-    return _Batch(first.T, first.z, first.critic_form, tau, tau[:-1], 0.5 * tau[:-1],
-                  times[1:] - times[:-1], _per_cell([c.lam for c in configs]),
+    return _Batch(first.T, first.z, first.critic_form, tau, times[1:] - times[:-1],
+                  _per_cell([c.lam for c in configs]),
                   _regularizer_forms([c.h for c in configs], [c.mode for c in configs]),
                   [(h, _rows(rows)) for h, rows in groups.values()], *buffers)
 
@@ -375,7 +373,7 @@ def episode_gradients(times, states, actions, theta, phi, w,
     if batch is None:
         batch = _batch(times, config)
     lam, wc = batch.lam, _per_cell(w)
-    tau, half_tau, dts = batch.tau_left, batch.half_tau, batch.dts
+    tau, dts = batch.tau[:-1], batch.dts
 
     # overflow in a diverging run shows up as non-finite parameters and is
     # reported by the caller; keep the arithmetic silent here
@@ -388,7 +386,7 @@ def episode_gradients(times, states, actions, theta, phi, w,
                            batch.neg_dv)
         if scale is None:
             scale = actor_scale(phi, times[:-1], batch.T)
-        p, dp = _regularizer(phi, tau, batch.forms, scale)
+        p, lam_dp = _regularizer(phi, tau, batch.forms, scale, batch.lam_dp, lam)
         delta = v[:, 1:] - v[:, :-1] - lam * p * dts
         grad_theta = _transpose_dot(neg_dv, delta)
 
@@ -404,12 +402,10 @@ def episode_gradients(times, states, actions, theta, phi, w,
             ds = np.where(in_support, ds, 0.0)
         # chain rule through (M, S): M = -phi0 (x-w), S = e^{phi1/2 + phi2 tau/2};
         # -(xw dm) is (-xw) dm exactly
-        dlog, lam_dp = batch.dlog, batch.lam_dp
+        dlog = batch.dlog
         np.negative(np.multiply(xw, dm, out=dlog[..., 0]), out=dlog[..., 0])
         np.multiply(0.5 * scale, ds, out=dlog[..., 1])
-        np.multiply(half_tau * scale, ds, out=dlog[..., 2])
-        np.multiply(0.5 * dp, lam, out=lam_dp[..., 1])
-        np.multiply(half_tau * dp, lam, out=lam_dp[..., 2])
+        np.multiply(0.5 * tau * scale, ds, out=dlog[..., 2])
         grad_phi = _transpose_dot(dlog, delta) - _transpose_dot(lam_dp, dts)
 
     if single:
@@ -516,7 +512,7 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
     live = np.arange(B)
     cols = slice(None)  # live as an index into the logs; a slice while no cell has left
     row_configs = configs
-    sigmas = [m.sigma for m in markets]  # the rows' market volatilities
+    sigmas = np.array([m.sigma for m in markets])  # the rows' market volatilities
     batch = _batch(times, row_configs)
     theta = np.tile(np.array(THETA_INIT, dtype=float), (B, 1))
     phi = np.tile(np.array(PHI_INIT, dtype=float), (B, 1))
@@ -533,18 +529,12 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
                 eta[row], incs[row] = episode_draws(configs[b].h, markets[b], configs[b].sim,
                                                     j, count, rng)
         failed: dict[int, str] = {}  # row -> cause of the first check it fails
-        # the rollout: each row's wealth recurrence, and the (B, n) terms of
-        # market.rollout's actions once over the batch
-        states = np.empty((len(live), n_steps + 1))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             scale = actor_scale(phi, times[None, :-1], T)  # (B, n), B = 1 too
-            explore = scale * eta[:, k]
-            for out, e, c, wr, a, sigma in zip(states, explore, incs[:, k], w.tolist(),
-                                               (-phi[:, 0]).tolist(), sigmas):
-                _wealths(first.x0, wr, a, e, sigma, c, out)
-            actions = -phi[:, :1] * (states[:, :-1] - w[:, None]) + explore
-        for row in np.flatnonzero(~np.isfinite(states[:, -1])).tolist():
-            failed[row] = "non-finite wealth"
+        states, actions = rollout(first.x0, w, -phi[:, 0], scale, eta[:, k], sigmas, incs[:, k])
+        for row, x in enumerate(states[:, -1].tolist()):
+            if not math.isfinite(x):
+                failed[row] = "non-finite wealth"
 
         # a failed row rides along to the end of the episode: every batched
         # step below is row by row, so it touches no other cell's numbers
@@ -590,7 +580,7 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
             if not len(live):
                 break
             row_configs = [configs[b] for b in live.tolist()]
-            sigmas = [markets[b].sigma for b in live.tolist()]
+            sigmas = sigmas[keep]
             batch = _batch(times, row_configs)
 
     for b, n_skipped, n_clipped in zip(live.tolist(), skipped.tolist(), clip_events.tolist()):

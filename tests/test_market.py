@@ -179,12 +179,46 @@ class TestRollout:
                     np.float64(MARKET.sigma), increments)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
+    def test_rows_match_the_step_loop_bitwise(self):
+        # the trainer's call: (B, n) draws, scales and increments, one x0,
+        # and w, mean_coef and sigma per row.  Each row gives the bytes of
+        # its step loop and of its own one-path call, and the diverging
+        # last row stays silent.
+        n, dt = 64, 1.0 / 64
+        markets = [MARKET, MarketParams(mu=0.3, sigma=0.5, r=0.02), MARKET]
+        ws, coefs, levels = [1.6, 1.2, 1.6], [-1.3, -0.4, 1e200], [0.4, 0.0, 0.4]
+        paths = [draws(get_distortion(h_name), n, dt)
+                 for h_name in ("gini", "gaussian_score", "gaussian_score")]
+        eta = np.array([e for e, _ in paths])
+        increments = np.array([increment(m, dt, z) for m, (_, z) in zip(markets, paths)])
+        scale = np.array([level * np.exp(0.6 * (1.0 - np.arange(n) * dt)) for level in levels])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states, actions = rollout(1.0, np.array(ws), np.array(coefs), scale, eta,
+                                      [m.sigma for m in markets], increments)
+        assert states.shape == (3, n + 1) and actions.shape == (3, n)
+        assert np.isfinite(states[:2]).all() and not np.isfinite(states[2, -1])
+        for i, market in enumerate(markets):
+            alone = rollout(1.0, ws[i], coefs[i], scale[i], eta[i], market.sigma, increments[i])
+            assert states[i].tobytes() == alone[0].tobytes()
+            assert actions[i].tobytes() == alone[1].tobytes()
+            x, xs, us = 1.0, [1.0], []
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(n):
+                    u = coefs[i] * (x - ws[i]) + scale[i, k] * eta[i, k]
+                    x = step(x, u, market, dt, paths[i][1][k])
+                    us.append(u)
+                    xs.append(x)
+            assert states[i].tobytes() == np.array(xs).tobytes()
+            assert actions[i].tobytes() == np.array(us).tobytes()
+
     @pytest.mark.parametrize("n_increments", [7, 3])
     def test_draws_and_increments_of_other_lengths_are_rejected(self, n_increments):
         eta, noise = draws(GAUSS, 7, 1.0 / 7)
         increments = increment(MARKET, 1.0 / 7, noise)[:n_increments]
-        with pytest.raises(ValueError, match=r"eta and increments of one length, got shapes "
-                                             rf"\(5,\) and \({n_increments},\)") as err:
+        with pytest.raises(ValueError, match=r"eta and increments of one shape, \(n,\) or "
+                                             r"\(B, n\), got shapes \(5,\) and "
+                                             rf"\({n_increments},\)") as err:
             rollout(1.0, 1.6, -1.3, 0.4, eta[:5], MARKET.sigma, increments)
         assert "\n" not in str(err.value)
 
@@ -192,7 +226,8 @@ class TestRollout:
     def test_scale_that_does_not_broadcast_to_the_draws_is_rejected(self, scale_shape):
         eta, noise = draws(GAUSS, 5, 1.0 / 5)
         with pytest.raises(ValueError, match=rf"scale of shape \({scale_shape[0]},"
-                                             r".* does not broadcast to the 5 draws") as err:
+                                             r".* does not broadcast to the draws of shape "
+                                             r"\(5,\)") as err:
             rollout(1.0, 1.6, -1.3, np.full(scale_shape, 0.4), eta, MARKET.sigma,
                     increment(MARKET, 1.0 / 5, noise))
         assert "\n" not in str(err.value)
