@@ -134,17 +134,21 @@ def _is_list_of(item_ok):
     return lambda v: isinstance(v, list) and all(map(item_ok, v))
 
 
-# YAML value checks keyed by the ExperimentGrid field annotation
+# YAML value checks keyed by the ExperimentGrid field annotation, and the
+# value each kind stores: every number of a float field as a float, so a
+# grid hashes and seeds the same whether it writes 1 or 1.0
 _GRID_VALUE_KINDS = {
-    "float": (_is_real, "a number"),
-    "float | None": (lambda v: v is None or _is_real(v), "a number or null"),
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "tuple[float, ...]": (_is_list_of(_is_real), "a list of numbers"),
-    "tuple[str, ...]": (_is_list_of(lambda v: isinstance(v, str)), "a list of names"),
+    "float": (_is_real, "a number", float),
+    "float | None": (lambda v: v is None or _is_real(v), "a number or null",
+                     lambda v: v if v is None else float(v)),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", int),
+    "str": (lambda v: isinstance(v, str), "a string", str),
+    "tuple[float, ...]": (_is_list_of(_is_real), "a list of numbers",
+                          lambda v: tuple(map(float, v))),
+    "tuple[str, ...]": (_is_list_of(lambda v: isinstance(v, str)), "a list of names", tuple),
     "dict": (lambda v: isinstance(v, dict) and all(isinstance(k, str) and _is_real(x)
                                                    for k, x in v.items()),
-             "a mapping of mode name to number"),
+             "a mapping of mode name to number", lambda v: {k: float(x) for k, x in v.items()}),
 }
 
 
@@ -168,11 +172,14 @@ def grid_from_file(path: str, overrides: dict | None = None) -> ExperimentGrid:
     if missing := [k for k in ("mu_list", "sigma_list") if k not in raw]:
         raise ValueError(f"missing grid key(s) in {path}: {', '.join(missing)}")
     for key, value in raw.items():
-        ok, what = _GRID_VALUE_KINDS[kinds[key]]
+        ok, what, stored = _GRID_VALUE_KINDS[kinds[key]]
         if not ok(value):
             raise ValueError(f"grid key {key} in {path} must be {what}, got {value!r}")
-        if kinds[key].startswith("tuple"):
-            raw[key] = tuple(value)
+        try:
+            raw[key] = stored(value)
+        except OverflowError:
+            raise ValueError(f"grid key {key} in {path} holds an integer too large "
+                             f"for a float") from None
     return ExperimentGrid(**raw)
 
 
@@ -426,11 +433,11 @@ def cmd_trajectory(args) -> int:
     for h_name in args.h.split(","):
         market, spec, w = _problem(args, h_name.strip())
         sim = SimConfig.from_horizon(spec.T, args.n_steps, 1, args.seed)
-        (eta,), (increments,) = episode_draws(spec.h, market, sim, 0)
+        eta, increments = episode_draws(spec.h, market, sim, 0)
         times = sim.times()[:-1]
-        states, actions = rollout(spec.x0, w, -(market.rho / market.sigma),
-                                  optimal_scale(times, spec, market), eta, market.sigma,
-                                  increments)
+        (states,), (actions,) = rollout(spec.x0, w, -(market.rho / market.sigma),
+                                        optimal_scale(times, spec, market), eta, market.sigma,
+                                        increments)
         rows.extend((h_name.strip(), t, u, x) for t, u, x in zip(times, actions, states))
     _write_csv(args.out, _meta(args, args.seed), ["h", "t", "action", "wealth"], rows)
     return 0

@@ -24,6 +24,7 @@ import numbers
 import operator
 import os
 import signal
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,9 @@ class SimConfig:
             horizon = math.inf
         if not math.isfinite(horizon):
             raise ValueError(f"horizon n_steps * dt must be finite, got {horizon}")
+        if (self.n_steps + 1) * 8 > sys.maxsize:  # numpy's largest array, in bytes
+            raise ValueError(f"n_steps = {self.n_steps:.3g} is too large: its time grid of "
+                             f"n_steps + 1 float64 values exceeds the largest possible array")
 
     @classmethod
     def from_horizon(cls, T: float, n_steps: int, n_paths: int = 1, seed: int = 0) -> "SimConfig":
@@ -109,45 +113,40 @@ def increment(market: MarketParams, dt: float, noise):
 
 
 def rollout(x0, w, mean_coef, scale, eta, sigma, increments):
-    """(states, actions): n + 1 wealths from x0 under the n feedback actions
-    u_i = mean_coef (x_i - w) + scale_i eta_i, wealth moving by sigma u_i
-    times ``increments`` (see ``increment``).
+    """(states, actions) of B paths: (B, n + 1) wealths from x0 under the
+    (B, n) feedback actions u_i = mean_coef (x_i - w) + scale_i eta_i, wealth
+    moving by sigma u_i times ``increments`` (see ``increment``).
 
-    ``eta`` and ``increments`` are one path's (n,) draws, or (B, n) rows of
-    B paths, of one shape; ``scale`` broadcasts to them, and for rows x0,
-    w, mean_coef and sigma are scalars or one per row.  Each path steps its
-    own recurrence, and the actions are formed once over all of them.  A
-    diverging path runs on to inf/nan without warnings; callers check the
-    last state."""
+    ``eta`` and ``increments`` are (B, n) rows of the paths' draws;
+    ``scale`` broadcasts to them, and x0, w, mean_coef and sigma are scalars
+    or one per row.  Each path steps its own recurrence, and the actions are
+    formed once over all of them.  A diverging path runs on to inf/nan
+    without warnings; callers check the last state."""
     eta = np.asarray(eta, dtype=float)
     increments = np.asarray(increments, dtype=float)
-    if eta.ndim not in (1, 2) or eta.shape != increments.shape:
-        raise ValueError(f"rollout needs eta and increments of one shape, (n,) or (B, n), "
+    if eta.ndim != 2 or eta.shape != increments.shape:
+        raise ValueError(f"rollout needs eta and increments of one shape (B, n), "
                          f"got shapes {eta.shape} and {increments.shape}")
-    one_path = eta.ndim == 1
-    rows = 1 if one_path else len(eta)
-    per_row = np.empty((4, rows))  # each row's x0, w, mean_coef and sigma
+    per_row = np.empty((4, len(eta)))  # each row's x0, w, mean_coef and sigma
     per_row[0], per_row[1], per_row[2], per_row[3] = x0, w, mean_coef, sigma
     explore = np.empty(eta.shape)
-    states = np.empty((rows, eta.shape[-1] + 1))
+    states = np.empty((len(eta), eta.shape[1] + 1))
     with np.errstate(over="ignore", invalid="ignore"):
         try:  # an output of eta's shape admits only a scale that broadcasts to it
             np.multiply(scale, eta, out=explore)
         except ValueError:
             raise ValueError(f"rollout's scale of shape {np.shape(scale)} does not broadcast "
                              f"to the draws of shape {eta.shape}") from None
-        explore = explore.reshape(rows, -1)
         # Python floats round like float64 scalars and overflow to inf/nan
         # silently, at a fraction of the per-step cost of numpy scalars;
         # memoryviews hand the loop the rows' floats without a list copy
-        for out, x, wr, ar, sr, e, c in zip(states, *per_row.tolist(), explore,
-                                            increments.reshape(rows, -1)):
+        for out, x, wr, ar, sr, e, c in zip(states, *per_row.tolist(), explore, increments):
             out[0] = x
             out[1:] = [x := x + sr * (ar * (x - wr) + ei) * ci
                        for ei, ci in zip(memoryview(e), memoryview(c))]
         w, a = per_row[1:3, :, None]
         actions = a * (states[:, :-1] - w) + explore
-    return (states[0], actions[0]) if one_path else (states, actions)
+    return states, actions
 
 
 def pathwise_objectives(

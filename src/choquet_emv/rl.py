@@ -131,9 +131,9 @@ class TrainLog:
 # ---------------------------------------------------------------------------
 # Batch layout
 # ---------------------------------------------------------------------------
-# The critic, actor and TD functions take one cell's (3,) parameters or a
-# (B, 3) batch of them.  With a batch, wealths and actions gain a leading
-# axis of B rows, the critic takes its multipliers as ``_per_cell`` shapes
+# The critic, actor and TD functions take a (B, 3) batch of parameters, one
+# row per cell; a (3,) vector is a batch of one.  Wealths and actions are
+# (B, ...) rows, the critic takes its multipliers as ``_per_cell`` shapes
 # them, and the grid times stay shared.
 
 
@@ -144,20 +144,16 @@ def _per_cell(values):
 
 
 def _columns(params) -> np.ndarray:
-    """A (3,) parameter vector, or a (B, 3) batch as three ``_per_cell``
-    columns: ``p[k]`` broadcasts against a time grid either way."""
-    p = np.asarray(params, dtype=float)
-    if p.ndim == 1:
-        return p
+    """A (B, 3) batch as three ``_per_cell`` columns, or a batch of one as
+    three scalars: ``p[k]`` broadcasts against a time grid either way."""
+    p = np.asarray(params, dtype=float).reshape(-1, 3)
     return p[0] if len(p) == 1 else p.T[..., None]
 
 
 def _gap_squared(w, z):
     """(w - z)^2 in the shape of w.  Each cell squares a Python float (libm
-    pow), as a single cell does: numpy's array square is x * x, which
-    differs from pow in the last bit for some inputs."""
-    if np.ndim(w) == 0:
-        return (w - z) ** 2
+    pow), whatever the batch: numpy's array square is x * x, which differs
+    from pow in the last bit for some inputs."""
     w = np.asarray(w, dtype=float)
     return np.array([(v - z) ** 2 for v in w.ravel().tolist()]).reshape(w.shape)
 
@@ -247,43 +243,28 @@ def _regularizer_forms(hs, modes):
     return tuple(np.array(v)[:, None] for v in zip(*forms))
 
 
-def regularizer_schedule(phi, t, h: DistortionFn, mode: str, T):
-    """Regularizer value p(t; phi) of the actor and its phi-gradient.
+def _regularizer(phi, tau, forms, scale, grad, lam):
+    """The actor's regularizer value p at the times to go ``tau`` for rows
+    whose ``_regularizer_forms`` are ``forms``, with ``grad`` filled with
+    lam dp/dphi:
 
-    plain: p = S(t) ||h'||^2 with gradient (0, p/2, p (T-t)/2);
-    log:   p = phi1/2 + phi2 (T-t)/2 + 2 log ||h'||_2 with gradient
-           (0, 1/2, (T-t)/2).
-    With a (B, 3) batch of phi, ``h`` and ``mode`` are sequences of B.
-    """
-    forms = _regularizer_forms(h, mode) if np.ndim(phi) == 2 else _regularizer_form(h, mode)
-    return _regularizer(phi, T - np.asarray(t, dtype=float), forms)
+    plain: p = S ||h'||^2 with gradient (0, p/2, p tau/2);
+    log:   p = phi1/2 + phi2 tau/2 + 2 log ||h'||_2 with gradient
+           (0, 1/2, tau/2).
 
-
-def _regularizer(phi, tau, forms, scale=None, grad=None, lam=1.0):
-    """``regularizer_schedule`` at the times to go ``tau`` with the rows'
-    ``forms``, its gradient times ``lam``.  In plain mode p is ``scale``
-    ||h'||^2: the actor scale at those times, the same exp of the same
-    exponent, computed here when not given.  The gradient fills ``grad``
-    when given, a buffer of p's shape by 3 whose first column is 0."""
+    S is ``scale``, the actor scale at those times (``actor_scale``), and
+    ``grad`` a buffer of p's shape by 3 whose first column is 0."""
     ph = _columns(phi)
     plain, const = forms
     # dp: dp/d(phi1/2), which is p in plain mode and 1 in log mode
     if np.ndim(plain) == 0:
         if plain:
-            if scale is None:
-                scale = np.exp(0.5 * ph[1] + 0.5 * ph[2] * tau)
             p = dp = scale * const
         else:
             p, dp = 0.5 * ph[1] + 0.5 * ph[2] * tau + const, 1.0
     else:  # cells of both modes or of several norms, row by row
-        log_scale = 0.5 * ph[1] + 0.5 * ph[2] * tau
-        with np.errstate(over="ignore"):  # exp of a log-mode row is not used
-            if scale is None:
-                scale = np.exp(log_scale)
-            p = np.where(plain, scale * const, log_scale + const)
+        p = np.where(plain, scale * const, 0.5 * ph[1] + 0.5 * ph[2] * tau + const)
         dp = np.where(plain, p, 1.0)
-    if grad is None:
-        grad = np.zeros(np.shape(p) + (3,))
     np.multiply(0.5 * dp, lam, out=grad[..., 1])
     np.multiply(0.5 * tau * dp, lam, out=grad[..., 2])
     return p, grad
@@ -299,7 +280,6 @@ class _Batch(NamedTuple):
     buffers it fills: fixed while the batch keeps its cells, so built once
     per layout."""
 
-    T: float
     z: float
     form: str
     tau: np.ndarray  # T - t on the n + 1 grid times
@@ -328,7 +308,7 @@ def _batch(times, configs) -> _Batch:
     tau = first.T - times
     buffers = np.empty((3, len(configs), len(times) - 1, 3))
     buffers[2, ..., 0] = 0.0
-    return _Batch(first.T, first.z, first.critic_form, tau, times[1:] - times[:-1],
+    return _Batch(first.z, first.critic_form, tau, times[1:] - times[:-1],
                   _per_cell([c.lam for c in configs]),
                   _regularizer_forms([c.h for c in configs], [c.mode for c in configs]),
                   [(h, _rows(rows)) for h, rows in groups.values()], *buffers)
@@ -346,32 +326,19 @@ def _density_fields(groups, actions, location, scale):
     return dm, ds
 
 
-def episode_gradients(times, states, actions, theta, phi, w,
-                      config: TrainConfig | list[TrainConfig], scale=None, batch=None):
-    """Semi-gradient updates accumulated over one episode: n + 1 grid times
-    and wealths, and the n actions taken between them.
+def episode_gradients(batch: _Batch, states, actions, theta, phi, w, scale):
+    """Semi-gradient updates accumulated over one episode of each of the
+    batch's B cells: (B, n + 1) wealths on the grid times, the (B, n)
+    actions taken between them at the actor scale ``scale`` (``actor_scale``
+    on the grid's first n times), (B, 3) theta and phi, and (B,) w.
+    ``batch`` is the cells' ``_batch`` layout.
 
-    Returns (grad_theta, grad_phi, n_skipped): the critic gradient
-    -sum_i dV/dtheta(t_i) delta_i, the actor gradient
-    sum_i [dlog policy(u_i) delta_i - lam dp/dphi dt], and the count of
-    replayed actions that fell outside the current policy support (their
-    score terms are skipped).
-
-    For a batch, states are (B, n + 1), actions (B, n), theta and phi
-    (B, 3), w (B,), ``config`` a sequence of B configs sharing T, z and
-    critic_form, and the results gain the leading axis of B.
-
-    ``scale`` is the actor scale ``actor_scale(phi, times[:-1], T)`` the
-    actions were drawn with, and ``batch`` the batch's ``_batch(times,
-    config)``; each is computed here when not given.
+    Returns (grad_theta, grad_phi, n_skipped), each with a leading axis of
+    B: the critic gradient -sum_i dV/dtheta(t_i) delta_i, the actor
+    gradient sum_i [dlog policy(u_i) delta_i - lam dp/dphi dt], and the
+    count of replayed actions that fell outside the current policy support
+    (their score terms are skipped).
     """
-    single = np.asarray(theta).ndim == 1
-    if single:  # the B = 1 case
-        states, actions = np.asarray(states)[None], np.asarray(actions)[None]
-        theta, phi = np.asarray(theta, dtype=float)[None], np.asarray(phi, dtype=float)[None]
-        w, config = np.array([w], dtype=float), [config]
-    if batch is None:
-        batch = _batch(times, config)
     lam, wc = batch.lam, _per_cell(w)
     tau, dts = batch.tau[:-1], batch.dts
 
@@ -384,8 +351,6 @@ def episode_gradients(times, states, actions, theta, phi, w,
         v = _value(th, offset, decay, xw2, _gap_squared(wc, batch.z))
         neg_dv = _neg_grad(tau, th, *(a[..., :-1] for a in (grow, offset, decay, xw2)),
                            batch.neg_dv)
-        if scale is None:
-            scale = actor_scale(phi, times[:-1], batch.T)
         p, lam_dp = _regularizer(phi, tau, batch.forms, scale, batch.lam_dp, lam)
         delta = v[:, 1:] - v[:, :-1] - lam * p * dts
         grad_theta = _transpose_dot(neg_dv, delta)
@@ -407,9 +372,6 @@ def episode_gradients(times, states, actions, theta, phi, w,
         np.multiply(0.5 * scale, ds, out=dlog[..., 1])
         np.multiply(0.5 * tau * scale, ds, out=dlog[..., 2])
         grad_phi = _transpose_dot(dlog, delta) - _transpose_dot(lam_dp, dts)
-
-    if single:
-        return grad_theta[0], grad_phi[0], int(n_skipped[0])
     return grad_theta, grad_phi, n_skipped
 
 
@@ -420,9 +382,9 @@ def lagrange_update(w: float, terminal_batch, alpha_w: float, z: float) -> float
 
 
 def _clip(vec: np.ndarray, limit: float):
-    """``vec`` (one gradient, or a (B, 3) batch of rows) scaled down to norm
-    ``limit`` where its norm exceeds it, and whether it was (a bool, or one
-    per row).  A non-finite norm is left to the parameter check.  Input that
+    """``vec``, a (B, 3) batch of gradient rows, with each row scaled down
+    to norm ``limit`` where its norm exceeds it, and a (B,) array of whether
+    it was.  A non-finite norm is left to the parameter check.  Input that
     needs no clipping comes back as is."""
     with np.errstate(over="ignore", invalid="ignore"):
         # a 1 x 3 by 3 x 1 matmul is the dot product np.linalg.norm takes
@@ -431,7 +393,7 @@ def _clip(vec: np.ndarray, limit: float):
     if engaged.any():
         # unclipped rows divide limit by itself: a factor of exactly 1
         vec = vec * (limit / np.where(engaged, norm, limit))[..., None]
-    return vec, (engaged if engaged.ndim else bool(engaged))
+    return vec, engaged
 
 
 # episodes drawn at once: a block holds 16 n bytes per episode and cell,
@@ -511,9 +473,8 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
     # the batch rows: the cells still training, by index into configs
     live = np.arange(B)
     cols = slice(None)  # live as an index into the logs; a slice while no cell has left
-    row_configs = configs
     sigmas = np.array([m.sigma for m in markets])  # the rows' market volatilities
-    batch = _batch(times, row_configs)
+    batch = _batch(times, configs)
     theta = np.tile(np.array(THETA_INIT, dtype=float), (B, 1))
     phi = np.tile(np.array(PHI_INIT, dtype=float), (B, 1))
     w = np.full(B, float(first.z))
@@ -538,8 +499,7 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
 
         # a failed row rides along to the end of the episode: every batched
         # step below is row by row, so it touches no other cell's numbers
-        g_theta, g_phi, n_skip = episode_gradients(times, states, actions, theta, phi, w,
-                                                   row_configs, scale=scale, batch=batch)
+        g_theta, g_phi, n_skip = episode_gradients(batch, states, actions, theta, phi, w, scale)
         skipped += n_skip
         if first.grad_clip is not None:
             g_theta, c1 = _clip(g_theta, first.grad_clip)
@@ -579,9 +539,8 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
             cols = live
             if not len(live):
                 break
-            row_configs = [configs[b] for b in live.tolist()]
             sigmas = sigmas[keep]
-            batch = _batch(times, row_configs)
+            batch = _batch(times, [configs[b] for b in live.tolist()])
 
     for b, n_skipped, n_clipped in zip(live.tolist(), skipped.tolist(), clip_events.tolist()):
         results[b] = TrainLog(terminal_wealth=tw_log[b], theta=theta_log[b], phi=phi_log[b],

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from choquet_emv import rl
 from choquet_emv.distortion import (
     BUILTIN_DISTORTIONS,
     ScalarFn,
@@ -46,3 +47,9 @@ def random_feasible_quantile(rng: np.random.Generator, m: float, s: float) -> Sc
         return _m + _gain * (_raw(p) - _mean)
 
     return q
+
+
+def regularizer(phi, t, h, mode, T):
+    """``rl._regularizer`` (p and dp/dphi) of one actor, a batch of one, at times t."""
+    return rl._regularizer([phi], T - np.asarray(t), rl._regularizer_form(h, mode),
+                           rl.actor_scale([phi], t, T), np.zeros(np.shape(t) + (3,)), 1.0)

@@ -41,16 +41,9 @@ from choquet_emv.policy import (
     sample,
     standardized_draw,
 )
-from choquet_emv.rl import (
-    TrainConfig,
-    critic_grad,
-    critic_value,
-    regularizer_schedule,
-    train,
-    train_many,
-)
+from choquet_emv.rl import TrainConfig, critic_grad, critic_value, train, train_many
 
-from adversarial import random_feasible_quantile
+from adversarial import random_feasible_quantile, regularizer
 
 GAUSS = get_distortion("gaussian_score")
 MC_MARKET = MarketParams(mu=0.1, sigma=0.2, r=0.02)
@@ -209,13 +202,13 @@ def test_criterion_7_gradient_fidelity(record_criterion):
         for _ in range(500):
             phi = rng.uniform(-2, 2, size=3)
             t = rng.uniform(0, T)
-            _, grad = regularizer_schedule(phi, t, GAUSS, mode, T)
+            _, grad = regularizer(phi, t, GAUSS, mode, T)
             fd = np.empty(3)
             for k in range(3):
                 d = np.zeros(3)
                 d[k] = e
-                fd[k] = (regularizer_schedule(phi + d, t, GAUSS, mode, T)[0]
-                         - regularizer_schedule(phi - d, t, GAUSS, mode, T)[0]) / (2 * e)
+                fd[k] = (regularizer(phi + d, t, GAUSS, mode, T)[0]
+                         - regularizer(phi - d, t, GAUSS, mode, T)[0]) / (2 * e)
             worst = max(worst, rel_gap(grad, fd))
 
     for name in FAMILIES:

@@ -236,9 +236,16 @@ class TestExitStatus:
         (["train", "--episodes", str(2**47)], "Unable to allocate 1.00 PiB"),
         (["solve", "--grid-points", "0"], "--grid-points must be >= 1, got 0"),
         (["solve", "--grid-points", "-3"], "--grid-points must be >= 1, got -3"),
+        # time grids too long to index; a dict stands for a grid file with
+        # those keys changed
+        (["train", "--T", "1e300"], "n_steps = 2.52e+302 is too large: its time grid"),
+        (["train", "--dt", "1e-300"], "n_steps = 1e+300 is too large: its time grid"),
+        (["table", "--config", {"T": 1.0e300}], "n_steps = 2.52e+302 is too large: its time grid"),
     ])
     def test_bad_input_is_one_line_with_status_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
+        argv = [str(write_grid(tmp_path / "grid.yaml", **a)) if isinstance(a, dict) else a
+                for a in argv]
         assert cli.main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("choquet-emv: error: ") and message in err
@@ -458,6 +465,10 @@ class TestGridConfig:
                              (dict(episodes="ten"), "grid key episodes .* an integer"),
                              (dict(episodes=True), "grid key episodes .* an integer"),
                              (dict(modes="plain"), "grid key modes .* list of names"),
+                             (dict(T=10**400), "grid key T in .* holds an integer too large "
+                                               "for a float$"),
+                             (dict(mu_list=[0.1, 10**400]), "grid key mu_list in .* holds an "
+                                                            "integer too large for a float$"),
                              (dict(modes=["plain", "log", "other"], lambda_by_mode={"plain": 0.1}),
                               "lambda_by_mode has no weight for mode\\(s\\): log, other$")):
             with pytest.raises(ValueError, match=message):
@@ -470,6 +481,19 @@ class TestGridConfig:
                 cli.grid_from_file(str(tmp_path / "g4.yaml"))
         # integers stay valid where a float is expected
         assert cli.grid_from_file(str(write_grid(tmp_path / "g5.yaml", T=1, dt=0.25))).T == 1
+
+    def test_integer_spellings_of_float_keys_give_the_same_bytes(self, tmp_path):
+        # cell seeds hash repr(mu) and the config hash the stored values, so
+        # a number must be stored as a float however the file writes it
+        spellings = [dict(mu_list=[1], sigma_list=[1], r=0, T=1, z=2, x0=1, lambdas=[1],
+                          lambda_by_mode={"plain": 1}, grad_clip=1000),
+                     dict(mu_list=[1.0], sigma_list=[1.0], r=0.0, T=1.0, z=2.0, x0=1.0,
+                          lambdas=[1.0], lambda_by_mode={"plain": 1.0}, grad_clip=1000.0)]
+        outs = [tmp_path / "int.csv", tmp_path / "float.csv"]
+        for out, spelling in zip(outs, spellings):
+            cfg = write_grid(tmp_path / "grid.yaml", episodes=3, **spelling)
+            assert cli.main(["table", "--config", str(cfg), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_shipped_configs_load(self):
         for path in sorted(CONFIGS.glob("*.yaml")):

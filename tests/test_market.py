@@ -139,8 +139,8 @@ class TestRollout:
         n, dt, w, mean_coef = 64, 1.0 / 64, 1.6, -1.3
         eta, noise = draws(get_distortion(h_name), n, dt)
         scale = level * np.exp(0.6 * (1.0 - np.arange(n) * dt))
-        states, actions = rollout(1.0, w, mean_coef, scale, eta, MARKET.sigma,
-                                  increment(MARKET, dt, noise))
+        (states,), (actions,) = rollout(1.0, w, mean_coef, scale, [eta], MARKET.sigma,
+                                        [increment(MARKET, dt, noise)])
         x, xs, us = 1.0, [1.0], []
         for i in range(n):
             u = mean_coef * (x - w) + scale[i] * eta[i]
@@ -156,8 +156,8 @@ class TestRollout:
         scale = 0.4 * np.ones(n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            states, actions = rollout(1.0, w, mean_coef, scale, eta, MARKET.sigma,
-                                      increment(MARKET, dt, noise))
+            (states,), (actions,) = rollout(1.0, w, mean_coef, scale, [eta], MARKET.sigma,
+                                            [increment(MARKET, dt, noise)])
         assert np.isinf(states).any() and np.isnan(states[-1])
         x, xs, us = 1.0, [1.0], []
         with np.errstate(over="ignore", invalid="ignore"):
@@ -174,16 +174,16 @@ class TestRollout:
         eta, noise = draws(GAUSS, n, dt)
         scale = 0.4 * np.exp(0.6 * (1.0 - np.arange(n) * dt))
         increments = increment(MARKET, dt, noise)
-        a = rollout(1.0, 1.6, -1.3, scale, eta, MARKET.sigma, increments)
-        b = rollout(np.float64(1.0), np.float64(1.6), -np.float64(1.3), scale, eta,
-                    np.float64(MARKET.sigma), increments)
+        a = rollout(1.0, 1.6, -1.3, scale, [eta], MARKET.sigma, [increments])
+        b = rollout(np.float64(1.0), np.float64(1.6), -np.float64(1.3), scale, [eta],
+                    np.float64(MARKET.sigma), [increments])
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
     def test_rows_match_the_step_loop_bitwise(self):
         # the trainer's call: (B, n) draws, scales and increments, one x0,
         # and w, mean_coef and sigma per row.  Each row gives the bytes of
-        # its step loop and of its own one-path call, and the diverging
-        # last row stays silent.
+        # its step loop and of its own call as a batch of one, and the
+        # diverging last row stays silent.
         n, dt = 64, 1.0 / 64
         markets = [MARKET, MarketParams(mu=0.3, sigma=0.5, r=0.02), MARKET]
         ws, coefs, levels = [1.6, 1.2, 1.6], [-1.3, -0.4, 1e200], [0.4, 0.0, 0.4]
@@ -199,7 +199,7 @@ class TestRollout:
         assert states.shape == (3, n + 1) and actions.shape == (3, n)
         assert np.isfinite(states[:2]).all() and not np.isfinite(states[2, -1])
         for i, market in enumerate(markets):
-            alone = rollout(1.0, ws[i], coefs[i], scale[i], eta[i], market.sigma, increments[i])
+            alone = rollout(1.0, ws[i], coefs[i], scale[i], eta[[i]], market.sigma, increments[[i]])
             assert states[i].tobytes() == alone[0].tobytes()
             assert actions[i].tobytes() == alone[1].tobytes()
             x, xs, us = 1.0, [1.0], []
@@ -216,10 +216,16 @@ class TestRollout:
     def test_draws_and_increments_of_other_lengths_are_rejected(self, n_increments):
         eta, noise = draws(GAUSS, 7, 1.0 / 7)
         increments = increment(MARKET, 1.0 / 7, noise)[:n_increments]
-        with pytest.raises(ValueError, match=r"eta and increments of one shape, \(n,\) or "
-                                             r"\(B, n\), got shapes \(5,\) and "
-                                             rf"\({n_increments},\)") as err:
-            rollout(1.0, 1.6, -1.3, 0.4, eta[:5], MARKET.sigma, increments)
+        with pytest.raises(ValueError, match=r"eta and increments of one shape \(B, n\), got "
+                                             rf"shapes \(1, 5\) and \(1, {n_increments}\)") as err:
+            rollout(1.0, 1.6, -1.3, 0.4, [eta[:5]], MARKET.sigma, [increments])
+        assert "\n" not in str(err.value)
+
+    def test_one_path_of_one_dimensional_draws_is_rejected(self):
+        eta, noise = draws(GAUSS, 7, 1.0 / 7)
+        with pytest.raises(ValueError, match=r"eta and increments of one shape \(B, n\), got "
+                                             r"shapes \(7,\) and \(7,\)$") as err:
+            rollout(1.0, 1.6, -1.3, 0.4, eta, MARKET.sigma, increment(MARKET, 1.0 / 7, noise))
         assert "\n" not in str(err.value)
 
     @pytest.mark.parametrize("scale_shape", [(4,), (2, 5)])
@@ -227,9 +233,9 @@ class TestRollout:
         eta, noise = draws(GAUSS, 5, 1.0 / 5)
         with pytest.raises(ValueError, match=rf"scale of shape \({scale_shape[0]},"
                                              r".* does not broadcast to the draws of shape "
-                                             r"\(5,\)") as err:
-            rollout(1.0, 1.6, -1.3, np.full(scale_shape, 0.4), eta, MARKET.sigma,
-                    increment(MARKET, 1.0 / 5, noise))
+                                             r"\(1, 5\)") as err:
+            rollout(1.0, 1.6, -1.3, np.full(scale_shape, 0.4), [eta], MARKET.sigma,
+                    [increment(MARKET, 1.0 / 5, noise)])
         assert "\n" not in str(err.value)
 
 

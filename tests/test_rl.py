@@ -18,7 +18,7 @@ from choquet_emv.closedform import (
 )
 from choquet_emv.distortion import get_distortion, scale_distortion
 from choquet_emv.market import SimConfig, path_stream, pathwise_objectives
-from choquet_emv.policy import LocationScalePolicy, standardized_draw
+from choquet_emv.policy import LocationScalePolicy, log_density, standardized_draw
 from choquet_emv.rl import (
     TrainConfig,
     TrainingDivergedError,
@@ -28,10 +28,11 @@ from choquet_emv.rl import (
     critic_value,
     episode_gradients,
     lagrange_update,
-    regularizer_schedule,
     train,
     train_many,
 )
+
+from adversarial import regularizer
 
 GAUSS = get_distortion("gaussian_score")
 MARKET = MarketParams(mu=0.1, sigma=0.2, r=0.02)
@@ -51,7 +52,7 @@ def actor_policy(phi, t, x, w, h, T) -> LocationScalePolicy:
 def td_error(theta, phi, t0, x0, t1, x1, lam, mode, h, w, z, T,
              critic_form: str = "standard") -> float:
     """One-step TD error; the t1 side is a frozen target in all gradients."""
-    p, _ = regularizer_schedule(phi, t0, h, mode, T)
+    p, _ = regularizer(phi, t0, h, mode, T)
     dt = t1 - t0
     v0 = critic_value(theta, t0, x0, w, z, T, critic_form)
     v1 = critic_value(theta, t1, x1, w, z, T, critic_form)
@@ -66,11 +67,14 @@ def base_config(**kw):
 
 
 class Episode(NamedTuple):
-    """The arrays episode_gradients takes, in its argument order."""
+    """One cell's episode: the batch layout, (1, n + 1) states and (1, n)
+    actions episode_gradients takes first, then the times and actor scale."""
 
-    times: np.ndarray
+    batch: rl._Batch
     states: np.ndarray
     actions: np.ndarray
+    times: np.ndarray
+    scale: np.ndarray
 
 
 def rollout(phi, w, h, config, episode_seed=0, market=MARKET):
@@ -83,15 +87,13 @@ def rollout(phi, w, h, config, episode_seed=0, market=MARKET):
     eta = standardized_draw(h, draws)
     noise = rng.standard_normal(n)
     scale = np.exp(0.5 * phi[1] + 0.5 * phi[2] * (T - times[:-1]))
-    x = config.x0
-    states, actions = np.empty(n + 1), np.empty(n)
-    states[0] = x
+    x, xs, us = config.x0, [config.x0], []
     for i in range(n):
         u = -phi[0] * (x - w) + scale[i] * eta[i]
         x = x + market.sigma * u * (market.rho * dt + math.sqrt(dt) * noise[i])
-        actions[i] = u
-        states[i + 1] = x
-    return Episode(times, states, actions)
+        us.append(u)
+        xs.append(x)
+    return Episode(rl._batch(times, [config]), np.array([xs]), np.array([us]), times, scale)
 
 
 class TestCritic:
@@ -151,17 +153,17 @@ class TestActor:
 
 class TestRegularizerSchedule:
     def test_plain_unit_norm(self):
-        p, grad = regularizer_schedule((0.0, 0.0, 0.0), 0.25, GAUSS, "plain", T)
+        p, grad = regularizer((0.0, 0.0, 0.0), 0.25, GAUSS, "plain", T)
         assert p == pytest.approx(1.0)
         np.testing.assert_allclose(grad, [0.0, 0.5, 0.5 * 0.75])
 
     def test_log_gradient_shape(self):
-        _, grad = regularizer_schedule((1.0, -2.0, 3.0), 0.25, GAUSS, "log", T)
+        _, grad = regularizer((1.0, -2.0, 3.0), 0.25, GAUSS, "log", T)
         np.testing.assert_allclose(grad, [0.0, 0.5, 0.5 * 0.75])
 
     def test_log_value_includes_norm(self):
         gini = get_distortion("gini")
-        p, _ = regularizer_schedule((0.0, 0.0, 0.0), T, gini, "log", T)
+        p, _ = regularizer((0.0, 0.0, 0.0), T, gini, "log", T)
         assert p == pytest.approx(math.log(gini.l2_norm**2))
 
     @pytest.mark.parametrize("mode", ["plain", "log"])
@@ -170,12 +172,12 @@ class TestRegularizerSchedule:
         for _ in range(200):
             phi = rng.uniform(-2, 2, size=3)
             t = rng.uniform(0, T)
-            _, grad = regularizer_schedule(phi, t, GAUSS, mode, T)
+            _, grad = regularizer(phi, t, GAUSS, mode, T)
             for k in range(3):
                 d = np.zeros(3)
                 d[k] = e
-                fd = (regularizer_schedule(phi + d, t, GAUSS, mode, T)[0]
-                      - regularizer_schedule(phi - d, t, GAUSS, mode, T)[0]) / (2 * e)
+                fd = (regularizer(phi + d, t, GAUSS, mode, T)[0]
+                      - regularizer(phi - d, t, GAUSS, mode, T)[0]) / (2 * e)
                 assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
@@ -204,8 +206,8 @@ class TestTDError:
         deltas = []
         for ep in range(100):
             path = rollout(phi, w, GAUSS, cfg, episode_seed=ep)
-            v = critic_value(theta, path.times, path.states, w, spec.z, T)
-            p, _ = regularizer_schedule(phi, path.times[:-1], GAUSS, "plain", T)
+            v = critic_value(theta, path.times, path.states[0], w, spec.z, T)
+            p, _ = regularizer(phi, path.times[:-1], GAUSS, "plain", T)
             deltas.append(v[1:] - v[:-1] - spec.lam * p * cfg.sim.dt)
         d = np.concatenate(deltas)
         se = d.std(ddof=1) / math.sqrt(d.size)
@@ -219,24 +221,24 @@ class TestEpisodeGradients:
         return rollout(phi, w, GAUSS, cfg, episode_seed=seed), phi, w, cfg
 
     def test_empty_episode_gives_zero(self):
-        cfg = base_config()
-        gt, gp, skipped = episode_gradients(np.array([0.0]), np.array([1.0]), np.empty(0),
-                                            (1.0, 0.1, 1.0), (1.0, 0.0, 1.0), 1.4, cfg)
-        assert np.all(gt == 0.0) and np.all(gp == 0.0) and skipped == 0
+        gt, gp, skipped = episode_gradients(rl._batch(np.array([0.0]), [base_config()]), [[1.0]],
+                                            np.empty((1, 0)), [(1.0, 0.1, 1.0)],
+                                            [(1.0, 0.0, 1.0)], [1.4], np.empty(0))
+        assert np.all(gt == 0.0) and np.all(gp == 0.0) and skipped.tolist() == [0]
 
     def test_critic_gradient_matches_frozen_target_loss(self):
         # loss(theta) = 1/2 sum (U_i - V_theta(t_i, x_i))^2 with U_i frozen at
         # the base parameters; its gradient at the base point is grad_theta
         episode, phi, w, cfg = self.make_episode()
         theta = np.array([0.9, 0.2, 1.1])
-        gt, _, _ = episode_gradients(*episode, theta, phi, w, cfg)
+        (gt,), _, _ = episode_gradients(*episode[:3], [theta], [phi], [w], episode.scale)
 
-        p, _ = regularizer_schedule(phi, episode.times[:-1], GAUSS, cfg.mode, T)
-        v_base = critic_value(theta, episode.times, episode.states, w, cfg.z, T)
+        p, _ = regularizer(phi, episode.times[:-1], GAUSS, cfg.mode, T)
+        v_base = critic_value(theta, episode.times, episode.states[0], w, cfg.z, T)
         targets = -cfg.lam * p * cfg.sim.dt + v_base[1:]
 
         def loss(th):
-            v = critic_value(th, episode.times[:-1], episode.states[:-1], w, cfg.z, T)
+            v = critic_value(th, episode.times[:-1], episode.states[0, :-1], w, cfg.z, T)
             return 0.5 * np.sum((targets - v) ** 2)
 
         e = 1e-6
@@ -250,15 +252,13 @@ class TestEpisodeGradients:
         # surrogate(phi) = sum_i [log pdf_phi(u_i) delta_i - lam p(t_i; phi) dt]
         # with the trajectory, the critic, and the deltas frozen at the base
         # point (common random numbers); its gradient is grad_phi
-        from choquet_emv.policy import LocationScalePolicy, log_density
-
         episode, phi, w, cfg = self.make_episode()
         theta = np.array([0.9, 0.2, 1.1])
-        _, gp, _ = episode_gradients(*episode, theta, phi, w, cfg)
+        _, (gp,), _ = episode_gradients(*episode[:3], [theta], [phi], [w], episode.scale)
 
-        t_left, x_left = episode.times[:-1], episode.states[:-1]
-        v = critic_value(theta, episode.times, episode.states, w, cfg.z, T)
-        p_base, _ = regularizer_schedule(phi, t_left, GAUSS, cfg.mode, T)
+        t_left, x_left = episode.times[:-1], episode.states[0, :-1]
+        v = critic_value(theta, episode.times, episode.states[0], w, cfg.z, T)
+        p_base, _ = regularizer(phi, t_left, GAUSS, cfg.mode, T)
         delta = v[1:] - v[:-1] - cfg.lam * p_base * cfg.sim.dt
 
         def surrogate(ph):
@@ -267,8 +267,8 @@ class TestEpisodeGradients:
             for i in range(len(t_left)):
                 pol = LocationScalePolicy(h=GAUSS, location=-ph[0] * (x_left[i] - w),
                                           scale=float(scales[i]))
-                p_i, _ = regularizer_schedule(ph, t_left[i], GAUSS, cfg.mode, T)
-                total += (log_density(pol, episode.actions[i]) * delta[i]
+                p_i, _ = regularizer(ph, t_left[i], GAUSS, cfg.mode, T)
+                total += (log_density(pol, episode.actions[0, i]) * delta[i]
                           - cfg.lam * p_i * cfg.sim.dt)
             return total
 
@@ -285,10 +285,10 @@ class TestEpisodeGradients:
         # the target side and must disagree
         episode, phi, w, cfg = self.make_episode()
         theta = np.array([0.9, 0.2, 1.1])
-        gt, _, _ = episode_gradients(*episode, theta, phi, w, cfg)
+        (gt,), _, _ = episode_gradients(*episode[:3], [theta], [phi], [w], episode.scale)
 
-        t, x = episode.times, episode.states
-        p, _ = regularizer_schedule(phi, t[:-1], GAUSS, cfg.mode, T)
+        t, x = episode.times, episode.states[0]
+        p, _ = regularizer(phi, t[:-1], GAUSS, cfg.mode, T)
         v = critic_value(theta, t, x, w, cfg.z, T)
         delta = v[1:] - v[:-1] - cfg.lam * p * cfg.sim.dt
         dv_left = critic_grad(theta, t[:-1], x[:-1], w, T)
@@ -303,22 +303,22 @@ class TestEpisodeGradients:
         cfg = base_config(h=gini, sim=SimConfig.from_horizon(T, 8, seed=3))
         phi, w = np.array([0.5, -1.0, 0.5]), 1.4
         episode = rollout(phi, w, gini, cfg, episode_seed=1)
-        episode.actions[2] = 100.0  # replay with a shifted action
-        _, _, skipped = episode_gradients(*episode, (1.0, 0.1, 1.0), phi, w, cfg)
-        assert skipped == 1
+        episode.actions[0, 2] = 100.0  # replay with a shifted action
+        _, _, skipped = episode_gradients(*episode[:3], [rl.THETA_INIT], [phi], [w], episode.scale)
+        assert skipped.tolist() == [1]
 
     def test_mode_changes_only_regularizer_terms(self):
         episode, phi, w, cfg_plain = self.make_episode()
         cfg_log = base_config(mode="log", lam=cfg_plain.lam,
                               sim=cfg_plain.sim)
         theta = np.array([0.9, 0.2, 1.1])
-        gt_p, gp_p, _ = episode_gradients(*episode, theta, phi, w, cfg_plain)
-        gt_l, gp_l, _ = episode_gradients(*episode, theta, phi, w, cfg_log)
-
-        t_left, x_left = episode.times[:-1], episode.states[:-1]
+        (gt_p,), (gp_p,), _ = episode_gradients(*episode[:3], [theta], [phi], [w], episode.scale)
+        (gt_l,), (gp_l,), _ = episode_gradients(rl._batch(episode.times, [cfg_log]), *episode[1:3],
+                                                [theta], [phi], [w], episode.scale)
+        t_left, x_left = episode.times[:-1], episode.states[0, :-1]
         dts = np.diff(episode.times)
-        p_p, dp_p = regularizer_schedule(phi, t_left, GAUSS, "plain", T)
-        p_l, dp_l = regularizer_schedule(phi, t_left, GAUSS, "log", T)
+        p_p, dp_p = regularizer(phi, t_left, GAUSS, "plain", T)
+        p_l, dp_l = regularizer(phi, t_left, GAUSS, "log", T)
         dv = critic_grad(theta, t_left, x_left, w, T)
         # critic side: deltas differ exactly by the regularizer swap
         expected_dgt = -dv.T @ (-cfg_plain.lam * (p_l - p_p) * dts)
@@ -327,7 +327,7 @@ class TestEpisodeGradients:
         from choquet_emv.policy import log_density_grad_fields
 
         scale = actor_scale(phi, t_left, T)
-        dm, ds = log_density_grad_fields(GAUSS, episode.actions, -phi[0] * (x_left - w), scale)
+        dm, ds = log_density_grad_fields(GAUSS, episode.actions[0], -phi[0] * (x_left - w), scale)
         tau = T - t_left
         dlog = np.stack([-(x_left - w) * dm, 0.5 * scale * ds, 0.5 * tau * scale * ds], axis=-1)
         expected_dgp = (dlog.T @ (-cfg_plain.lam * (p_l - p_p) * dts)
@@ -381,16 +381,16 @@ class TestTrain:
         # re-derive every update offline from the logged parameters
         cfg = base_config(episodes=4, avg_window=100)
         log = train(cfg, MARKET)
-        theta, phi, w = np.array(rl.THETA_INIT, float), np.array(rl.PHI_INIT, float), cfg.z
+        theta, phi, w = np.array([rl.THETA_INIT]), np.array([rl.PHI_INIT]), cfg.z
         for j in range(1, cfg.episodes + 1):
-            episode = rollout(phi, w, GAUSS, cfg, episode_seed=j)
-            gt, gp, _ = episode_gradients(*episode, theta, phi, w, cfg)
+            episode = rollout(phi[0], w, GAUSS, cfg, episode_seed=j)
+            gt, gp, _ = episode_gradients(*episode[:3], theta, phi, [w], episode.scale)
             lr = j**-cfg.decay
             theta = theta - cfg.alpha * lr * gt
             phi = phi - cfg.alpha * lr * gp
-            np.testing.assert_allclose(log.theta[j - 1], theta, rtol=1e-12)
-            np.testing.assert_allclose(log.phi[j - 1], phi, rtol=1e-12)
-            np.testing.assert_array_equal(log.terminal_wealth[j - 1], episode.states[-1])
+            np.testing.assert_allclose(log.theta[j - 1], theta[0], rtol=1e-12)
+            np.testing.assert_allclose(log.phi[j - 1], phi[0], rtol=1e-12)
+            np.testing.assert_array_equal(log.terminal_wealth[j - 1], episode.states[0, -1])
 
     # a gini actor at scale e^-35 replays some boundary draws just outside
     # its support, through rounding in (u - M) / S
@@ -404,19 +404,19 @@ class TestTrain:
         cfg = base_config(episodes=20, avg_window=100, h=h, grad_clip=grad_clip,
                           sim=SimConfig.from_horizon(T, 64, seed=1))
         log = train(cfg, MARKET)
-        theta, phi, w = np.array(rl.THETA_INIT, float), np.array(phi_init, float), cfg.z
+        theta, phi, w = np.array([rl.THETA_INIT]), np.array([phi_init]), cfg.z
         skipped = clipped = 0
         for j in range(1, cfg.episodes + 1):
-            episode = rollout(phi, w, h, cfg, episode_seed=j)
-            gt, gp, n_skipped = episode_gradients(*episode, theta, phi, w, cfg)
+            episode = rollout(phi[0], w, h, cfg, episode_seed=j)
+            gt, gp, n_skipped = episode_gradients(*episode[:3], theta, phi, [w], episode.scale)
             gt, c1 = _clip(gt, cfg.grad_clip)
             gp, c2 = _clip(gp, cfg.grad_clip)
             skipped += n_skipped
-            clipped += c1 + c2
+            clipped += c1.sum() + c2.sum()
             lr = j**-cfg.decay
             theta = theta - cfg.alpha * lr * gt
             phi = phi - cfg.alpha * lr * gp
-            np.testing.assert_array_equal(log.phi[j - 1], phi)
+            np.testing.assert_array_equal(log.phi[j - 1], phi[0])
         assert log.skipped_actions == skipped and log.clip_events == clipped
         assert (skipped > 0) == (h_name == "gini")
         assert 0 < clipped < 2 * cfg.episodes
@@ -444,7 +444,7 @@ class TestTrain:
         assert np.linalg.norm(step0) <= cfg.alpha * 1e-4 * (1 + 1e-9)
 
     def test_clip_leaves_overflowing_norm_to_the_parameter_check(self):
-        vec = np.full(3, 1e200)
+        vec = np.full((1, 3), 1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             clipped, engaged = _clip(vec, 1.0)
@@ -632,12 +632,13 @@ class TestTrainMany:
         states = np.full((2, 17), 1.2)
         actions = np.full((2, 16), 100.0)
         phi = np.array([[1.2, -0.8, 0.9], [0.3, -1.1, 1.7]])
-        _, grad_phi, skipped = episode_gradients(times, states, actions, np.ones((2, 3)), phi,
-                                                 np.array([1.4, 1.4]), [cfg, cfg])
+        _, grad_phi, skipped = episode_gradients(rl._batch(times, [cfg, cfg]), states, actions,
+                                                 np.ones((2, 3)), phi, np.array([1.4, 1.4]),
+                                                 actor_scale(phi, times[None, :-1], T))
         assert skipped.tolist() == [16, 16]
         rounded_apart = False
         for row in range(2):
-            _, dp = regularizer_schedule(phi[row], times[:-1], gini, "plain", T)
+            _, dp = regularizer(phi[row], times[:-1], gini, "plain", T)
             dts = np.diff(times)
             # exact equality: the first entry is a zero of either sign
             assert np.array_equal(grad_phi[row], -((cfg.lam * dp.T) @ dts))
