@@ -17,8 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -38,7 +36,7 @@ from .closedform import (
     value,
 )
 from .distortion import get_distortion
-from .market import SimConfig, mean_and_std_error, pathwise_objectives, rollout
+from .market import SimConfig, fork_map, mean_and_std_error, pathwise_objectives, rollout
 from .policy import MODES
 from .rl import (
     CRITIC_FORMS,
@@ -76,7 +74,7 @@ def _n_steps(T: float, dt: float) -> int:
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf):
         raise ValueError(f"T and dt must be finite and positive, got T={T}, dt={dt}")
     n = round(T / dt)
-    if abs(n * dt - T) > 1e-9:
+    if abs(n * dt - T) > 1e-9 * T:
         raise ValueError(f"dt={dt} does not divide T={T}")
     return n
 
@@ -103,6 +101,10 @@ class ExperimentGrid:
     out_dir: str = "."
 
     def __post_init__(self):
+        for f in fields(self):  # numbers of float fields as floats, as a grid file stores them
+            if "float" in f.type or f.type == "dict":
+                stored = _GRID_VALUE_KINDS[f.type][2]
+                object.__setattr__(self, f.name, stored(getattr(self, f.name)))
         if not self.mu_list or not self.sigma_list or not self.modes or not self.h_names:
             raise ValueError("grid lists must be non-empty")
         _require_finite(self, "T", "dt", "z", "x0")
@@ -136,7 +138,8 @@ def _is_list_of(item_ok):
 
 # YAML value checks keyed by the ExperimentGrid field annotation, and the
 # value each kind stores: every number of a float field as a float, so a
-# grid hashes and seeds the same whether it writes 1 or 1.0
+# grid hashes and seeds the same whether it writes 1 or 1.0, in a file or
+# in Python
 _GRID_VALUE_KINDS = {
     "float": (_is_real, "a number", float),
     "float | None": (lambda v: v is None or _is_real(v), "a number or null",
@@ -361,9 +364,9 @@ def _cell_result(task, seed: int, log) -> CellResult:
                       blocks=log.block_means().tolist())
 
 
-def _run_shard(tasks) -> list[CellResult]:
-    """Train a shard of grid tasks in one lockstep batch."""
-    inputs = [_cell_inputs(task) for task in tasks]
+def _run_shard(shard) -> list[CellResult]:
+    """Train a shard, its grid tasks and their ``_cell_inputs``, in one lockstep batch."""
+    tasks, inputs = shard
     logs = train_many([cfg for _, cfg, _ in inputs], [market for _, _, market in inputs])
     return [_cell_result(task, seed, log)
             for task, (seed, _, _), log in zip(tasks, inputs, logs)]
@@ -373,21 +376,15 @@ def _run_grid(grid: ExperimentGrid, jobs: int):
     tasks = [(grid, mu, sigma, mode, h_name, lam)
              for mu, sigma, mode, h_name in grid.cells()
              for lam in grid.lambdas or [grid.lambda_by_mode[mode]]]
-    # check every cell before any trains; workers rebuild the inputs from
-    # names because a DistortionFn holds lambdas and does not pickle
-    for task in tasks:
-        _cell_inputs(task)
+    inputs = [_cell_inputs(task) for task in tasks]  # every cell is checked before any trains
     # shard k trains tasks k, k + shards, ...; every cell gives the same
     # bytes whatever batch it is in, so the CSV does not depend on jobs
     shards = min(jobs, len(tasks))
-    if shards == 1:
-        return _run_shard(tasks)
     # the forked workers inherit scipy.special instead of each importing it
     # for its first Gaussian draw
     import scipy.special  # noqa: F401
 
-    with ProcessPoolExecutor(max_workers=shards) as pool:
-        done = list(pool.map(_run_shard, [tasks[k::shards] for k in range(shards)]))
+    done = fork_map(_run_shard, [(tasks[k::shards], inputs[k::shards]) for k in range(shards)])
     results = [None] * len(tasks)
     for k, shard in enumerate(done):
         results[k::shards] = shard
@@ -410,11 +407,7 @@ def cmd_grid(args) -> int:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     grid = grid_from_file(args.config, {"seed": args.seed, "episodes": args.episodes,
                                         "out_dir": args.out_dir})
-    try:
-        results = _run_grid(grid, args.jobs)
-    except BrokenProcessPool as exc:  # a worker was killed or exited
-        print(f"choquet-emv: error: {exc}", file=sys.stderr)
-        return 1
+    results = _run_grid(grid, args.jobs)
     for r in results:
         if r.error:
             print(f"choquet-emv: cell (mu={r.mu}, sigma={r.sigma}, mode={r.mode}, h={r.h}, "

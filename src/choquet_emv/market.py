@@ -12,9 +12,8 @@ so paths are reproducible independently of chunking or parallel order.  A run
 holds one generator per worker, rekeyed per path or episode, which draws the
 same bytes as a fresh generator per path at a fraction of the set-up cost.
 ``pathwise_objectives`` cuts its chunks into one contiguous block per usable
-CPU (at most one per chunk); the caller runs the first block and forked
-children the others.  With one chunk, one usable CPU or no ``os.fork`` it
-runs every chunk in-process.
+CPU (at most one per chunk) and runs the blocks through ``fork_map``, the
+package's one way to use several CPUs.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import math
 import numbers
 import operator
 import os
+import pickle
 import signal
 import sys
 from dataclasses import dataclass
@@ -162,13 +162,8 @@ def pathwise_objectives(
     std is shared by all paths.
 
     The chunks are cut into one contiguous block per usable CPU, at most one
-    per chunk.  The caller runs the first block and a forked child each other
-    one, so the schedule is never pickled; there is one generator per worker,
-    rekeyed per path, and ``chunk`` bounds each worker's memory.  With one
-    chunk, one usable CPU or no ``os.fork`` every chunk runs in-process, and
-    a block whose fork fails runs there too.  A block whose child fails is
-    run again in-process, which raises the child's exception; no child
-    outlives the call.
+    per chunk, run by ``fork_map``; there is one generator per block, rekeyed
+    per path, and ``chunk`` bounds each block's memory.
     """
     if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) or chunk < 1:
         raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
@@ -201,42 +196,60 @@ def pathwise_objectives(
                      + sigma * np.sqrt(mean**2 + std**2) * sdt * noise[:, i])
             xs[start:start + n] = x
             vals[start:start + n] = (x - w) ** 2 - reg_acc - (w - spec.z) ** 2
+        return xs[lo:hi], vals[lo:hi]
 
     n_chunks = -(-sim.n_paths // chunk)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(n_chunks, cpus) if hasattr(os, "fork") else 1
+    workers = min(n_chunks, cpus)
     edges = [min(b * n_chunks // workers * chunk, sim.n_paths) for b in range(workers + 1)]
     blocks = list(zip(edges, edges[1:]))
-    own = blocks[:1]  # the blocks this process runs
-    children = []  # (pid, read end of its pipe, lo, hi), until reaped
-    try:
-        for lo, hi in blocks[1:]:
-            try:
-                children.append((*_fork_block(fill, lo, hi, xs, vals), lo, hi))
-            except OSError:  # no process to spare
-                own.append((lo, hi))
-        for lo, hi in own:
-            fill(lo, hi)
-        while children:
-            pid, reader, lo, hi = children[0]
-            with reader:
-                sent = all(reader.readinto(out) == out.nbytes for out in (xs[lo:hi], vals[lo:hi]))
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            if not sent or status != 0:
-                fill(lo, hi)  # raises the child's exception, if it raised one
-    finally:
-        for pid, reader, _, _ in children:
-            reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    for (lo, hi), (x, v) in zip(blocks, fork_map(lambda block: fill(*block), blocks)):
+        xs[lo:hi], vals[lo:hi] = x, v
     return xs, vals
 
 
-def _fork_block(fill, lo, hi, *outs):
-    """(pid, reader) of a forked child that runs ``fill(lo, hi)`` and writes
-    each of ``outs[lo:hi]``, raw, to the pipe behind ``reader``."""
+def fork_map(fn, items) -> list:
+    """``[fn(item) for item in items]``, the first item run by the caller and
+    each other one by a child made with ``os.fork``.
+
+    A child pickles its result back over a pipe, so neither ``fn`` nor the
+    items are ever pickled.  An item runs in-process when there is no
+    ``os.fork`` or its fork raises OSError, and again in-process when its
+    child fails, which raises the child's own exception.  An exception in
+    the caller kills every child; no child outlives the call.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    to_fork = range(1, len(items)) if hasattr(os, "fork") else range(0)
+    own = [k for k in range(len(items)) if k not in to_fork]  # the items this process runs
+    children = []  # (pid, read end of its pipe, item index), until reaped
+    try:
+        for k in to_fork:
+            try:
+                children.append((*_fork_child(fn, items[k]), k))
+            except OSError:  # no process to spare
+                own.append(k)
+        for k in own:
+            results[k] = fn(items[k])
+        while children:
+            pid, reader, k = children[0]
+            with reader:
+                sent = reader.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            results[k] = pickle.loads(sent) if status == 0 else fn(items[k])
+    finally:
+        for pid, reader, _ in children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
+def _fork_child(fn, item):
+    """(pid, reader) of a forked child that pickles ``fn(item)`` into the
+    pipe behind ``reader``."""
     r, wfd = os.pipe()
     try:
         pid = os.fork()
@@ -248,10 +261,8 @@ def _fork_block(fill, lo, hi, *outs):
         status = 1
         try:
             os.close(r)
-            fill(lo, hi)
             with open(wfd, "wb") as writer:
-                for out in outs:
-                    writer.write(out[lo:hi])
+                pickle.dump(fn(item), writer, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)  # never return into the caller's frames

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -24,12 +25,6 @@ def package_env() -> dict:
     src = str(Path(cli.__file__).parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-
-
-def exiting_shard(tasks):
-    """A stand-in for ``cli._run_shard`` that ends its pool worker at once; at
-    module level, so the pool can pickle it by name."""
-    os._exit(1)
 
 
 def read_csv(path):
@@ -178,28 +173,22 @@ class TestTable:
         assert out.read_bytes() == (GOLDEN_GRID.parent / "table.csv").read_bytes()
 
     def test_pool_is_capped_at_one_worker_per_cell(self, tmp_path, monkeypatch):
-        # an in-process stand-in for the pool records the size it was asked for
-        sizes = []
+        pids, real_fork = [], os.fork
 
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def counted_fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(os, "fork", counted_fork)
         out = tmp_path / "table.csv"
         assert cli.main(["table", "--config", str(GOLDEN_GRID), "--jobs", "5000",
                          "--out", str(out)]) == 0
-        assert sizes == [6]  # the golden grid's cells
+        assert len(pids) == 5  # the golden grid's 6 cells, one of them in the caller
         assert out.read_bytes() == (GOLDEN_GRID.parent / "table.csv").read_bytes()
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_out_dir_flag_is_the_only_directory_switch(self, tmp_path, monkeypatch):
         cfg = write_grid(tmp_path / "grid.yaml", episodes=10)
@@ -241,6 +230,8 @@ class TestExitStatus:
         (["train", "--T", "1e300"], "n_steps = 2.52e+302 is too large: its time grid"),
         (["train", "--dt", "1e-300"], "n_steps = 1e+300 is too large: its time grid"),
         (["table", "--config", {"T": 1.0e300}], "n_steps = 2.52e+302 is too large: its time grid"),
+        (["train", "--T", "1e-9", "--dt", "3e-10", "--episodes", "2"],
+         "dt=3e-10 does not divide T=1e-09"),
     ])
     def test_bad_input_is_one_line_with_status_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -311,18 +302,26 @@ class TestExitStatus:
         assert capsys.readouterr().err == f"choquet-emv: error: --jobs must be >= 1, got {jobs}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("cmd", ["table", "figures"])
-    def test_dead_pool_worker_is_one_line_with_status_1(self, cmd, tmp_path, monkeypatch,
-                                                         capsys):
+    @pytest.mark.parametrize("cmd, argv", [("table", []), ("figures", ["--episodes", "200"])],
+                             ids=["table", "figures"])
+    def test_killed_grid_worker_is_trained_again_in_process(self, cmd, argv, tmp_path,
+                                                            monkeypatch, capsys):
+        run_shard, parent = cli._run_shard, os.getpid()
+
+        def child_dies(shard):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_shard(shard)
+
         # the forked workers inherit the patched module global
-        monkeypatch.setattr(cli, "_run_shard", exiting_shard)
-        out = tmp_path / "t.csv"
+        monkeypatch.setattr(cli, "_run_shard", child_dies)
+        out = tmp_path / f"{cmd}.csv"
         assert cli.main([cmd, "--config", str(GOLDEN_GRID), "--jobs", "2",
-                         "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("choquet-emv: error: ") and "terminated abruptly" in err
-        assert err.count("\n") == 1
-        assert not out.exists()
+                         "--out", str(out), *argv]) == 0
+        assert out.read_bytes() == (GOLDEN_GRID.parent / f"{cmd}.csv").read_bytes()
+        assert capsys.readouterr().err == ""
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_closed_pipe_ends_quietly_with_status_141(self):
         env = package_env()
@@ -450,12 +449,19 @@ class TestGridConfig:
         grid = cli.grid_from_file(str(ROOT / "tests" / "golden" / "grid.yaml"))
         assert cli.config_hash(grid.payload() | {"cmd": cmd}) == digest
 
+    def test_integer_and_float_spellings_give_one_seed_and_hash(self):
+        grids = [cli.ExperimentGrid(mu_list=(mu,), sigma_list=(0.2,)) for mu in (1, 1.0)]
+        seeds = [[cli.cell_seed(g.seed, *cell) for cell in g.cells()] for g in grids]
+        assert seeds[0] == seeds[1]
+        assert cli.config_hash(grids[0].payload()) == cli.config_hash(grids[1].payload())
+
     def test_invalid_grid_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             cli.grid_from_file(str(write_grid(tmp_path / "g.yaml", dt=0.3)))
         with pytest.raises(ValueError):
             cli.grid_from_file(str(write_grid(tmp_path / "g2.yaml", mu_list=[])))
         for bad, message in ((dict(T=math.inf), "T must be finite"),
+                             (dict(T=1.0e-9, dt=3.0e-10), "dt=3e-10 does not divide T=1e-09"),
                              (dict(dt=0), "must be finite and positive"),
                              (dict(z=math.nan), "z must be finite"),
                              (dict(episode=10), r"unknown grid key\(s\) in .*: episode$"),
