@@ -19,8 +19,7 @@ from .closedform import (
     lagrange_multiplier,
     optimal_policy,
     policy_iteration,
-    value_log,
-    value_plain,
+    value,
 )
 from .distortion import (
     BUILTIN_DISTORTIONS,
@@ -74,8 +73,7 @@ __all__ = [
     "sample",
     "train",
     "train_many",
-    "value_log",
-    "value_plain",
+    "value",
 ]
 
 __version__ = "0.1.0"

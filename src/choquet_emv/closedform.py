@@ -183,31 +183,21 @@ def classical_solution(t, x, spec: EMVSpec, market: MarketParams, w: float):
     return u, v
 
 
-def value_plain(t, x, spec: EMVSpec, market: MarketParams, w: float):
-    _check_time(t, spec.T)
-    rho = _require_rho(market)
-    tau = spec.T - t
-    l2sq = spec.h.l2_norm**2
-    gap = (spec.lam**2 * l2sq / (4.0 * rho**2 * market.sigma**2)) * np.expm1(rho**2 * tau)
-    return (x - w) ** 2 * np.exp(-(rho**2) * tau) - gap - (w - spec.z) ** 2
-
-
-def value_log(t, x, spec: EMVSpec, market: MarketParams, w: float):
+def value(t, x, spec: EMVSpec, market: MarketParams, w: float):
+    """The mode's exploratory value function V(t, x; w)."""
     _check_time(t, spec.T)
     rho = _require_rho(market)
     T, lam = spec.T, spec.lam
     l2sq = spec.h.l2_norm**2
     tau = T - t
     quad = (x - w) ** 2 * np.exp(-(rho**2) * tau)
-    running = (lam * rho**2 / 4.0) * (T**2 - t**2) - (lam / 2.0) * (
-        rho**2 * T + math.log(lam * l2sq / (2.0 * math.e * market.sigma**2))
-    ) * tau
+    if spec.mode == "plain":
+        running = -(lam**2 * l2sq / (4.0 * rho**2 * market.sigma**2)) * np.expm1(rho**2 * tau)
+    else:
+        running = (lam * rho**2 / 4.0) * (T**2 - t**2) - (lam / 2.0) * (
+            rho**2 * T + math.log(lam * l2sq / (2.0 * math.e * market.sigma**2))
+        ) * tau
     return quad + running - (w - spec.z) ** 2
-
-
-def value(t, x, spec: EMVSpec, market: MarketParams, w: float):
-    fn = value_plain if spec.mode == "plain" else value_log
-    return fn(t, x, spec, market, w)
 
 
 def value_derivatives(t, x, spec: EMVSpec, market: MarketParams, w: float):

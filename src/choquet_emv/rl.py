@@ -45,8 +45,14 @@ THETA_INIT = (1.0, 0.1, 1.0)
 PHI_INIT = (2.0, -2.0, 1.0)
 
 
+def _check_form(form: str) -> str:
+    if form not in CRITIC_FORMS:
+        raise ValueError(f"critic form must be one of {CRITIC_FORMS}, got {form!r}")
+    return form
+
+
 class TrainingDivergedError(RuntimeError):
-    """A parameter became non-finite during training."""
+    """A cell's wealth, parameters or multiplier became non-finite in training."""
 
     def __init__(self, episode: int, detail: str = ""):
         self.episode = episode
@@ -80,8 +86,7 @@ class TrainConfig:
         if min(self.lam, self.decay) < 0.0:
             raise ValueError(f"lam and decay must be nonnegative, got {self.lam}, {self.decay}")
         check_mode(self.mode)
-        if self.critic_form not in CRITIC_FORMS:
-            raise ValueError(f"critic_form must be one of {CRITIC_FORMS}")
+        _check_form(self.critic_form)
         if self.grad_clip is not None and not 0.0 < self.grad_clip < math.inf:
             raise ValueError(f"grad_clip must be positive and finite (or None for no clipping), "
                              f"got {self.grad_clip}")
@@ -206,14 +211,15 @@ def critic_value(theta, t, x, w, z, T, form: str = "standard"):
     exactly.  Both share the same TD differences up to that constant.
     """
     th, _, offset, decay, xw2 = _critic_pass(theta, T - np.asarray(t, dtype=float),
-                                             np.asarray(x, dtype=float) - w, form)
+                                             np.asarray(x, dtype=float) - w, _check_form(form))
     return _value(th, offset, decay, xw2, _gap_squared(w, z))
 
 
 def critic_grad(theta, t, x, w, T, form: str = "standard"):
     """dV_theta/dtheta, stacked on the last axis."""
     tau = T - np.asarray(t, dtype=float)
-    th, grow, offset, decay, xw2 = _critic_pass(theta, tau, np.asarray(x, dtype=float) - w, form)
+    th, grow, offset, decay, xw2 = _critic_pass(theta, tau, np.asarray(x, dtype=float) - w,
+                                                _check_form(form))
     out = np.empty(np.broadcast(grow, xw2).shape + (3,))
     return -_neg_grad(tau, th, grow, offset, decay, xw2, out)
 
@@ -375,10 +381,12 @@ def episode_gradients(batch: _Batch, states, actions, theta, phi, w, scale):
     return grad_theta, grad_phi, n_skipped
 
 
-def lagrange_update(w: float, terminal_batch, alpha_w: float, z: float) -> float:
-    """Stochastic-approximation step toward the terminal wealth constraint."""
-    batch = np.asarray(terminal_batch, dtype=float)
-    return w - alpha_w * (float(np.mean(batch)) - z)
+def lagrange_update(w, terminal_batch, alpha_w: float, z: float):
+    """Stochastic-approximation step toward the terminal wealth constraint:
+    w moves against the mean of its window of terminal wealths less z.
+    Takes a (B,) w with a (B, m) window, one row per cell, or a scalar w
+    with an (m,) window."""
+    return w - alpha_w * (np.mean(np.asarray(terminal_batch, dtype=float), axis=-1) - z)
 
 
 def _clip(vec: np.ndarray, limit: float):
@@ -417,6 +425,10 @@ def episode_draws(h: DistortionFn, market: MarketParams, sim: SimConfig, index: 
     eta = standardized_draw(h, np.clip(p, 2.0**-53, 1.0 - 2.0**-53))
     return eta, increment(market, sim.dt, noise)
 
+
+# the divergence cause of each column of an episode's (wealth, theta, phi,
+# w) rows, in the order a cell's checks run
+_CAUSES = ("non-finite wealth",) + ("non-finite parameters",) * 6 + ("non-finite multiplier",)
 
 # the fields cells of one batch may differ in; the rest (and sim apart from
 # its seed) set the loop every cell runs
@@ -489,15 +501,11 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
             for row, b in enumerate(live.tolist()):
                 eta[row], incs[row] = episode_draws(configs[b].h, markets[b], configs[b].sim,
                                                     j, count, rng)
-        failed: dict[int, str] = {}  # row -> cause of the first check it fails
         with np.errstate(over="ignore"):
             scale = actor_scale(phi, times[None, :-1], T)  # (B, n), B = 1 too
         states, actions = rollout(first.x0, w, -phi[:, 0], scale, eta[:, k], sigmas, incs[:, k])
-        for row, x in enumerate(states[:, -1].tolist()):
-            if not math.isfinite(x):
-                failed[row] = "non-finite wealth"
 
-        # a failed row rides along to the end of the episode: every batched
+        # a failing row rides along to the end of the episode: every batched
         # step below is row by row, so it touches no other cell's numbers
         g_theta, g_phi, n_skip = episode_gradients(batch, states, actions, theta, phi, w, scale)
         skipped += n_skip
@@ -510,29 +518,21 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
         lr = j ** (-first.decay)
         theta = theta - first.alpha * lr * g_theta
         phi = phi - first.alpha * lr * g_phi
-        if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
-            finite = np.isfinite(theta).all(axis=1) & np.isfinite(phi).all(axis=1)
-            for row in np.flatnonzero(~finite).tolist():
-                failed.setdefault(row, "non-finite parameters")
-
         tw_log[cols, j - 1] = states[:, -1]
         if j % m == 0:
-            for row, b in enumerate(live.tolist()):
-                if row in failed:
-                    continue
-                w[row] = lagrange_update(float(w[row]), tw_log[b, j - m:j], first.alpha,
-                                         first.z)
-                if not math.isfinite(w[row]):
-                    failed[row] = "non-finite multiplier"
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = lagrange_update(w, tw_log[cols, j - m:j], first.alpha, first.z)
         theta_log[cols, j - 1] = theta
         phi_log[cols, j - 1] = phi
         w_log[cols, j - 1] = w
 
-        if failed:
-            for row, cause in failed.items():
-                results[live[row]] = TrainingDivergedError(j, cause)
-            keep = np.ones(len(live), dtype=bool)
-            keep[list(failed)] = False
+        finite = np.isfinite(np.concatenate((states[:, -1:], theta, phi, w[:, None]), axis=1))
+        if not finite.all():
+            keep = finite.all(axis=1)
+            # a failed row's cause is its first non-finite column
+            for row, col in zip(np.flatnonzero(~keep).tolist(),
+                                finite[~keep].argmin(axis=1).tolist()):
+                results[live[row]] = TrainingDivergedError(j, _CAUSES[col])
             live, theta, phi, w = live[keep], theta[keep], phi[keep], w[keep]
             skipped, clip_events = skipped[keep], clip_events[keep]
             eta, incs = eta[keep], incs[keep]

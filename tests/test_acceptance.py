@@ -21,8 +21,7 @@ from choquet_emv.closedform import (
     optimal_feedback,
     optimal_schedule,
     policy_iteration,
-    value_log,
-    value_plain,
+    value,
 )
 from choquet_emv.distortion import (
     BUILTIN_DISTORTIONS,
@@ -102,7 +101,7 @@ def test_criterion_3_monte_carlo_vs_closed_form(record_criterion):
         _, vals = pathwise_objectives(optimal_schedule(spec, MC_MARKET, w), spec, MC_MARKET,
                                       sim, w)
         est, se = mean_and_std_error(vals)
-        closed = (value_plain if mode == "plain" else value_log)(0.0, 1.0, spec, MC_MARKET, w)
+        closed = value(0.0, 1.0, spec, MC_MARKET, w)
         devs.append(abs(est - closed) / se)
     elapsed = time.time() - t0
     ok = max(devs) < 3.0 and elapsed < 120.0
@@ -156,11 +155,11 @@ def test_criterion_6_small_weight_convergence(record_criterion):
         sp = EMVSpec(T=1.0, lam=lam, z=1.0, x0=1.0, mode="plain", h=GAUSS)
         w = lagrange_multiplier(sp, MC_MARKET)
         _, vcl = classical_solution(0.0, w, sp, MC_MARKET, w)
-        ratios.append(abs(value_plain(0.0, w, sp, MC_MARKET, w) - vcl) / lam**2)
+        ratios.append(abs(value(0.0, w, sp, MC_MARKET, w) - vcl) / lam**2)
         sl = EMVSpec(T=1.0, lam=lam, z=1.4, x0=1.0, mode="log", h=GAUSS)
         wl = lagrange_multiplier(sl, MC_MARKET)
         _, vcl_l = classical_solution(0.0, 1.0, sl, MC_MARKET, wl)
-        log_gaps.append(abs(value_log(0.0, 1.0, sl, MC_MARKET, wl) - vcl_l))
+        log_gaps.append(abs(value(0.0, 1.0, sl, MC_MARKET, wl) - vcl_l))
     spread = max(ratios) - min(ratios)
     monotone = bool(np.all(np.diff(log_gaps) < 0))
     elapsed = time.time() - t0

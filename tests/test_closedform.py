@@ -25,8 +25,6 @@ from choquet_emv.closedform import (
     policy_iteration,
     value,
     value_derivatives,
-    value_log,
-    value_plain,
 )
 from choquet_emv.distortion import (
     custom_distortion,
@@ -139,9 +137,8 @@ class TestValueFunctions:
     def test_terminal_condition(self, mode):
         spec = spec_for(mode)
         w = lagrange_multiplier(spec, MARKET)
-        fn = value_plain if mode == "plain" else value_log
         for x in (-0.5, 1.0, 3.2):
-            assert fn(1.0, x, spec, MARKET, w) == pytest.approx(
+            assert value(1.0, x, spec, MARKET, w) == pytest.approx(
                 (x - w) ** 2 - (w - spec.z) ** 2, abs=1e-12
             )
 
@@ -149,9 +146,8 @@ class TestValueFunctions:
     def test_small_weight_recovers_classical(self, mode):
         spec = spec_for(mode, lam=1e-7)
         w = lagrange_multiplier(spec, MARKET)
-        fn = value_plain if mode == "plain" else value_log
         _, vcl = classical_solution(0.2, 0.8, spec, MARKET, w)
-        assert fn(0.2, 0.8, spec, MARKET, w) == pytest.approx(vcl, abs=1e-5)
+        assert value(0.2, 0.8, spec, MARKET, w) == pytest.approx(vcl, abs=1e-5)
 
     @pytest.mark.parametrize("mode", ["plain", "log"])
     def test_hjb_residual_vanishes(self, mode, rng):
@@ -170,13 +166,12 @@ class TestValueFunctions:
     def test_analytic_derivatives_match_finite_differences(self, mode):
         spec = spec_for(mode)
         w = lagrange_multiplier(spec, MARKET)
-        fn = value_plain if mode == "plain" else value_log
         t, x, e = 0.37, 1.21, 1e-6
         vt, vx, vxx = value_derivatives(t, x, spec, MARKET, w)
-        fd_t = (fn(t + e, x, spec, MARKET, w) - fn(t - e, x, spec, MARKET, w)) / (2 * e)
-        fd_x = (fn(t, x + e, spec, MARKET, w) - fn(t, x - e, spec, MARKET, w)) / (2 * e)
-        fd_xx = (fn(t, x + e, spec, MARKET, w) - 2 * fn(t, x, spec, MARKET, w)
-                 + fn(t, x - e, spec, MARKET, w)) / e**2
+        fd_t = (value(t + e, x, spec, MARKET, w) - value(t - e, x, spec, MARKET, w)) / (2 * e)
+        fd_x = (value(t, x + e, spec, MARKET, w) - value(t, x - e, spec, MARKET, w)) / (2 * e)
+        fd_xx = (value(t, x + e, spec, MARKET, w) - 2 * value(t, x, spec, MARKET, w)
+                 + value(t, x - e, spec, MARKET, w)) / e**2
         assert vt == pytest.approx(fd_t, rel=1e-6)
         assert vx == pytest.approx(fd_x, rel=1e-6)
         assert vxx == pytest.approx(fd_xx, rel=1e-3)
@@ -184,12 +179,7 @@ class TestValueFunctions:
     def test_plain_rejects_zero_sharpe(self):
         flat = MarketParams(mu=0.02, sigma=0.2, r=0.02)
         with pytest.raises(DegenerateSharpeError):
-            value_plain(0.0, 1.0, spec_for("plain"), flat, 1.4)
-
-    def test_mode_dispatch(self):
-        spec = spec_for("log")
-        w = lagrange_multiplier(spec, MARKET)
-        assert value(0.1, 0.9, spec, MARKET, w) == value_log(0.1, 0.9, spec, MARKET, w)
+            value(0.0, 1.0, spec_for("plain"), flat, 1.4)
 
 
 class TestOptimalPolicy:
@@ -263,10 +253,10 @@ class TestSolvabilityEquivalence:
             sl = EMVSpec(T=1.0, lam=lam, z=1.4, x0=1.0, mode="log", h=GAUSS)
             w = lagrange_multiplier(sp, MARKET)
             _, vcl = classical_solution(t, w, sp, MARKET, w)
-            plain_ratio.append(abs(value_plain(t, w, sp, MARKET, w) - vcl) / lam**2)
+            plain_ratio.append(abs(value(t, w, sp, MARKET, w) - vcl) / lam**2)
             wl = lagrange_multiplier(sl, MARKET)
             _, vcl_l = classical_solution(t, 1.0, sl, MARKET, wl)
-            log_gaps.append(abs(value_log(t, 1.0, sl, MARKET, wl) - vcl_l))
+            log_gaps.append(abs(value(t, 1.0, sl, MARKET, wl) - vcl_l))
         assert max(plain_ratio) - min(plain_ratio) < 1e-9
         assert np.all(np.diff(log_gaps) < 0)
 
@@ -400,7 +390,7 @@ class TestPolicyIteration:
         seq = policy_iteration((1.3, 0.7, 0.3), spec, MARKET)
         vf2 = seq[2][1]
         for t, x in ((0.0, 1.0), (0.5, 2.0)):
-            assert vf2.value(t, x) == pytest.approx(value_plain(t, x, spec, MARKET, w), rel=1e-12)
+            assert vf2.value(t, x) == pytest.approx(value(t, x, spec, MARKET, w), rel=1e-12)
 
     def test_improvement_decreases_value(self):
         # minimization: each improvement step should not increase the value

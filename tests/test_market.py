@@ -14,8 +14,7 @@ from choquet_emv.closedform import (
     lagrange_multiplier,
     optimal_scale,
     optimal_schedule,
-    value_log,
-    value_plain,
+    value,
 )
 from choquet_emv.distortion import BUILTIN_DISTORTIONS, get_distortion
 from choquet_emv.market import (
@@ -289,14 +288,14 @@ class TestMCObjective:
         w = lagrange_multiplier(spec, MARKET)
         sim = SimConfig.from_horizon(1.0, 252, n_paths=30_000, seed=7)
         est, se = mc_estimate(spec, sim, w)
-        assert abs(est - value_plain(0.0, spec.x0, spec, MARKET, w)) < 3 * se
+        assert abs(est - value(0.0, spec.x0, spec, MARKET, w)) < 3 * se
 
     def test_log_mode(self):
         spec = spec_for("log", 0.1)
         w = lagrange_multiplier(spec, MARKET)
         sim = SimConfig.from_horizon(1.0, 252, n_paths=30_000, seed=7)
         est, se = mc_estimate(spec, sim, w)
-        assert abs(est - value_log(0.0, spec.x0, spec, MARKET, w)) < 3 * se
+        assert abs(est - value(0.0, spec.x0, spec, MARKET, w)) < 3 * se
 
     def test_chunking_does_not_change_results(self):
         spec = spec_for("plain", 0.01)

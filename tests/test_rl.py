@@ -14,7 +14,7 @@ from choquet_emv.closedform import (
     lagrange_multiplier,
     optimal_policy,
     optimal_schedule,
-    value_plain,
+    value,
 )
 from choquet_emv.distortion import get_distortion, scale_distortion
 from choquet_emv.market import SimConfig, path_stream, pathwise_objectives
@@ -125,9 +125,19 @@ class TestCritic:
         th1 = spec.lam**2 * GAUSS.l2_norm**2 / (4 * rho**2 * MARKET.sigma**2)
         th = (rho**2, th1, rho**2)
         for t, x in ((0.0, 1.0), (0.4, 2.1)):
-            vp = value_plain(t, x, spec, MARKET, w)
+            vp = value(t, x, spec, MARKET, w)
             assert critic_value(th, t, x, w, spec.z, T, "standard") + th1 == pytest.approx(vp, rel=1e-12)
             assert critic_value(th, t, x, w, spec.z, T, "corrected") == pytest.approx(vp, rel=1e-12)
+
+    @pytest.mark.parametrize("fn, args", [(critic_value, (0.2, 1.0, 1.2, 1.4, 1.0)),
+                                          (critic_grad, (0.2, 1.0, 1.2, 1.0))],
+                             ids=["critic_value", "critic_grad"])
+    def test_unknown_form_is_rejected(self, fn, args):
+        # a misspelled form must not evaluate as the corrected one
+        for form in ("Standard", "nonsense"):
+            with pytest.raises(ValueError, match=r"critic form must be one of \('standard', "
+                                                 r"'corrected'\), got '" + form):
+                fn((1.0, 0.1, 1.0), *args, form)
 
 
 class TestActor:
@@ -489,17 +499,16 @@ class TestTrain:
 
     @pytest.mark.slow
     def test_convergence_direction_over_ensemble(self):
-        # 20 independent runs at a high-Sharpe study cell: the ensemble mean
+        # 20 independent runs at a high-Sharpe study cell, trained as one
+        # batch (each gives the bytes it gives alone): the ensemble mean
         # distance to the wealth target must shrink from K/10 to K
         market = MarketParams(mu=-0.5, sigma=0.1, r=0.02)
         K = 20000
-        early, late = [], []
-        for seed in range(1, 21):
-            cfg = base_config(episodes=K, sim=SimConfig.from_horizon(T, 252, seed=seed))
-            log = train(cfg, market)
-            tail_early = log.terminal_wealth[K // 10 - 200:K // 10]
-            early.append(abs(tail_early.mean() - 1.4))
-            late.append(abs(log.last_window_stats()[0] - 1.4))
+        configs = [base_config(episodes=K, sim=SimConfig.from_horizon(T, 252, seed=seed))
+                   for seed in range(1, 21)]
+        logs = train_many(configs, [market] * len(configs))
+        early = [abs(log.terminal_wealth[K // 10 - 200:K // 10].mean() - 1.4) for log in logs]
+        late = [abs(log.last_window_stats()[0] - 1.4) for log in logs]
         assert np.mean(late) < np.mean(early)
 
 
@@ -590,6 +599,30 @@ class TestTrainMany:
             33, "training diverged at episode 33: non-finite wealth")
         assert diverged.episode > rl.DRAW_BLOCK
         assert not any(isinstance(r, TrainingDivergedError) for r in batch)
+
+    def test_non_finite_multiplier_leaves_at_the_first_multiplier_episode(self, monkeypatch):
+        # no natural input reaches this check: the critic's (x - w)^2
+        # overflows, and sends the parameters non-finite, before w can.  So
+        # the middle cell's first multiplier step is made to return inf.
+        configs, markets = self.batch([self.CELLS[i] for i in (0, 4, 6)])
+        alone = [self.alone(c, m) for c, m in zip(configs, markets)]
+        update = rl.lagrange_update
+
+        def poisoned(w, window, alpha_w, z):
+            w = update(w, window, alpha_w, z)
+            if len(w) == 3:  # the batch still holds all three cells
+                w[1] = np.inf
+            return w
+
+        monkeypatch.setattr(rl, "lagrange_update", poisoned)
+        batch = train_many(configs, markets)
+        diverged = batch.pop(1)
+        m = configs[1].avg_window
+        assert (diverged.episode, str(diverged)) == (
+            m, f"training diverged at episode {m}: non-finite multiplier")
+        assert not isinstance(alone.pop(1), TrainingDivergedError)
+        for a, b in zip(batch, alone):
+            self.assert_same(a, b)
 
     @pytest.mark.parametrize("field, change", [
         ("episodes", dict(episodes=151)),
