@@ -73,6 +73,8 @@ def _n_steps(T: float, dt: float) -> int:
     """Number of dt steps covering [0, T]; dt must divide T."""
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf):
         raise ValueError(f"T and dt must be finite and positive, got T={T}, dt={dt}")
+    if not math.isfinite(T / dt):
+        raise ValueError(f"dt={dt} is too small for T={T}: T / dt overflows a float")
     n = round(T / dt)
     if abs(n * dt - T) > 1e-9 * T:
         raise ValueError(f"dt={dt} does not divide T={T}")
@@ -256,6 +258,11 @@ def cmd_simulate(args) -> int:
     sim = SimConfig.from_horizon(spec.T, args.n_steps, args.n_paths, args.seed)
     schedule = optimal_schedule(spec, market, w)
     xT, objectives = pathwise_objectives(schedule, spec, market, sim, w)
+    # a path whose wealth turns non-finite has a non-finite objective too
+    if bad := np.count_nonzero(~np.isfinite(objectives)):
+        print(f"choquet-emv: error: {bad} of {len(xT)} simulated paths turned non-finite",
+              file=sys.stderr)
+        return 1
     est, se = mean_and_std_error(objectives)
     meta = _meta(args, args.seed, objective_estimate=est, objective_std_error=se,
                  closed_form_value=value(0.0, spec.x0, spec, market, w))
@@ -309,96 +316,74 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellResult:
-    """Outcome of training one grid cell; ``blocks`` is None if it diverged."""
-
-    mu: float
-    sigma: float
-    mode: str
-    h: str
-    lam: float
-    seed: int
-    status: str
-    mean: float = math.nan
-    variance: float = math.nan
-    sharpe: float = math.nan
-    error: str = ""
-    blocks: list | None = None
-
-    def row(self, *values) -> tuple:
-        """The cell's identifying CSV columns followed by ``values``."""
-        return (self.mu, self.sigma, self.mode, self.h, self.lam, self.seed, self.status,
-                *values)
+def _grid_cells(grid: ExperimentGrid) -> list[tuple]:
+    """Each cell's naming CSV columns (mu, sigma, mode, h, lambda, cell_seed), in row order."""
+    return [(mu, sigma, mode, h_name, lam, cell_seed(grid.seed, mu, sigma, mode, h_name))
+            for mu, sigma, mode, h_name in grid.cells()
+            for lam in grid.lambdas or [grid.lambda_by_mode[mode]]]
 
 
-def _cell_inputs(task) -> tuple[int, TrainConfig, MarketParams]:
-    """Seed, training config and market of one grid task; bad values raise ValueError."""
-    grid, mu, sigma, mode, h_name, lam = task
-    seed = cell_seed(grid.seed, mu, sigma, mode, h_name)
-    cfg, market = _train_config(
+def _cell_inputs(grid: ExperimentGrid, cell) -> tuple[TrainConfig, MarketParams]:
+    """Training config and market of one grid cell; bad values raise ValueError."""
+    mu, sigma, mode, h_name, lam, seed = cell
+    return _train_config(
         mu, sigma, grid.r, h_name, grid.T, grid.dt, seed,
         episodes=grid.episodes, lam=lam, mode=mode, z=grid.z, x0=grid.x0,
         avg_window=grid.avg_window, grad_clip=grid.grad_clip,
     )
-    return seed, cfg, market
 
 
-def _cell_result(task, seed: int, log) -> CellResult:
-    """The table and figures record of one cell's TrainLog or divergence."""
-    grid, mu, sigma, mode, h_name, lam = task
+def _outcome(grid: ExperimentGrid, log) -> tuple:
+    """(status, (mean, variance, sharpe), block means, error) of one cell's
+    TrainLog or divergence; a diverged cell has no block means."""
     if isinstance(log, TrainingDivergedError):
-        return CellResult(mu, sigma, mode, h_name, lam, seed, "diverged", error=str(log))
-    mean, var, sharpe = log.last_window_stats()
+        return "diverged", (math.nan,) * 3, [], str(log)
+    stats = log.last_window_stats()
     # a run that saturates the gradient clip most of the time, or whose
     # terminal-wealth mean sits orders of magnitude from the target, never
     # settled; flag it so its numbers are not read as a converged result
-    settled = math.isfinite(mean) and abs(mean - grid.z) <= 10.0
+    settled = math.isfinite(stats[0]) and abs(stats[0] - grid.z) <= 10.0
     if log.clip_events > grid.episodes // 2 or not settled:
         status = f"unstable(clipped:{log.clip_events})"
     elif log.clip_events:
         status = f"ok(clipped:{log.clip_events})"
     else:
         status = "ok"
-    return CellResult(mu, sigma, mode, h_name, lam, seed, status, mean, var, sharpe,
-                      blocks=log.block_means().tolist())
+    return status, stats, log.block_means().tolist(), ""
 
 
-def _run_shard(shard) -> list[CellResult]:
-    """Train a shard, its grid tasks and their ``_cell_inputs``, in one lockstep batch."""
-    tasks, inputs = shard
-    logs = train_many([cfg for _, cfg, _ in inputs], [market for _, _, market in inputs])
-    return [_cell_result(task, seed, log)
-            for task, (seed, _, _), log in zip(tasks, inputs, logs)]
+def _run_shard(shard) -> list[tuple]:
+    """Outcomes of a shard, a grid and its cells' ``_cell_inputs``, trained as one batch."""
+    grid, inputs = shard
+    logs = train_many([cfg for cfg, _ in inputs], [market for _, market in inputs])
+    return [_outcome(grid, log) for log in logs]
 
 
-def _run_grid(grid: ExperimentGrid, jobs: int):
-    tasks = [(grid, mu, sigma, mode, h_name, lam)
-             for mu, sigma, mode, h_name in grid.cells()
-             for lam in grid.lambdas or [grid.lambda_by_mode[mode]]]
-    inputs = [_cell_inputs(task) for task in tasks]  # every cell is checked before any trains
-    # shard k trains tasks k, k + shards, ...; every cell gives the same
+def _run_grid(grid: ExperimentGrid, jobs: int) -> list[tuple]:
+    """(cell, outcome) of every grid cell, in row order."""
+    cells = _grid_cells(grid)
+    inputs = [_cell_inputs(grid, cell) for cell in cells]  # every cell checked before any trains
+    # shard k trains cells k, k + shards, ...; every cell gives the same
     # bytes whatever batch it is in, so the CSV does not depend on jobs
-    shards = min(jobs, len(tasks))
+    shards = min(jobs, len(cells))
     # the forked workers inherit scipy.special instead of each importing it
     # for its first Gaussian draw
     import scipy.special  # noqa: F401
 
-    done = fork_map(_run_shard, [(tasks[k::shards], inputs[k::shards]) for k in range(shards)])
-    results = [None] * len(tasks)
+    done = fork_map(_run_shard, [(grid, inputs[k::shards]) for k in range(shards)])
+    outcomes = [None] * len(cells)
     for k, shard in enumerate(done):
-        results[k::shards] = shard
-    return results
+        outcomes[k::shards] = shard
+    return list(zip(cells, outcomes))
 
 
-# per grid command: the value columns and the rows one cell writes; a cell
-# without block means (diverged, or under one block long) writes block 0
+# per grid command: the value columns and a cell's value rows from its
+# (stats, blocks); a cell without block means (diverged, or under one
+# block long) writes block 0
 _GRID_OUTPUTS = {
-    "table": (["mean", "variance", "sharpe"],
-              lambda r: [r.row(r.mean, r.variance, r.sharpe)]),
+    "table": (["mean", "variance", "sharpe"], lambda stats, blocks: [stats]),
     "figures": (["block", "block_mean"],
-                lambda r: [r.row(i + 1, bm) for i, bm in enumerate(r.blocks)]
-                if r.blocks else [r.row(0, math.nan)]),
+                lambda stats, blocks: list(enumerate(blocks, 1)) or [(0, math.nan)]),
 }
 
 
@@ -407,17 +392,18 @@ def cmd_grid(args) -> int:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     grid = grid_from_file(args.config, {"seed": args.seed, "episodes": args.episodes,
                                         "out_dir": args.out_dir})
-    results = _run_grid(grid, args.jobs)
-    for r in results:
-        if r.error:
-            print(f"choquet-emv: cell (mu={r.mu}, sigma={r.sigma}, mode={r.mode}, h={r.h}, "
-                  f"lambda={r.lam}) diverged: {r.error}", file=sys.stderr)
-    columns, cell_rows = _GRID_OUTPUTS[args.cmd]
+    columns, value_rows = _GRID_OUTPUTS[args.cmd]
+    rows = []
+    for cell, (status, stats, blocks, error) in _run_grid(grid, args.jobs):
+        if error:
+            mu, sigma, mode, h_name, lam, _ = cell
+            print(f"choquet-emv: cell (mu={mu}, sigma={sigma}, mode={mode}, h={h_name}, "
+                  f"lambda={lam}) diverged: {error}", file=sys.stderr)
+        rows += [(*cell, status, *values) for values in value_rows(stats, blocks)]
     meta = {"config_hash": config_hash(grid.payload() | {"cmd": args.cmd}),
             "seed": grid.seed, "mode": ",".join(grid.modes)}
     _write_csv(_out_path(args, grid), meta,
-               ["mu", "sigma", "mode", "h", "lambda", "cell_seed", "status", *columns],
-               [row for r in results for row in cell_rows(r)])
+               ["mu", "sigma", "mode", "h", "lambda", "cell_seed", "status", *columns], rows)
     return 0
 
 

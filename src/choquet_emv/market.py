@@ -175,27 +175,29 @@ def pathwise_objectives(
 
     def fill(lo, hi):
         rng = np.random.Generator(np.random.Philox())  # rekeyed for every path
-        for start in range(lo, hi, chunk):
-            n = min(chunk, hi - start)
-            noise = np.empty((n, sim.n_steps))
-            for row in range(n):
-                path_stream(sim.seed, start + row, rng).standard_normal(sim.n_steps,
-                                                                        out=noise[row])
-            x = np.full(n, float(spec.x0))
-            reg_acc = 0.0  # in the std's shape: a scalar while it depends on t only
-            for i in range(sim.n_steps):
-                mean, std = schedule(i * sim.dt, x)
-                std = np.asarray(std, dtype=float)
-                if spec.lam != 0.0:
-                    # Phi_h of the policy is (action std) * ||h'||_2, independent of location
-                    reg_acc = reg_acc + spec.lam * running_reward(std * spec.h.l2_norm,
-                                                                  spec.mode) * sim.dt
-                mean = np.broadcast_to(np.asarray(mean, dtype=float), x.shape)
-                std = np.broadcast_to(std, x.shape)
-                x = (x + rho * sigma * mean * sim.dt
-                     + sigma * np.sqrt(mean**2 + std**2) * sdt * noise[:, i])
-            xs[start:start + n] = x
-            vals[start:start + n] = (x - w) ** 2 - reg_acc - (w - spec.z) ** 2
+        # a diverging path runs on to inf/nan without warnings; callers check
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(lo, hi, chunk):
+                n = min(chunk, hi - start)
+                noise = np.empty((n, sim.n_steps))
+                for row in range(n):
+                    path_stream(sim.seed, start + row, rng).standard_normal(sim.n_steps,
+                                                                            out=noise[row])
+                x = np.full(n, float(spec.x0))
+                reg_acc = 0.0  # in the std's shape: a scalar while it depends on t only
+                for i in range(sim.n_steps):
+                    mean, std = schedule(i * sim.dt, x)
+                    std = np.asarray(std, dtype=float)
+                    if spec.lam != 0.0:
+                        # Phi_h of the policy is (action std) * ||h'||_2, independent of location
+                        reg_acc = reg_acc + spec.lam * running_reward(std * spec.h.l2_norm,
+                                                                      spec.mode) * sim.dt
+                    mean = np.broadcast_to(np.asarray(mean, dtype=float), x.shape)
+                    std = np.broadcast_to(std, x.shape)
+                    x = (x + rho * sigma * mean * sim.dt
+                         + sigma * np.sqrt(mean**2 + std**2) * sdt * noise[:, i])
+                xs[start:start + n] = x
+                vals[start:start + n] = (x - w) ** 2 - reg_acc - (w - spec.z) ** 2
         return xs[lo:hi], vals[lo:hi]
 
     n_chunks = -(-sim.n_paths // chunk)
@@ -273,5 +275,6 @@ def _fork_child(fn, item):
 def mean_and_std_error(values) -> tuple[float, float]:
     """Sample mean of per-path values and its standard error (inf for one path)."""
     n = len(values)
-    se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return float(np.mean(values)), se
+    with np.errstate(over="ignore"):  # a spread beyond float range reads inf
+        se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+        return float(np.mean(values)), se

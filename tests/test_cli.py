@@ -122,7 +122,10 @@ class TestTable:
         _, _, rows = read_csv(out)
         assert len(rows) == 8
 
-    def test_failed_cell_is_flagged_and_run_continues(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("cmd, values", [("table", ["nan", "nan", "nan"]),
+                                             ("figures", ["0", "nan"])], ids=["table", "figures"])
+    def test_failed_cell_is_flagged_and_run_continues(self, cmd, values, tmp_path, monkeypatch,
+                                                      capsys):
         calls = {"n": 0}
 
         def flaky_train_many(configs, markets):
@@ -131,12 +134,12 @@ class TestTable:
 
         monkeypatch.setattr(cli, "train_many", flaky_train_many)
         cfg = write_grid(tmp_path / "grid.yaml", mu_list=[0.1, 0.3], episodes=10)
-        out = tmp_path / "table.csv"
-        assert cli.main(["table", "--config", str(cfg), "--out", str(out)]) == 0
+        out = tmp_path / f"{cmd}.csv"
+        assert cli.main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
         _, _, rows = read_csv(out)
         assert len(rows) == 2 and calls["n"] == 2
         assert all(r[6] == "diverged" for r in rows)
-        assert all(r[7] == "nan" for r in rows)
+        assert all(r[7:] == values for r in rows)
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("choquet-emv: cell (mu=0.1, sigma=0.2, mode=plain, "
@@ -232,6 +235,10 @@ class TestExitStatus:
         (["table", "--config", {"T": 1.0e300}], "n_steps = 2.52e+302 is too large: its time grid"),
         (["train", "--T", "1e-9", "--dt", "3e-10", "--episodes", "2"],
          "dt=3e-10 does not divide T=1e-09"),
+        (["train", "--T", "1e300", "--dt", "1e-300"],
+         "dt=1e-300 is too small for T=1e+300: T / dt overflows a float"),
+        (["table", "--config", {"T": 1.0e300, "dt": 1.0e-300}],
+         "dt=1e-300 is too small for T=1e+300: T / dt overflows a float"),
     ])
     def test_bad_input_is_one_line_with_status_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -346,6 +353,14 @@ class TestExitStatus:
         err = capsys.readouterr().err
         assert err.startswith("choquet-emv: error: [Errno ") and err.count("\n") == 1
         assert named.format(tmp=tmp_path) in err
+
+    def test_non_finite_simulated_paths_are_one_line_with_status_1(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert cli.main(["simulate", "--mu", "0.5", "--sigma", "0.025", "--n-paths", "8",
+                         "--n-steps", "8", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "choquet-emv: error: 8 of 8 simulated paths turned non-finite\n")
+        assert not out.exists()
 
     def test_diverged_training_is_one_line_with_status_1(self, tmp_path, monkeypatch, capsys):
         def diverging(cfg, market):

@@ -333,6 +333,20 @@ class TestMCObjective:
             pathwise_objectives(lambda t, x: (0.0, np.full((len(x), 1), 0.1)), spec, MARKET,
                                 sim, w=1.0)
 
+    def test_overflowing_paths_come_back_non_finite_without_a_warning(self):
+        # at rho / sigma = 19.2 the action std at t = 0 is 1e161: its square overflows
+        market = MarketParams(mu=0.5, sigma=0.025, r=0.02)
+        spec = spec_for("plain", 0.01)
+        w = lagrange_multiplier(spec, market)
+        sim = SimConfig.from_horizon(1.0, 8, n_paths=8, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xt, vals = pathwise_objectives(optimal_schedule(spec, market, w), spec, market,
+                                           sim, w)
+            spread = mean_and_std_error([1e300, -1e300])
+        assert not np.isfinite(xt).any() and not np.isfinite(vals).any()
+        assert spread == (0.0, math.inf)
+
     def test_discretization_consistency(self):
         spec = spec_for("plain", 0.01)
         w = lagrange_multiplier(spec, MARKET)
