@@ -34,9 +34,7 @@ from .market import SimConfig
 from .policy import (
     LocationScalePolicy,
     log_density,
-    log_density_grad,
     moments,
-    regularizer_value,
     sample,
 )
 from .rl import TrainConfig, TrainLog, train, train_many
@@ -63,13 +61,11 @@ __all__ = [
     "l2_norm",
     "lagrange_multiplier",
     "log_density",
-    "log_density_grad",
     "max_constrained",
     "moments",
     "optimal_policy",
     "policy_iteration",
     "regularizer_of_quantile",
-    "regularizer_value",
     "sample",
     "train",
     "train_many",

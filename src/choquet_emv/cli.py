@@ -514,6 +514,10 @@ def main(argv=None) -> int:
                    else str(exc) or type(exc).__name__)
         print(f"choquet-emv: error: {message}", file=sys.stderr)
         return 2
+    except OverflowError:
+        # a Python-float ** raises this where numpy would return inf
+        print("choquet-emv: error: a result overflows a float", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

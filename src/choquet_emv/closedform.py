@@ -98,9 +98,6 @@ class FeedbackPolicyParams:
     scale_base: float
     scale_rate: float
 
-    def scale(self, t: float, T: float) -> float:
-        return self.scale_base * math.exp(self.scale_rate * (T - t))
-
 
 @dataclass(frozen=True)
 class QuadraticValueFn:
@@ -112,12 +109,6 @@ class QuadraticValueFn:
 
     def value(self, t: float, x: float) -> float:
         return self.A(t) * (x - self.w) ** 2 + self.F(t)
-
-    def vx(self, t: float, x: float) -> float:
-        return 2.0 * self.A(t) * (x - self.w)
-
-    def vxx(self, t: float) -> float:
-        return 2.0 * self.A(t)
 
 
 def _require_finite(record, *names: str):

@@ -82,15 +82,6 @@ def running_reward(phi, mode: str):
         return np.where(phi > 0.0, np.log(np.where(phi > 0.0, phi, 1.0)), -np.inf)
 
 
-def regularizer_value(policy: LocationScalePolicy, mode: str) -> float:
-    """Running reward of the policy's Choquet regularizer S ||h'||_2^2.
-
-    A degenerate policy (S = 0) in log mode reports -inf rather than
-    raising; the caller decides whether that is acceptable.
-    """
-    return float(running_reward(policy.scale * policy.h.l2_norm**2, mode))
-
-
 def _family(h: DistortionFn) -> Family:
     if h.family is None:
         raise DensityUnavailableError(f"no closed-form density for distortion {h.name!r}")
@@ -110,27 +101,15 @@ def log_density_grad_fields(h: DistortionFn, u, location, scale):
     """(d/dM, d/dS) of the log-density, vectorized over aligned arrays.
 
     With y = (u - M)/S and g the standardized log-density derivative, the
-    partials are -g/S and (-1 - y g)/S.  Outside the support both come back
-    NaN, mirroring the zero-density condition.
+    partials are -g/S and (-1 - y g)/S.  At the support boundary of the
+    uniform and exponential families they are the right-derivatives in S;
+    outside the support both come back NaN, mirroring the zero-density
+    condition.
     """
     s = np.asarray(scale, dtype=float)
     y = (np.asarray(u, dtype=float) - np.asarray(location, dtype=float)) / s
     g = _family(h).dlogpdf(y)
     return -g / s, (-1.0 - y * g) / s
-
-
-def log_density_grad(policy: LocationScalePolicy, u):
-    """Exact partials (d/dM, d/dS) of log_density at u.
-
-    At the support boundary of the uniform and exponential families the
-    right-derivative in S is used.
-    """
-    if policy.scale <= 0.0:
-        raise ValueError("log_density_grad requires a nondegenerate policy (S > 0)")
-    dm, ds = log_density_grad_fields(policy.h, u, policy.location, policy.scale)
-    if np.ndim(dm):
-        return dm, ds
-    return float(dm), float(ds)
 
 
 def cdf(policy: LocationScalePolicy, u):

@@ -35,7 +35,7 @@ from choquet_emv.policy import (
     LocationScalePolicy,
     cdf,
     log_density,
-    log_density_grad,
+    log_density_grad_fields,
     moments,
     sample,
     standardized_draw,
@@ -216,7 +216,7 @@ def test_criterion_7_gradient_fidelity(record_criterion):
             loc, scale = rng.uniform(-2, 2), rng.uniform(0.3, 3.0)
             pol = LocationScalePolicy(h=h, location=loc, scale=scale)
             u = sample(pol, rng.uniform(0.05, 0.95))
-            dm, ds = log_density_grad(pol, u)
+            dm, ds = log_density_grad_fields(h, u, loc, scale)
             fm = (log_density(LocationScalePolicy(h, loc + e, scale), u)
                   - log_density(LocationScalePolicy(h, loc - e, scale), u)) / (2 * e)
             fs = (log_density(LocationScalePolicy(h, loc, scale + e), u)

@@ -13,7 +13,10 @@ import pytest
 import yaml
 
 from choquet_emv import cli
-from choquet_emv.rl import TrainingDivergedError
+from choquet_emv.closedform import MarketParams
+from choquet_emv.distortion import get_distortion
+from choquet_emv.market import SimConfig
+from choquet_emv.rl import TrainConfig, TrainingDivergedError, train
 
 ROOT = Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
@@ -101,6 +104,23 @@ class TestTrainCommand:
         cli.main(argv + ["--out", str(a)])
         cli.main(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_flags_reach_the_trainer(self, tmp_path, capsys):
+        out = tmp_path / "train.csv"
+        assert cli.main(["train", "--mu", "0.3", "--sigma", "0.2", "--episodes", "40",
+                         "--seed", "3", "--m", "5", "--alpha", "0.05", "--decay", "0.6",
+                         "--critic-form", "corrected", "--grad-clip", "0.1",
+                         "--lambda", "0.02", "--out", str(out)]) == 0
+        cfg = TrainConfig(episodes=40, h=get_distortion("gaussian_score"), lam=0.02,
+                          mode="plain", sim=SimConfig.from_horizon(1.0, 252, seed=3), z=1.4,
+                          avg_window=5, alpha=0.05, decay=0.6, critic_form="corrected",
+                          grad_clip=0.1)
+        log = train(cfg, MarketParams(mu=0.3, sigma=0.2, r=0.02))
+        meta, _, rows = read_csv(out)
+        assert rows[-2] == [cli._fmt(v) for v in (40, log.terminal_wealth[-1], *log.theta[-1],
+                                                  *log.phi[-1], log.w[-1])]
+        assert "clip_events=29 " in meta
+        assert capsys.readouterr().err == "gradient clipping engaged 29 times\n"
 
 
 class TestTable:
@@ -239,6 +259,10 @@ class TestExitStatus:
          "dt=1e-300 is too small for T=1e+300: T / dt overflows a float"),
         (["table", "--config", {"T": 1.0e300, "dt": 1.0e-300}],
          "dt=1e-300 is too small for T=1e+300: T / dt overflows a float"),
+        (["solve", "--lambda", "1e308"], "a result overflows a float"),
+        (["solve", "--z", "1e200"], "a result overflows a float"),
+        (["simulate", "--x0", "1e308", "--z", "1e308", "--n-paths", "2", "--n-steps", "2"],
+         "a result overflows a float"),
     ])
     def test_bad_input_is_one_line_with_status_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"

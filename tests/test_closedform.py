@@ -419,9 +419,9 @@ class TestFeedbackValueFn:
         e = 1e-6
         for t, x in ((0.2, 0.7), (0.8, 1.9)):
             vt = (vf.value(t + e, x) - vf.value(t - e, x)) / (2 * e)
-            vx, vxx = vf.vx(t, x), vf.vxx(t)
+            vx, vxx = 2.0 * vf.A(t) * (x - w), 2.0 * vf.A(t)
             mean = fb.mean_coef * (x - w)
-            scale = fb.scale(t, spec.T)
+            scale = fb.scale_base * math.exp(fb.scale_rate * (spec.T - t))
             var = scale**2 * spec.h.l2_norm**2
             reg = scale * spec.h.l2_norm**2 if mode == "plain" else math.log(scale * spec.h.l2_norm**2)
             resid = (vt + MARKET.rho * MARKET.sigma * mean * vx

@@ -12,9 +12,9 @@ from choquet_emv.policy import (
     LocationScalePolicy,
     cdf,
     log_density,
-    log_density_grad,
+    log_density_grad_fields,
     moments,
-    regularizer_value,
+    running_reward,
     sample,
     standardized_draw,
 )
@@ -91,21 +91,27 @@ class TestMoments:
 
 
 class TestRegularizerValue:
+    # the running reward of a policy's Choquet regularizer S ||h'||_2^2
     def test_gini_plain(self):
-        assert regularizer_value(make_policy("gini"), "plain") == pytest.approx(1 / 3)
+        pol = make_policy("gini")
+        assert running_reward(pol.scale * pol.h.l2_norm**2, "plain") == pytest.approx(1 / 3)
 
     def test_gaussian_plain_scales(self):
-        assert regularizer_value(make_policy("gaussian_score", scale=2.0), "plain") == pytest.approx(2.0)
+        pol = make_policy("gaussian_score", scale=2.0)
+        assert running_reward(pol.scale * pol.h.l2_norm**2, "plain") == pytest.approx(2.0)
 
     def test_gaussian_log_zero(self):
-        assert regularizer_value(make_policy("gaussian_score"), "log") == pytest.approx(0.0)
+        pol = make_policy("gaussian_score")
+        assert running_reward(pol.scale * pol.h.l2_norm**2, "log") == pytest.approx(0.0)
 
     def test_log_of_degenerate_is_minus_inf(self):
-        assert regularizer_value(make_policy("gini", scale=0.0), "log") == -math.inf
+        pol = make_policy("gini", scale=0.0)
+        assert running_reward(pol.scale * pol.h.l2_norm**2, "log") == -math.inf
 
     def test_unknown_mode(self):
+        pol = make_policy("gini")
         with pytest.raises(ValueError):
-            regularizer_value(make_policy("gini"), "quadratic")
+            running_reward(pol.scale * pol.h.l2_norm**2, "quadratic")
 
 
 class TestLogDensity:
@@ -136,9 +142,11 @@ class TestLogDensity:
     def test_family_comes_from_record_not_name(self, h):
         assert standardized_draw(h, 0.9) == pytest.approx(h.hprime(0.1), rel=1e-15)
         pol = LocationScalePolicy(h=h, location=0.0, scale=1.0)
-        for fn in (log_density, log_density_grad, cdf):
+        for fn in (log_density, cdf):
             with pytest.raises(DensityUnavailableError):
                 fn(pol, 1.5)
+        with pytest.raises(DensityUnavailableError):
+            log_density_grad_fields(h, 1.5, pol.location, pol.scale)
 
     @pytest.mark.parametrize("c", [2.0, 0.3])
     @pytest.mark.parametrize("name", FAMILIES)
@@ -154,7 +162,8 @@ class TestLogDensity:
         close = dict(rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(log_density(pol, u), log_density(ref, u), **close)
         np.testing.assert_allclose(cdf(pol, u), cdf(ref, u), **close)
-        (dm, ds), (dm_ref, ds_ref) = log_density_grad(pol, u), log_density_grad(ref, u)
+        dm, ds = log_density_grad_fields(pol.h, u, pol.location, pol.scale)
+        dm_ref, ds_ref = log_density_grad_fields(ref.h, u, ref.location, ref.scale)
         np.testing.assert_allclose(dm, dm_ref, **close)
         np.testing.assert_allclose(ds, c * ds_ref, **close)  # d/dS = c d/d(cS)
         p = rng.random(512)
@@ -179,17 +188,13 @@ class TestLogDensity:
             scale = rng.uniform(0.3, 3.0)
             pol = LocationScalePolicy(h=get_distortion(name), location=loc, scale=scale)
             u = sample(pol, rng.uniform(0.05, 0.95))  # interior of the support
-            dm, ds = log_density_grad(pol, u)
+            dm, ds = log_density_grad_fields(pol.h, u, loc, scale)
             fm = (log_density(LocationScalePolicy(pol.h, loc + step, scale), u)
                   - log_density(LocationScalePolicy(pol.h, loc - step, scale), u)) / (2 * step)
             fs = (log_density(LocationScalePolicy(pol.h, loc, scale + step), u)
                   - log_density(LocationScalePolicy(pol.h, loc, scale - step), u)) / (2 * step)
             assert dm == pytest.approx(fm, rel=1e-6, abs=1e-7)
             assert ds == pytest.approx(fs, rel=1e-6, abs=1e-7)
-
-    def test_grad_requires_positive_scale(self):
-        with pytest.raises(ValueError):
-            log_density_grad(make_policy("gini", scale=0.0), 0.0)
 
 
 class TestSamplingLaw:
