@@ -367,8 +367,9 @@ def _run_grid(grid: ExperimentGrid, jobs: int) -> list[tuple]:
     # bytes whatever batch it is in, so the CSV does not depend on jobs
     shards = min(jobs, len(cells))
     # the forked workers inherit scipy.special instead of each importing it
-    # for its first Gaussian draw
-    import scipy.special  # noqa: F401
+    # for its first Gaussian draw; one shard forks none and loads it on demand
+    if shards > 1:
+        import scipy.special  # noqa: F401
 
     done = fork_map(_run_shard, [(grid, inputs[k::shards]) for k in range(shards)])
     outcomes = [None] * len(cells)

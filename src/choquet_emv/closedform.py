@@ -160,7 +160,9 @@ def lagrange_multiplier(spec: EMVSpec, market: MarketParams) -> float:
         )
     w = (spec.z * growth - spec.x0) / (growth - 1.0)
     if not math.isfinite(w):
-        raise ValueError(f"rho^2 T = {x:.3g} is too large: the multiplier w overflows")
+        cause = (f"rho^2 T = {x:.3g}" if math.isinf(growth)
+                 else f"z = {spec.z:.3g} or x0 = {spec.x0:.3g} at rho^2 T = {x:.3g}")
+        raise ValueError(f"{cause} is too large: the multiplier w overflows")
     return w
 
 

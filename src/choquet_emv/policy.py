@@ -12,8 +12,8 @@ record (``DistortionFn.family``):
 
 Log-densities and their exact (M, S) partials feed the policy-gradient
 estimator; the CDFs feed sampling-law tests.  Outside-support points are a
-zero-density condition (log-density -inf), not an error, so trajectories
-replayed after a location shift degrade gracefully.
+zero-density condition (log-density -inf), not an error: a trainer action,
+scored as drawn, leaves the support only through rounding in (u - M)/S.
 """
 
 from __future__ import annotations

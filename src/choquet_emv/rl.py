@@ -11,11 +11,12 @@ one-step temporal-difference errors
     delta_i = -lam p(t_i) dt + V(t_{i+1}, x_{i+1}) - V(t_i, x_i)
 
 with p the policy's (log-)regularizer value, and applies semi-gradient
-updates: the critic moves along -sum dV/dtheta * delta_i, the actor along
-the score-function sum plus the explicit regularizer gradient.  Targets
-are frozen (no gradient flows through V at t_{i+1}).  A stochastic
-approximation step moves the multiplier w toward the wealth target every
-``avg_window`` episodes.  Update magnitudes decay like j^{-decay}.
+updates: the TD pass (``episode_gradients``) moves the critic along -sum
+dV/dtheta * delta_i, and the actor (``score_gradient``) follows the score
+sum less the explicit regularizer gradient.  Targets are frozen (no
+gradient flows through V at t_{i+1}).  A stochastic approximation step
+moves the multiplier w toward the wealth target every ``avg_window``
+episodes.  Update magnitudes decay like j^{-decay}.
 
 ``train_many`` runs a batch of such loops in lockstep: each cell draws
 its episodes by block and steps its own wealth recurrence, the actions and
@@ -320,50 +321,49 @@ def _batch(times, configs) -> _Batch:
                   [(h, _rows(rows)) for h, rows in groups.values()], *buffers)
 
 
-def _density_fields(groups, actions, location, scale):
-    """``log_density_grad_fields`` of each row's actions, called once per
-    family record among the rows' distortions."""
-    if len(groups) == 1:
-        return log_density_grad_fields(groups[0][0], actions, location, scale)
-    dm, ds = np.empty_like(location), np.empty_like(location)
-    for h, rows in groups:
-        dm[rows], ds[rows] = log_density_grad_fields(h, actions[rows], location[rows],
-                                                     scale[rows])
-    return dm, ds
+def episode_gradients(batch: _Batch, states, theta, phi, w, scale):
+    """The TD pass over one episode of each of the batch's B cells, which
+    reads no density: (B, n + 1) wealths on the grid times, (B, 3) theta
+    and phi, (B,) w and the actor scale ``scale`` (``actor_scale`` on the
+    grid's first n times).  ``batch`` is the cells' ``_batch`` layout.
 
-
-def episode_gradients(batch: _Batch, states, actions, theta, phi, w, scale):
-    """Semi-gradient updates accumulated over one episode of each of the
-    batch's B cells: (B, n + 1) wealths on the grid times, the (B, n)
-    actions taken between them at the actor scale ``scale`` (``actor_scale``
-    on the grid's first n times), (B, 3) theta and phi, and (B,) w.
-    ``batch`` is the cells' ``_batch`` layout.
-
-    Returns (grad_theta, grad_phi, n_skipped), each with a leading axis of
-    B: the critic gradient -sum_i dV/dtheta(t_i) delta_i, the actor
-    gradient sum_i [dlog policy(u_i) delta_i - lam dp/dphi dt], and the
-    count of replayed actions that fell outside the current policy support
-    (their score terms are skipped).
+    Returns (grad_theta, delta, grad_reg), each with a leading axis of B:
+    the critic gradient -sum_i dV/dtheta(t_i) delta_i, the (B, n) TD errors
+    and sum_i lam dp/dphi dt, the regularizer term every actor subtracts.
     """
-    lam, wc = batch.lam, _per_cell(w)
-    tau, dts = batch.tau[:-1], batch.dts
-
+    lam, tau, dts, wc = batch.lam, batch.tau[:-1], batch.dts, _per_cell(w)
     # overflow in a diverging run shows up as non-finite parameters and is
     # reported by the caller; keep the arithmetic silent here
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # one critic pass: V on the n + 1 grid, dV/dtheta on its first n points
-        xw = states - wc
-        th, grow, offset, decay, xw2 = _critic_pass(theta, batch.tau, xw, batch.form)
+        th, grow, offset, decay, xw2 = _critic_pass(theta, batch.tau, states - wc, batch.form)
         v = _value(th, offset, decay, xw2, _gap_squared(wc, batch.z))
         neg_dv = _neg_grad(tau, th, *(a[..., :-1] for a in (grow, offset, decay, xw2)),
                            batch.neg_dv)
         p, lam_dp = _regularizer(phi, tau, batch.forms, scale, batch.lam_dp, lam)
         delta = v[:, 1:] - v[:, :-1] - lam * p * dts
-        grad_theta = _transpose_dot(neg_dv, delta)
+        return _transpose_dot(neg_dv, delta), delta, _transpose_dot(lam_dp, dts)
 
-        xw = xw[:, :-1]
+
+def score_gradient(batch: _Batch, states, actions, phi, w, scale, delta):
+    """The score-function actor: sum_i dlog policy(u_i)/dphi delta_i over
+    the (B, n) actions taken at the actor scale ``scale`` between the (B,
+    n + 1) wealths, with the TD errors ``delta`` of ``episode_gradients``.
+
+    Returns the (B, 3) sums and the (B,) counts of actions outside their
+    policy's support, whose terms are skipped; an action leaves it only
+    through the rounding of (u - M) / S."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        xw = states[:, :-1] - _per_cell(w)
         location = -_columns(phi)[0] * xw
-        dm, ds = _density_fields(batch.groups, actions, location, scale)
+        # log_density_grad_fields once per family record among the rows
+        if len(batch.groups) == 1:
+            dm, ds = log_density_grad_fields(batch.groups[0][0], actions, location, scale)
+        else:
+            dm, ds = np.empty_like(location), np.empty_like(location)
+            for h, rows in batch.groups:
+                dm[rows], ds[rows] = log_density_grad_fields(h, actions[rows], location[rows],
+                                                             scale[rows])
         in_support = np.isfinite(dm) & np.isfinite(ds)
         if in_support.all():
             n_skipped = np.zeros(len(in_support), dtype=int)
@@ -376,9 +376,8 @@ def episode_gradients(batch: _Batch, states, actions, theta, phi, w, scale):
         dlog = batch.dlog
         np.negative(np.multiply(xw, dm, out=dlog[..., 0]), out=dlog[..., 0])
         np.multiply(0.5 * scale, ds, out=dlog[..., 1])
-        np.multiply(0.5 * tau * scale, ds, out=dlog[..., 2])
-        grad_phi = _transpose_dot(dlog, delta) - _transpose_dot(lam_dp, dts)
-    return grad_theta, grad_phi, n_skipped
+        np.multiply(0.5 * batch.tau[:-1] * scale, ds, out=dlog[..., 2])
+        return _transpose_dot(dlog, delta), n_skipped
 
 
 def lagrange_update(w, terminal_batch, alpha_w: float, z: float):
@@ -501,13 +500,14 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
             for row, b in enumerate(live.tolist()):
                 eta[row], incs[row] = episode_draws(configs[b].h, markets[b], configs[b].sim,
                                                     j, count, rng)
-        with np.errstate(over="ignore"):
+        # a failing row rides along to the end of the episode, silently: every
+        # batched step is row by row, so it touches no other cell's numbers
+        with np.errstate(over="ignore", invalid="ignore"):
             scale = actor_scale(phi, times[None, :-1], T)  # (B, n), B = 1 too
-        states, actions = rollout(first.x0, w, -phi[:, 0], scale, eta[:, k], sigmas, incs[:, k])
-
-        # a failing row rides along to the end of the episode: every batched
-        # step below is row by row, so it touches no other cell's numbers
-        g_theta, g_phi, n_skip = episode_gradients(batch, states, actions, theta, phi, w, scale)
+            states, actions = rollout(first.x0, w, -phi[:, 0], scale, eta[:, k], sigmas, incs[:, k])
+            g_theta, delta, g_reg = episode_gradients(batch, states, theta, phi, w, scale)
+            g_score, n_skip = score_gradient(batch, states, actions, phi, w, scale, delta)
+            g_phi = g_score - g_reg
         skipped += n_skip
         if first.grad_clip is not None:
             g_theta, c1 = _clip(g_theta, first.grad_clip)

@@ -53,3 +53,13 @@ def regularizer(phi, t, h, mode, T):
     """``rl._regularizer`` (p and dp/dphi) of one actor, a batch of one, at times t."""
     return rl._regularizer([phi], T - np.asarray(t), rl._regularizer_form(h, mode),
                            rl.actor_scale([phi], t, T), np.zeros(np.shape(t) + (3,)), 1.0)
+
+
+def trainer_gradients(batch, states, actions, theta, phi, w, scale):
+    """(grad_theta, grad_phi, n_skipped) of one episode: ``rl.episode_gradients``,
+    the TD pass, then ``rl.score_gradient``, the actor, composed as
+    ``rl.train_many`` composes them."""
+    states = np.asarray(states, dtype=float)
+    grad_theta, delta, grad_reg = rl.episode_gradients(batch, states, theta, phi, w, scale)
+    grad_score, n_skipped = rl.score_gradient(batch, states, actions, phi, w, scale, delta)
+    return grad_theta, grad_score - grad_reg, n_skipped

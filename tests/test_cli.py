@@ -263,6 +263,8 @@ class TestExitStatus:
         (["solve", "--z", "1e200"], "a result overflows a float"),
         (["simulate", "--x0", "1e308", "--z", "1e308", "--n-paths", "2", "--n-steps", "2"],
          "a result overflows a float"),
+        # e^(rho^2 T) is finite here; z times it is not
+        (["solve", "--z", "1e308"], "z = 1e+308 or x0 = 1 at rho^2 T = 0.16 is too large"),
     ])
     def test_bad_input_is_one_line_with_status_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -621,3 +623,9 @@ class TestScipyLoading:
         assert self.loaded_after([
             ["table", "--config", str(GOLDEN_GRID), "--jobs", "2"],
         ]) == [False, True]
+
+    def test_a_one_shard_grid_without_a_gaussian_cell_leaves_it_unloaded(self, tmp_path):
+        cfg = write_grid(tmp_path / "grid.yaml", h_names=["gini"], episodes=20)
+        assert self.loaded_after([
+            ["table", "--config", str(cfg), "--jobs", "1"],
+        ]) == [False, False]

@@ -16,9 +16,14 @@ from choquet_emv.closedform import (
     optimal_schedule,
     value,
 )
-from choquet_emv.distortion import get_distortion, scale_distortion
+from choquet_emv.distortion import custom_distortion, get_distortion, scale_distortion
 from choquet_emv.market import SimConfig, path_stream, pathwise_objectives
-from choquet_emv.policy import LocationScalePolicy, log_density, standardized_draw
+from choquet_emv.policy import (
+    DensityUnavailableError,
+    LocationScalePolicy,
+    log_density,
+    standardized_draw,
+)
 from choquet_emv.rl import (
     TrainConfig,
     TrainingDivergedError,
@@ -26,13 +31,12 @@ from choquet_emv.rl import (
     actor_scale,
     critic_grad,
     critic_value,
-    episode_gradients,
     lagrange_update,
     train,
     train_many,
 )
 
-from adversarial import regularizer
+from adversarial import regularizer, trainer_gradients
 
 GAUSS = get_distortion("gaussian_score")
 MARKET = MarketParams(mu=0.1, sigma=0.2, r=0.02)
@@ -68,7 +72,7 @@ def base_config(**kw):
 
 class Episode(NamedTuple):
     """One cell's episode: the batch layout, (1, n + 1) states and (1, n)
-    actions episode_gradients takes first, then the times and actor scale."""
+    actions trainer_gradients takes first, then the times and actor scale."""
 
     batch: rl._Batch
     states: np.ndarray
@@ -231,7 +235,7 @@ class TestEpisodeGradients:
         return rollout(phi, w, GAUSS, cfg, episode_seed=seed), phi, w, cfg
 
     def test_empty_episode_gives_zero(self):
-        gt, gp, skipped = episode_gradients(rl._batch(np.array([0.0]), [base_config()]), [[1.0]],
+        gt, gp, skipped = trainer_gradients(rl._batch(np.array([0.0]), [base_config()]), [[1.0]],
                                             np.empty((1, 0)), [(1.0, 0.1, 1.0)],
                                             [(1.0, 0.0, 1.0)], [1.4], np.empty(0))
         assert np.all(gt == 0.0) and np.all(gp == 0.0) and skipped.tolist() == [0]
@@ -241,7 +245,7 @@ class TestEpisodeGradients:
         # the base parameters; its gradient at the base point is grad_theta
         episode, phi, w, cfg = self.make_episode()
         theta = np.array([0.9, 0.2, 1.1])
-        (gt,), _, _ = episode_gradients(*episode[:3], [theta], [phi], [w], episode.scale)
+        (gt,), _, _ = trainer_gradients(*episode[:3], [theta], [phi], [w], episode.scale)
 
         p, _ = regularizer(phi, episode.times[:-1], GAUSS, cfg.mode, T)
         v_base = critic_value(theta, episode.times, episode.states[0], w, cfg.z, T)
@@ -264,7 +268,7 @@ class TestEpisodeGradients:
         # point (common random numbers); its gradient is grad_phi
         episode, phi, w, cfg = self.make_episode()
         theta = np.array([0.9, 0.2, 1.1])
-        _, (gp,), _ = episode_gradients(*episode[:3], [theta], [phi], [w], episode.scale)
+        _, (gp,), _ = trainer_gradients(*episode[:3], [theta], [phi], [w], episode.scale)
 
         t_left, x_left = episode.times[:-1], episode.states[0, :-1]
         v = critic_value(theta, episode.times, episode.states[0], w, cfg.z, T)
@@ -295,7 +299,7 @@ class TestEpisodeGradients:
         # the target side and must disagree
         episode, phi, w, cfg = self.make_episode()
         theta = np.array([0.9, 0.2, 1.1])
-        (gt,), _, _ = episode_gradients(*episode[:3], [theta], [phi], [w], episode.scale)
+        (gt,), _, _ = trainer_gradients(*episode[:3], [theta], [phi], [w], episode.scale)
 
         t, x = episode.times, episode.states[0]
         p, _ = regularizer(phi, t[:-1], GAUSS, cfg.mode, T)
@@ -314,7 +318,7 @@ class TestEpisodeGradients:
         phi, w = np.array([0.5, -1.0, 0.5]), 1.4
         episode = rollout(phi, w, gini, cfg, episode_seed=1)
         episode.actions[0, 2] = 100.0  # replay with a shifted action
-        _, _, skipped = episode_gradients(*episode[:3], [rl.THETA_INIT], [phi], [w], episode.scale)
+        _, _, skipped = trainer_gradients(*episode[:3], [rl.THETA_INIT], [phi], [w], episode.scale)
         assert skipped.tolist() == [1]
 
     def test_mode_changes_only_regularizer_terms(self):
@@ -322,8 +326,8 @@ class TestEpisodeGradients:
         cfg_log = base_config(mode="log", lam=cfg_plain.lam,
                               sim=cfg_plain.sim)
         theta = np.array([0.9, 0.2, 1.1])
-        (gt_p,), (gp_p,), _ = episode_gradients(*episode[:3], [theta], [phi], [w], episode.scale)
-        (gt_l,), (gp_l,), _ = episode_gradients(rl._batch(episode.times, [cfg_log]), *episode[1:3],
+        (gt_p,), (gp_p,), _ = trainer_gradients(*episode[:3], [theta], [phi], [w], episode.scale)
+        (gt_l,), (gp_l,), _ = trainer_gradients(rl._batch(episode.times, [cfg_log]), *episode[1:3],
                                                 [theta], [phi], [w], episode.scale)
         t_left, x_left = episode.times[:-1], episode.states[0, :-1]
         dts = np.diff(episode.times)
@@ -343,6 +347,56 @@ class TestEpisodeGradients:
         expected_dgp = (dlog.T @ (-cfg_plain.lam * (p_l - p_p) * dts)
                         - cfg_plain.lam * (dp_l - dp_p).T @ dts)
         np.testing.assert_allclose(gp_l - gp_p, expected_dgp, rtol=1e-9, atol=1e-12)
+
+    def test_td_pass_reads_no_density(self, monkeypatch):
+        # a custom distortion has no family record and so no closed-form
+        # density; only the score actor asks for one, through rl's namespace
+        gini = get_distortion("gini")
+        h = custom_distortion("gini_copy", gini.h, gini.hprime, hprime_singular=False)
+        cfg = base_config(h=h, sim=SimConfig.from_horizon(T, 16, seed=3))
+        phi, w = np.array([1.2, -0.8, 0.9]), 1.5
+        episode = rollout(phi, w, h, cfg, episode_seed=1)
+        asked = []
+
+        def no_density(dist, *args):
+            asked.append(dist)
+            raise DensityUnavailableError(f"{dist.name} has no density")
+
+        monkeypatch.setattr(rl, "log_density_grad_fields", no_density)
+        grads = rl.episode_gradients(episode.batch, episode.states, [rl.THETA_INIT], [phi],
+                                     [w], episode.scale)
+        assert asked == [] and all(np.isfinite(g).all() for g in grads)
+        with pytest.raises(DensityUnavailableError):
+            rl.score_gradient(episode.batch, episode.states, episode.actions, [phi], [w],
+                              episode.scale, grads[1])
+        assert asked == [h]
+        monkeypatch.undo()  # the package's own density raises the same
+        with pytest.raises(DensityUnavailableError):
+            rl.score_gradient(episode.batch, episode.states, episode.actions, [phi], [w],
+                              episode.scale, grads[1])
+
+    def test_failing_row_rides_along_silently(self):
+        # row 1's wealth is 1e308 from step 3 on, so -phi0 (x - w) and the
+        # critic's (x - w)^2 overflow; row 0 must keep the bytes it has alone
+        episode, phi, w, cfg = self.make_episode(phi=rl.PHI_INIT)
+        theta = np.array([rl.THETA_INIT] * 2)
+        states = np.repeat(episode.states, 2, axis=0)
+        states[1, 3:] = 1e308
+        actions, scale = np.repeat(episode.actions, 2, axis=0), np.tile(episode.scale, (2, 1))
+        batch = rl._batch(episode.times, [cfg, cfg])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gt, delta, g_reg = rl.episode_gradients(batch, states, theta, [phi] * 2, [w] * 2,
+                                                    scale)
+            g_score, skipped = rl.score_gradient(batch, states, actions, [phi] * 2, [w] * 2,
+                                                 scale, delta)
+            alone = rl.episode_gradients(episode.batch, episode.states, theta[:1], [phi], [w],
+                                         scale[:1])
+            alone_score = rl.score_gradient(episode.batch, episode.states, episode.actions,
+                                            [phi], [w], scale[:1], alone[1])
+        assert not np.isfinite(delta[1]).all() and skipped[1] > 0
+        for got, want in zip((gt, delta, g_reg, g_score, skipped), alone + alone_score):
+            assert got[0].tobytes() == want[0].tobytes()
 
 
 class TestLagrangeUpdate:
@@ -394,7 +448,7 @@ class TestTrain:
         theta, phi, w = np.array([rl.THETA_INIT]), np.array([rl.PHI_INIT]), cfg.z
         for j in range(1, cfg.episodes + 1):
             episode = rollout(phi[0], w, GAUSS, cfg, episode_seed=j)
-            gt, gp, _ = episode_gradients(*episode[:3], theta, phi, [w], episode.scale)
+            gt, gp, _ = trainer_gradients(*episode[:3], theta, phi, [w], episode.scale)
             lr = j**-cfg.decay
             theta = theta - cfg.alpha * lr * gt
             phi = phi - cfg.alpha * lr * gp
@@ -418,7 +472,7 @@ class TestTrain:
         skipped = clipped = 0
         for j in range(1, cfg.episodes + 1):
             episode = rollout(phi[0], w, h, cfg, episode_seed=j)
-            gt, gp, n_skipped = episode_gradients(*episode[:3], theta, phi, [w], episode.scale)
+            gt, gp, n_skipped = trainer_gradients(*episode[:3], theta, phi, [w], episode.scale)
             gt, c1 = _clip(gt, cfg.grad_clip)
             gp, c2 = _clip(gp, cfg.grad_clip)
             skipped += n_skipped
@@ -665,7 +719,7 @@ class TestTrainMany:
         states = np.full((2, 17), 1.2)
         actions = np.full((2, 16), 100.0)
         phi = np.array([[1.2, -0.8, 0.9], [0.3, -1.1, 1.7]])
-        _, grad_phi, skipped = episode_gradients(rl._batch(times, [cfg, cfg]), states, actions,
+        _, grad_phi, skipped = trainer_gradients(rl._batch(times, [cfg, cfg]), states, actions,
                                                  np.ones((2, 3)), phi, np.array([1.4, 1.4]),
                                                  actor_scale(phi, times[None, :-1], T))
         assert skipped.tolist() == [16, 16]
