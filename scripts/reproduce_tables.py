@@ -4,9 +4,9 @@
 Each table is 6 drifts x 4 volatilities x {plain, log}, trained for 20000
 episodes per cell. --jobs splits the cells into that many shards, one
 process each, and each shard trains as one lockstep batch. Cells that
-diverge (which happens for the uniform family at strongly negative drifts,
-where the uniform score carries no location gradient) are flagged in the
-status column and stop early.
+diverge (in the shipped results, every uniform cell with mu < r: mu in
+{-0.5, -0.3, -0.1}, every sigma, both modes; the uniform score carries no
+location gradient) are flagged in the status column and stop early.
 """
 
 import argparse

@@ -446,7 +446,8 @@ def _add_market_args(p: argparse.ArgumentParser, lam: float | None = 0.01):
     p.add_argument("--mode", choices=MODES, default="plain")
     p.add_argument("--h", default="gaussian_score")
     p.add_argument("--lambda", dest="lam", type=float, default=lam,
-                   help=None if lam is not None else "default 0.01 (plain) or 0.1 (log)")
+                   help=None if lam is not None else "default " + " or ".join(
+                       f"{v} ({m})" for m, v in DEFAULT_LAMBDA.items()))
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
 

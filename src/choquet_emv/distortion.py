@@ -20,8 +20,9 @@ exponentials and the Gini weight p - p^2 yields uniforms.
 The Gaussian records evaluate ``scipy.special``'s ``ndtri`` and ``ndtr``
 through this module's functions of the same names, which import
 ``scipy.special`` on their first call.  A run that never evaluates a
-Gaussian quantile or CDF never loads it; a grid run on a process pool
-loads it once, in the parent, before the workers are forked.
+Gaussian quantile or CDF never loads it.  A grid run split into more than
+one shard loads it once, in the parent, before ``market.fork_map`` forks
+the shards; a one-shard grid forks none and loads it on first use.
 """
 
 from __future__ import annotations

@@ -37,6 +37,12 @@ def read_csv(path):
     return lines[0], rows[0], rows[1:]
 
 
+def results_hash(family):
+    """The config_hash on line 1 of a shipped results/table_<family>.csv."""
+    meta, _, _ = read_csv(ROOT / "results" / f"table_{family}.csv")
+    return meta.split()[1].removeprefix("config_hash=")
+
+
 def write_grid(path, **overrides):
     grid = {
         "mu_list": [0.3], "sigma_list": [0.2], "r": 0.02, "T": 1.0,
@@ -104,6 +110,12 @@ class TestTrainCommand:
         cli.main(argv + ["--out", str(a)])
         cli.main(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_lambda_help_follows_the_defaults(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "DEFAULT_LAMBDA", {"plain": 0.03, "log": 0.2})
+        with pytest.raises(SystemExit):
+            cli.main(["train", "--help"])
+        assert "default 0.03 (plain) or 0.2 (log)" in capsys.readouterr().out
 
     def test_flags_reach_the_trainer(self, tmp_path, capsys):
         out = tmp_path / "train.csv"
@@ -484,10 +496,15 @@ class TestGridConfig:
         g2 = cli.grid_from_file(str(write_grid(tmp_path / "g2.yaml", seed=100)))
         assert cli.config_hash(g1.payload()) != cli.config_hash(g2.payload())
 
-    @pytest.mark.parametrize("cmd, digest", [("table", "9b4c1cad1d83"),
-                                             ("figures", "aab47a0b7fe6")])
-    def test_golden_grid_hash_is_fixed(self, cmd, digest):
-        grid = cli.grid_from_file(str(ROOT / "tests" / "golden" / "grid.yaml"))
+    # the golden grid's hashes are pinned; each shipped table config must
+    # hash to the config_hash on line 1 of the results CSV it produced
+    @pytest.mark.parametrize("config, cmd, digest", [
+        *(pytest.param(GOLDEN_GRID, cmd, digest, id=f"{cmd}-{digest}")
+          for cmd, digest in (("table", "9b4c1cad1d83"), ("figures", "aab47a0b7fe6"))),
+        *(pytest.param(CONFIGS / f"table_{family}.yaml", "table", results_hash(family), id=family)
+          for family in ("gaussian", "exponential", "uniform"))])
+    def test_golden_grid_hash_is_fixed(self, config, cmd, digest):
+        grid = cli.grid_from_file(str(config))
         assert cli.config_hash(grid.payload() | {"cmd": cmd}) == digest
 
     def test_integer_and_float_spellings_give_one_seed_and_hash(self):
