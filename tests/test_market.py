@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import signal
@@ -238,6 +239,25 @@ class TestRollout:
         assert "\n" not in str(err.value)
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids ``os.fork`` returns to the caller, with three usable CPUs
+    reported; every child must be reaped by the end of the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    pids, real_fork = [], os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield pids
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestMCObjective:
     def test_degenerate_schedule_keeps_wealth_constant(self):
         spec = spec_for("plain", 0.0)
@@ -332,6 +352,10 @@ class TestMCObjective:
         with pytest.raises(ValueError):
             pathwise_objectives(lambda t, x: (0.0, np.full((len(x), 1), 0.1)), spec, MARKET,
                                 sim, w=1.0)
+        # nor an (n, 1) mean
+        with pytest.raises(ValueError):
+            pathwise_objectives(lambda t, x: (np.full((len(x), 1), 0.1), 0.1), spec, MARKET,
+                                sim, w=1.0)
 
     def test_overflowing_paths_come_back_non_finite_without_a_warning(self):
         # at rho / sigma = 19.2 the action std at t = 0 is 1e161: its square overflows
@@ -363,22 +387,6 @@ class TestForkedWorkers:
     78 paths, the last ending in the partial chunk of 4."""
 
     SIM = SimConfig.from_horizon(1.0, 16, n_paths=300, seed=11)
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        pids, real_fork = [], os.fork
-
-        def counted_fork():
-            pid = real_fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        yield pids
-        with pytest.raises(ChildProcessError):  # every child was reaped
-            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("mode, lam", [("plain", 0.01), ("log", 0.1), ("plain", 0.0)],
                              ids=["plain", "log", "lam0"])
@@ -460,6 +468,42 @@ class TestForkedWorkers:
         xs, vals = pathwise_objectives(optimal_schedule(spec, MARKET, w), spec, MARKET,
                                        self.SIM, w, chunk=chunk)
         assert np.isfinite(xs).all() and np.isfinite(vals).all()
+
+
+class TestMonteCarloBytes:
+    """A sha256 over the full-precision bytes of many Monte Carlo runs.  The
+    simulate goldens print 6 digits; this digest moves with any last-bit
+    change in ``pathwise_objectives``.  Each run has 300 paths in chunks of
+    37, cut into three forked blocks that end in a partial chunk."""
+
+    SIM = SimConfig.from_horizon(1.0, 64, n_paths=300, seed=13)
+    # the bytes of the kernel that formed each Euler step from fresh arrays
+    # and drew each path with an explicit size; an in-place step must not
+    # move them
+    DIGEST = "0c36ef7d10294d0378887a5f49ca4513ebbda0006aff59a4b2dabb9ba1713546"
+
+    def runs(self):
+        """(schedule, spec, market, w) of every run: the optimal schedule of
+        each family at plain lam 0.01, log lam 0.1 and plain lam 0 on two
+        markets, and a scalar mean with a per-path std that depends on x."""
+        for h_name in ("gaussian_score", "entropy_like", "gini"):
+            for mode, lam in (("plain", 0.01), ("log", 0.1), ("plain", 0.0)):
+                for mu, sigma in ((0.1, 0.2), (-0.5, 0.1)):
+                    market = MarketParams(mu=mu, sigma=sigma, r=0.02)
+                    spec = spec_for(mode, lam, get_distortion(h_name))
+                    w = lagrange_multiplier(spec, market)
+                    yield optimal_schedule(spec, market, w), spec, market, w
+        yield ((lambda t, x: (0.3 * (1.0 - t), 0.1 + 0.05 * np.tanh(x - 1.0))),
+               spec_for("log", 0.1, get_distortion("gini")), MARKET, 1.2)
+
+    def test_digest(self, forks):
+        digest = hashlib.sha256()
+        for count, (schedule, spec, market, w) in enumerate(self.runs(), 1):
+            xs, vals = pathwise_objectives(schedule, spec, market, self.SIM, w, chunk=37)
+            assert len(forks) == 2 * count
+            assert np.isfinite(xs).all() and np.isfinite(vals).all()
+            digest.update(xs.tobytes() + vals.tobytes())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestLawAgreement:
