@@ -183,14 +183,18 @@ def value(t, x, spec: EMVSpec, market: MarketParams, w: float):
     T, lam = spec.T, spec.lam
     l2sq = spec.h.l2_norm**2
     tau = T - t
-    quad = (x - w) ** 2 * np.exp(-(rho**2) * tau)
-    if spec.mode == "plain":
-        running = -(lam**2 * l2sq / (4.0 * rho**2 * market.sigma**2)) * np.expm1(rho**2 * tau)
-    else:
-        running = (lam * rho**2 / 4.0) * (T**2 - t**2) - (lam / 2.0) * (
-            rho**2 * T + math.log(lam * l2sq / (2.0 * math.e * market.sigma**2))
-        ) * tau
-    return quad + running - (w - spec.z) ** 2
+    try:
+        quad = (x - w) ** 2 * np.exp(-(rho**2) * tau)
+        if spec.mode == "plain":
+            running = -(lam**2 * l2sq / (4.0 * rho**2 * market.sigma**2)) * np.expm1(rho**2 * tau)
+        else:
+            running = (lam * rho**2 / 4.0) * (T**2 - t**2) - (lam / 2.0) * (
+                rho**2 * T + math.log(lam * l2sq / (2.0 * math.e * market.sigma**2))
+            ) * tau
+        return quad + running - (w - spec.z) ** 2
+    except OverflowError:
+        _name_overflow(spec, x, w)
+        raise
 
 
 def value_derivatives(t, x, spec: EMVSpec, market: MarketParams, w: float):
@@ -202,18 +206,45 @@ def value_derivatives(t, x, spec: EMVSpec, market: MarketParams, w: float):
     l2sq = spec.h.l2_norm**2
     vx = 2.0 * (x - w) * decay
     vxx = 2.0 * decay
-    if spec.mode == "plain":
-        vt = rho**2 * (x - w) ** 2 * decay + (
-            spec.lam**2 * l2sq / (4.0 * market.sigma**2)
-        ) * math.exp(rho**2 * tau)
-    else:
-        vt = (
-            rho**2 * (x - w) ** 2 * decay
-            - (spec.lam * rho**2 / 2.0) * t
-            + (spec.lam / 2.0)
-            * (rho**2 * spec.T + math.log(spec.lam * l2sq / (2.0 * math.e * market.sigma**2)))
-        )
+    try:
+        if spec.mode == "plain":
+            vt = rho**2 * (x - w) ** 2 * decay + (
+                spec.lam**2 * l2sq / (4.0 * market.sigma**2)
+            ) * math.exp(rho**2 * tau)
+        else:
+            vt = (
+                rho**2 * (x - w) ** 2 * decay
+                - (spec.lam * rho**2 / 2.0) * t
+                + (spec.lam / 2.0)
+                * (rho**2 * spec.T + math.log(spec.lam * l2sq / (2.0 * math.e * market.sigma**2)))
+            )
+    except OverflowError:
+        _name_overflow(spec, x, w)
+        raise
     return vt, vx, vxx
+
+
+def _name_overflow(spec: EMVSpec, x, w):
+    """Raise a ValueError naming the inputs of the Python-float square that
+    overflowed in ``value`` or ``value_derivatives``: (x - w)^2, lambda^2 in
+    plain mode or (w - z)^2.  Return if none of them did."""
+    def overflows(a):
+        return np.ndim(a) == 0 and math.isfinite(a) and math.isinf(a * a)
+
+    if overflows(x - w):
+        raise ValueError(f"a result overflows a float: (x - w)^2 at x = {x:.3g} and "
+                         f"w = {w:.3g} (z = {spec.z:.3g})") from None
+    if spec.mode == "plain" and overflows(spec.lam):
+        raise ValueError(f"a result overflows a float: lambda^2 at lambda = {spec.lam:.3g}") \
+            from None
+    if overflows(w - spec.z):
+        raise _gap_overflow(spec, w) from None
+
+
+def _gap_overflow(spec: EMVSpec, w: float) -> ValueError:
+    """The error for a (w - z)^2 beyond float range."""
+    return ValueError(f"a result overflows a float: (w - z)^2 at w = {w:.3g} and "
+                      f"z = {spec.z:.3g} (w - z = {w - spec.z:.3g}, x0 = {spec.x0:.3g})")
 
 
 def hjb_residual(t, x, spec: EMVSpec, market: MarketParams, w: float) -> float:

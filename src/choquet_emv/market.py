@@ -13,7 +13,8 @@ holds one generator per worker, rekeyed per path or episode, which draws the
 same bytes as a fresh generator per path at a fraction of the set-up cost.
 ``pathwise_objectives`` cuts its chunks into one contiguous block per usable
 CPU (at most one per chunk) and runs the blocks through ``fork_map``, the
-package's one way to use several CPUs.
+package's one way to use several CPUs.  Each Euler step of a chunk is written
+in place into the chunk's wealth array through two buffers of its size.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import EMVSpec, MarketParams, _require_int
+from .closedform import EMVSpec, MarketParams, _gap_overflow, _require_int
 from .policy import running_reward
 
 _U64 = 2**64 - 1
@@ -163,7 +164,11 @@ def pathwise_objectives(
 
     The chunks are cut into one contiguous block per usable CPU, at most one
     per chunk, run by ``fork_map``; there is one generator per block, rekeyed
-    per path, and ``chunk`` bounds each block's memory.
+    per path, and ``chunk`` bounds each block's memory.  A chunk steps its
+    wealth array in place, through a drift and a volatility buffer allocated
+    once per chunk, so the schedule receives that same array at every step
+    and must not keep it between calls.  A (w - z)^2 beyond float range
+    raises ValueError.
     """
     if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) or chunk < 1:
         raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
@@ -172,6 +177,10 @@ def pathwise_objectives(
     sdt = math.sqrt(sim.dt)
     xs = np.empty(sim.n_paths)
     vals = np.empty(sim.n_paths)
+    try:
+        gap = (w - spec.z) ** 2
+    except OverflowError:
+        raise _gap_overflow(spec, w) from None
 
     def fill(lo, hi):
         rng = np.random.Generator(np.random.Philox())  # rekeyed for every path
@@ -181,9 +190,9 @@ def pathwise_objectives(
                 n = min(chunk, hi - start)
                 noise = np.empty((n, sim.n_steps))
                 for row in range(n):
-                    path_stream(sim.seed, start + row, rng).standard_normal(sim.n_steps,
-                                                                            out=noise[row])
+                    path_stream(sim.seed, start + row, rng).standard_normal(out=noise[row])
                 x = np.full(n, float(spec.x0))
+                drift, vol = np.empty(n), np.empty(n)  # the step's two terms
                 reg_acc = 0.0  # in the std's shape: a scalar while it depends on t only
                 for i in range(sim.n_steps):
                     mean, std = schedule(i * sim.dt, x)
@@ -192,12 +201,22 @@ def pathwise_objectives(
                         # Phi_h of the policy is (action std) * ||h'||_2, independent of location
                         reg_acc = reg_acc + spec.lam * running_reward(std * spec.h.l2_norm,
                                                                       spec.mode) * sim.dt
-                    mean = np.broadcast_to(np.asarray(mean, dtype=float), x.shape)
-                    std = np.broadcast_to(std, x.shape)
-                    x = (x + rho * sigma * mean * sim.dt
-                         + sigma * np.sqrt(mean**2 + std**2) * sdt * noise[:, i])
+                    # x + rho sigma mean dt + sigma sqrt(mean^2 + std^2) sdt Z, rounded
+                    # in that expression's operand order; outputs of x's shape refuse
+                    # a mean or std that does not broadcast to it
+                    mean = np.asarray(mean, dtype=float)
+                    np.square(mean, out=vol)
+                    vol += np.square(std, out=drift)
+                    np.sqrt(vol, out=vol)
+                    vol *= sigma
+                    vol *= sdt
+                    vol *= noise[:, i]
+                    np.multiply(rho * sigma, mean, out=drift)
+                    drift *= sim.dt
+                    x += drift
+                    x += vol
                 xs[start:start + n] = x
-                vals[start:start + n] = (x - w) ** 2 - reg_acc - (w - spec.z) ** 2
+                vals[start:start + n] = (x - w) ** 2 - reg_acc - gap
         return xs[lo:hi], vals[lo:hi]
 
     n_chunks = -(-sim.n_paths // chunk)

@@ -288,6 +288,23 @@ class TestExitStatus:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, named", [
+        (["simulate", "--z", "1e200"], ["z = 1e+200"]),
+        (["simulate", "--x0", "1e308", "--z", "1e308"], ["z = 1e+308", "x0 = 1e+308"]),
+        (["solve", "--z", "1e200"], ["z = 1e+200"]),
+        (["solve", "--lambda", "1e308"], ["lambda = 1e+308"]),
+    ], ids=["simulate_z", "simulate_x0_z", "solve_z", "solve_lambda"])
+    def test_overflowing_square_names_its_input(self, argv, named, tmp_path, capsys):
+        # each overflows at a Python-float square: (w - z)^2 in the simulator,
+        # (x - w)^2 and lambda^2 in the closed-form value
+        if argv[0] == "simulate":
+            argv = argv + ["--n-paths", "2", "--n-steps", "2"]
+        assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("choquet-emv: error: a result overflows a float: ")
+        assert err.count("\n") == 1
+        assert all(name in err for name in named), err
+
     def test_bad_grid_file_is_one_line_with_status_2(self, tmp_path, capsys):
         cfg = write_grid(tmp_path / "grid.yaml", modes="plain")
         assert cli.main(["table", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2

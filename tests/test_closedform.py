@@ -176,6 +176,21 @@ class TestValueFunctions:
         assert vx == pytest.approx(fd_x, rel=1e-6)
         assert vxx == pytest.approx(fd_xx, rel=1e-3)
 
+    @pytest.mark.parametrize("mode, lam, x, w, named", [
+        ("log", 0.1, 1e200, 1.4, r"\(x - w\)\^2 at x = 1e\+200 and w = 1.4"),
+        ("plain", 1e200, 1.0, 1.4, r"lambda\^2 at lambda = 1e\+200"),
+        ("log", 0.1, 1.0, -1e200, r"\(x - w\)\^2 at x = 1 and w = -1e\+200"),
+    ], ids=["x", "lambda", "w"])
+    @pytest.mark.parametrize("fn", [value, value_derivatives], ids=["value", "derivatives"])
+    def test_overflowing_square_names_its_input(self, fn, mode, lam, x, w, named):
+        with pytest.raises(ValueError, match=named):
+            fn(0.5, x, spec_for(mode, lam), MARKET, w)
+
+    def test_overflowing_gap_names_w_and_z(self):
+        # at x = w, (x - w)^2 is 0 and (w - z)^2 overflows alone
+        with pytest.raises(ValueError, match=r"\(w - z\)\^2 at w = 1e\+200 and z = 1.4"):
+            value(0.5, 1e200, spec_for("log"), MARKET, 1e200)
+
     def test_plain_rejects_zero_sharpe(self):
         flat = MarketParams(mu=0.02, sigma=0.2, r=0.02)
         with pytest.raises(DegenerateSharpeError):
