@@ -210,8 +210,14 @@ def _write_csv(out_path: str | None, meta: dict, header: list[str], rows):
             fh.close()
 
 
+def _lam(args) -> float:
+    """The --lambda given, or the mode's ``DEFAULT_LAMBDA``."""
+    return DEFAULT_LAMBDA[args.mode] if args.lam is None else args.lam
+
+
 def _problem(args, h_name: str) -> tuple[MarketParams, EMVSpec, float]:
-    """Market, EMV spec and Lagrange multiplier of a single-run command."""
+    """Market, EMV spec and Lagrange multiplier of a closed-form command."""
+    args.lam = _lam(args)  # the header hashes the weight solved with
     market = MarketParams(mu=args.mu, sigma=args.sigma, r=args.r)
     spec = EMVSpec(T=args.T, lam=args.lam, z=args.z, x0=args.x0, mode=args.mode,
                    h=get_distortion(h_name))
@@ -244,6 +250,11 @@ def cmd_solve(args) -> int:
         pol = optimal_policy(float(t), spec.x0, spec, market, w)
         rows.append(("policy_mean", t, pol.location))
         rows.append(("policy_scale", t, pol.scale))
+    # log mode overflows to inf through numpy and math, without an error
+    if bad := next((row for row in rows if not math.isfinite(row[2])), None):
+        at = "" if isinstance(bad[1], str) else f" at t={_fmt(bad[1])}"
+        print(f"choquet-emv: error: {bad[0]}{at} turned non-finite: {bad[2]}", file=sys.stderr)
+        return 1
     _write_csv(args.out, _meta(args, "-"), ["quantity", "t", "value"], rows)
     return 0
 
@@ -284,10 +295,10 @@ def _train_config(mu, sigma, r, h_name, T, dt, seed, **fields) -> tuple[TrainCon
 
 
 def cmd_train(args) -> int:
-    lam = args.lam if args.lam is not None else DEFAULT_LAMBDA[args.mode]
+    # a left-out --lambda stays None in args, as the header's hash has always read it
     cfg, market = _train_config(
         args.mu, args.sigma, args.r, args.h, args.T, args.dt, args.seed,
-        episodes=args.episodes, lam=lam, mode=args.mode, z=args.z, x0=args.x0,
+        episodes=args.episodes, lam=_lam(args), mode=args.mode, z=args.z, x0=args.x0,
         avg_window=args.m, alpha=args.alpha, decay=args.decay, critic_form=args.critic_form,
         grad_clip=args.grad_clip,
     )
@@ -436,7 +447,7 @@ def _out_path(args, grid: ExperimentGrid) -> str | None:
     return os.path.join(grid.out_dir, f"{args.cmd}.csv")
 
 
-def _add_market_args(p: argparse.ArgumentParser, lam: float | None = 0.01):
+def _add_market_args(p: argparse.ArgumentParser):
     p.add_argument("--mu", type=float, default=0.1)
     p.add_argument("--sigma", type=float, default=0.2)
     p.add_argument("--r", type=float, default=0.02)
@@ -445,9 +456,8 @@ def _add_market_args(p: argparse.ArgumentParser, lam: float | None = 0.01):
     p.add_argument("--x0", type=float, default=1.0)
     p.add_argument("--mode", choices=MODES, default="plain")
     p.add_argument("--h", default="gaussian_score")
-    p.add_argument("--lambda", dest="lam", type=float, default=lam,
-                   help=None if lam is not None else "default " + " or ".join(
-                       f"{v} ({m})" for m, v in DEFAULT_LAMBDA.items()))
+    p.add_argument("--lambda", dest="lam", type=float, default=None,
+                   help="default " + " or ".join(f"{v} ({m})" for m, v in DEFAULT_LAMBDA.items()))
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
 
@@ -470,7 +480,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("train", help="run the actor-critic trainer once")
-    _add_market_args(p, lam=None)
+    _add_market_args(p)
     p.add_argument("--dt", type=float, default=1.0 / 252.0)
     p.add_argument("--episodes", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)

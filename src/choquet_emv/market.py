@@ -5,8 +5,8 @@ The wealth SDE is dX = sigma u (rho dt + dW) for a single action u, and
     dX = rho sigma mu_t dt + sigma sqrt(mu_t^2 + s_t^2) dW
 
 under a randomized action with mean mu_t and standard deviation s_t.  Both
-are discretized with Euler-Maruyama on the time grid, by ``rollout`` (the one
-action-by-action path) and ``pathwise_objectives`` (many paths on the moments).
+are discretized with Euler-Maruyama on the time grid, by ``wealth_recurrence``
+(action-by-action paths, behind ``rollout``) and ``pathwise_objectives``.
 Noise comes from counter-based Philox streams keyed by (seed, path index),
 so paths are reproducible independently of chunking or parallel order.  A run
 holds one generator per worker, rekeyed per path or episode, which draws the
@@ -120,8 +120,8 @@ def rollout(x0, w, mean_coef, scale, eta, sigma, increments):
 
     ``eta`` and ``increments`` are (B, n) rows of the paths' draws;
     ``scale`` broadcasts to them, and x0, w, mean_coef and sigma are scalars
-    or one per row.  Each path steps its own recurrence, and the actions are
-    formed once over all of them.  A diverging path runs on to inf/nan
+    or one per row.  Each path steps ``wealth_recurrence``, and the actions
+    are formed once over all of them.  A diverging path runs on to inf/nan
     without warnings; callers check the last state."""
     eta = np.asarray(eta, dtype=float)
     increments = np.asarray(increments, dtype=float)
@@ -131,23 +131,31 @@ def rollout(x0, w, mean_coef, scale, eta, sigma, increments):
     per_row = np.empty((4, len(eta)))  # each row's x0, w, mean_coef and sigma
     per_row[0], per_row[1], per_row[2], per_row[3] = x0, w, mean_coef, sigma
     explore = np.empty(eta.shape)
-    states = np.empty((len(eta), eta.shape[1] + 1))
     with np.errstate(over="ignore", invalid="ignore"):
         try:  # an output of eta's shape admits only a scale that broadcasts to it
             np.multiply(scale, eta, out=explore)
         except ValueError:
             raise ValueError(f"rollout's scale of shape {np.shape(scale)} does not broadcast "
                              f"to the draws of shape {eta.shape}") from None
-        # Python floats round like float64 scalars and overflow to inf/nan
-        # silently, at a fraction of the per-step cost of numpy scalars;
-        # memoryviews hand the loop the rows' floats without a list copy
-        for out, x, wr, ar, sr, e, c in zip(states, *per_row.tolist(), explore, increments):
-            out[0] = x
-            out[1:] = [x := x + sr * (ar * (x - wr) + ei) * ci
-                       for ei, ci in zip(memoryview(e), memoryview(c))]
+        states = wealth_recurrence(*per_row.tolist(), explore, increments)
         w, a = per_row[1:3, :, None]
         actions = a * (states[:, :-1] - w) + explore
     return states, actions
+
+
+def wealth_recurrence(x0, w, mean_coef, sigma, explore, increments) -> np.ndarray:
+    """``rollout``'s (B, n + 1) states without its checks or actions: x0, w,
+    mean_coef and sigma hold one Python float per row, ``explore`` (scale
+    eta) and ``increments`` are (B, n) float64 rows."""
+    states = np.empty((len(explore), explore.shape[1] + 1))
+    # Python floats round like float64 scalars and overflow to inf/nan
+    # silently, at a fraction of the per-step cost of numpy scalars;
+    # memoryviews hand the loop the rows' floats without a list copy
+    for out, x, wr, ar, sr, e, c in zip(states, x0, w, mean_coef, sigma, explore, increments):
+        out[0] = x
+        out[1:] = [x := x + sr * (ar * (x - wr) + ei) * ci
+                   for ei, ci in zip(memoryview(e), memoryview(c))]
+    return states
 
 
 def pathwise_objectives(

@@ -19,8 +19,10 @@ moves the multiplier w toward the wealth target every ``avg_window``
 episodes.  Update magnitudes decay like j^{-decay}.
 
 ``train_many`` runs a batch of such loops in lockstep: each cell draws
-its episodes by block and steps its own wealth recurrence, the actions and
-the TD machinery run once per episode over the batch, and each cell gives
+its episodes by block and steps its own ``market.wealth_recurrence`` row;
+the gaps x - w, the policy location and the actions are formed once per
+episode over the batch and (w - z)^2 once per multiplier step, and the TD
+pass and the actor read them under one ``np.errstate``.  Each cell gives
 the bytes it gives alone (``train`` is the one-cell case).
 """
 
@@ -34,7 +36,7 @@ import numpy as np
 
 from .closedform import MarketParams, _require_finite, _require_int
 from .distortion import DistortionFn
-from .market import SimConfig, increment, path_stream, rollout
+from .market import SimConfig, increment, path_stream, wealth_recurrence
 from .policy import check_mode, log_density_grad_fields, standardized_draw
 
 CRITIC_FORMS = ("standard", "corrected")
@@ -139,19 +141,13 @@ class TrainLog:
 # ---------------------------------------------------------------------------
 # The critic, actor and TD functions take a (B, 3) batch of parameters, one
 # row per cell; a (3,) vector is a batch of one.  Wealths and actions are
-# (B, ...) rows, the critic takes its multipliers as ``_per_cell`` shapes
-# them, and the grid times stay shared.
-
-
-def _per_cell(values):
-    """Per-cell values of a batch as a (B, 1) column that broadcasts against
-    its rows."""
-    return np.asarray(values, dtype=float)[:, None]
+# (B, ...) rows, per-cell values such as the multipliers are (B, 1) columns
+# that broadcast against them, and the grid times stay shared.
 
 
 def _columns(params) -> np.ndarray:
-    """A (B, 3) batch as three ``_per_cell`` columns, or a batch of one as
-    three scalars: ``p[k]`` broadcasts against a time grid either way."""
+    """A (B, 3) batch as three (B, 1) columns, or a batch of one as three
+    scalars: ``p[k]`` broadcasts against a time grid either way."""
     p = np.asarray(params, dtype=float).reshape(-1, 3)
     return p[0] if len(p) == 1 else p.T[..., None]
 
@@ -230,9 +226,10 @@ def critic_grad(theta, t, x, w, T, form: str = "standard"):
 # ---------------------------------------------------------------------------
 
 
-def actor_scale(phi, t, T):
+def actor_scale(phi, tau):
+    """The actor scale e^{phi1/2 + phi2 tau/2} at the times to go ``tau``."""
     ph = _columns(phi)
-    return np.exp(0.5 * ph[1] + 0.5 * ph[2] * (T - np.asarray(t, dtype=float)))
+    return np.exp(0.5 * ph[1] + 0.5 * ph[2] * tau)
 
 
 def _regularizer_form(h: DistortionFn, mode: str) -> tuple[bool, float]:
@@ -250,10 +247,10 @@ def _regularizer_forms(hs, modes):
     return tuple(np.array(v)[:, None] for v in zip(*forms))
 
 
-def _regularizer(phi, tau, forms, scale, grad, lam):
-    """The actor's regularizer value p at the times to go ``tau`` for rows
-    whose ``_regularizer_forms`` are ``forms``, with ``grad`` filled with
-    lam dp/dphi:
+def _regularizer(phi, tau, half_tau, forms, scale, grad, lam):
+    """The actor's regularizer value p at the times to go ``tau`` (and their
+    halves ``half_tau``) for rows whose ``_regularizer_forms`` are ``forms``,
+    with ``grad`` filled with lam dp/dphi:
 
     plain: p = S ||h'||^2 with gradient (0, p/2, p tau/2);
     log:   p = phi1/2 + phi2 tau/2 + 2 log ||h'||_2 with gradient
@@ -261,19 +258,20 @@ def _regularizer(phi, tau, forms, scale, grad, lam):
 
     S is ``scale``, the actor scale at those times (``actor_scale``), and
     ``grad`` a buffer of p's shape by 3 whose first column is 0."""
-    ph = _columns(phi)
     plain, const = forms
     # dp: dp/d(phi1/2), which is p in plain mode and 1 in log mode
-    if np.ndim(plain) == 0:
-        if plain:
-            p = dp = scale * const
-        else:
-            p, dp = 0.5 * ph[1] + 0.5 * ph[2] * tau + const, 1.0
-    else:  # cells of both modes or of several norms, row by row
-        p = np.where(plain, scale * const, 0.5 * ph[1] + 0.5 * ph[2] * tau + const)
-        dp = np.where(plain, p, 1.0)
+    if np.ndim(plain) == 0 and plain:  # phi is read in log mode only
+        p = dp = scale * const
+    else:
+        ph = _columns(phi)
+        p = 0.5 * ph[1] + 0.5 * ph[2] * tau + const
+        if np.ndim(plain) == 0:
+            dp = 1.0
+        else:  # cells of both modes or of several norms, row by row
+            p = np.where(plain, scale * const, p)
+            dp = np.where(plain, p, 1.0)
     np.multiply(0.5 * dp, lam, out=grad[..., 1])
-    np.multiply(0.5 * tau * dp, lam, out=grad[..., 2])
+    np.multiply(half_tau * dp, lam, out=grad[..., 2])
     return p, grad
 
 
@@ -290,8 +288,9 @@ class _Batch(NamedTuple):
     z: float
     form: str
     tau: np.ndarray  # T - t on the n + 1 grid times
+    half_tau: np.ndarray  # (T - t)/2 on the first n
     dts: np.ndarray
-    lam: np.ndarray  # a ``_per_cell`` column
+    lam: np.ndarray  # a (B, 1) column
     forms: tuple  # the rows' ``_regularizer_forms``
     groups: list  # (distortion, rows) per family record among the rows
     # (B, n, 3) buffers: -dV/dtheta, the score's chain-rule factors, and
@@ -315,69 +314,66 @@ def _batch(times, configs) -> _Batch:
     tau = first.T - times
     buffers = np.empty((3, len(configs), len(times) - 1, 3))
     buffers[2, ..., 0] = 0.0
-    return _Batch(first.z, first.critic_form, tau, times[1:] - times[:-1],
-                  _per_cell([c.lam for c in configs]),
+    return _Batch(first.z, first.critic_form, tau, 0.5 * tau[:-1], times[1:] - times[:-1],
+                  np.array([[c.lam] for c in configs], dtype=float),
                   _regularizer_forms([c.h for c in configs], [c.mode for c in configs]),
                   [(h, _rows(rows)) for h, rows in groups.values()], *buffers)
 
 
-def episode_gradients(batch: _Batch, states, theta, phi, w, scale):
+def episode_gradients(batch: _Batch, xw, gap2, theta, phi, scale):
     """The TD pass over one episode of each of the batch's B cells, which
-    reads no density: (B, n + 1) wealths on the grid times, (B, 3) theta
-    and phi, (B,) w and the actor scale ``scale`` (``actor_scale`` on the
+    reads no density: the (B, n + 1) gaps ``xw`` = x - w of the wealths on
+    the grid times, the (B, 1) (w - z)^2 ``gap2`` (``_gap_squared``), (B, 3)
+    theta and phi, and the actor scale ``scale`` (``actor_scale`` on the
     grid's first n times).  ``batch`` is the cells' ``_batch`` layout.
 
     Returns (grad_theta, delta, grad_reg), each with a leading axis of B:
     the critic gradient -sum_i dV/dtheta(t_i) delta_i, the (B, n) TD errors
     and sum_i lam dp/dphi dt, the regularizer term every actor subtracts.
+    A diverging row runs on to inf/nan, silently under the one
+    ``np.errstate`` ``train_many`` enters for this and ``score_gradient``.
     """
-    lam, tau, dts, wc = batch.lam, batch.tau[:-1], batch.dts, _per_cell(w)
-    # overflow in a diverging run shows up as non-finite parameters and is
-    # reported by the caller; keep the arithmetic silent here
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # one critic pass: V on the n + 1 grid, dV/dtheta on its first n points
-        th, grow, offset, decay, xw2 = _critic_pass(theta, batch.tau, states - wc, batch.form)
-        v = _value(th, offset, decay, xw2, _gap_squared(wc, batch.z))
-        neg_dv = _neg_grad(tau, th, *(a[..., :-1] for a in (grow, offset, decay, xw2)),
-                           batch.neg_dv)
-        p, lam_dp = _regularizer(phi, tau, batch.forms, scale, batch.lam_dp, lam)
-        delta = v[:, 1:] - v[:, :-1] - lam * p * dts
-        return _transpose_dot(neg_dv, delta), delta, _transpose_dot(lam_dp, dts)
+    lam, tau, dts = batch.lam, batch.tau[:-1], batch.dts
+    # one critic pass: V on the n + 1 grid, dV/dtheta on its first n points
+    th, grow, offset, decay, xw2 = _critic_pass(theta, batch.tau, xw, batch.form)
+    v = _value(th, offset, decay, xw2, gap2)
+    neg_dv = _neg_grad(tau, th, *(a[..., :-1] for a in (grow, offset, decay, xw2)), batch.neg_dv)
+    p, lam_dp = _regularizer(phi, tau, batch.half_tau, batch.forms, scale, batch.lam_dp, lam)
+    delta = v[:, 1:] - v[:, :-1] - lam * p * dts
+    return _transpose_dot(neg_dv, delta), delta, _transpose_dot(lam_dp, dts)
 
 
-def score_gradient(batch: _Batch, states, actions, phi, w, scale, delta):
+def score_gradient(batch: _Batch, xw, location, actions, scale, delta):
     """The score-function actor: sum_i dlog policy(u_i)/dphi delta_i over
-    the (B, n) actions taken at the actor scale ``scale`` between the (B,
-    n + 1) wealths, with the TD errors ``delta`` of ``episode_gradients``.
+    the (B, n) actions taken at the policy location ``location`` = -phi0 (x
+    - w) and actor scale ``scale`` from the first n of the (B, n + 1) gaps
+    ``xw``, with the TD errors ``delta`` of ``episode_gradients``.
 
     Returns the (B, 3) sums and the (B,) counts of actions outside their
     policy's support, whose terms are skipped; an action leaves it only
-    through the rounding of (u - M) / S."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        xw = states[:, :-1] - _per_cell(w)
-        location = -_columns(phi)[0] * xw
-        # log_density_grad_fields once per family record among the rows
-        if len(batch.groups) == 1:
-            dm, ds = log_density_grad_fields(batch.groups[0][0], actions, location, scale)
-        else:
-            dm, ds = np.empty_like(location), np.empty_like(location)
-            for h, rows in batch.groups:
-                dm[rows], ds[rows] = log_density_grad_fields(h, actions[rows], location[rows],
-                                                             scale[rows])
-        in_support = np.isfinite(dm) & np.isfinite(ds)
-        if in_support.all():
-            n_skipped = np.zeros(len(in_support), dtype=int)
-        else:
-            n_skipped = (~in_support).sum(axis=1)
-            dm = np.where(in_support, dm, 0.0)
-            ds = np.where(in_support, ds, 0.0)
-        # chain rule through (M, S): M = -phi0 (x-w), S = e^{phi1/2 + phi2 tau/2};
-        # -(xw dm) is (-xw) dm exactly
-        dlog = batch.dlog
-        np.negative(np.multiply(xw, dm, out=dlog[..., 0]), out=dlog[..., 0])
-        np.multiply(0.5 * scale, ds, out=dlog[..., 1])
-        np.multiply(0.5 * batch.tau[:-1] * scale, ds, out=dlog[..., 2])
-        return _transpose_dot(dlog, delta), n_skipped
+    through the rounding of (u - M) / S.  Warnings are the caller's."""
+    # log_density_grad_fields once per family record among the rows
+    if len(batch.groups) == 1:
+        dm, ds = log_density_grad_fields(batch.groups[0][0], actions, location, scale)
+    else:
+        dm, ds = np.empty_like(location), np.empty_like(location)
+        for h, rows in batch.groups:
+            dm[rows], ds[rows] = log_density_grad_fields(h, actions[rows], location[rows],
+                                                         scale[rows])
+    in_support = np.isfinite(dm) & np.isfinite(ds)
+    if in_support.all():
+        n_skipped = np.zeros(len(in_support), dtype=int)
+    else:
+        n_skipped = (~in_support).sum(axis=1)
+        dm = np.where(in_support, dm, 0.0)
+        ds = np.where(in_support, ds, 0.0)
+    # chain rule through (M, S): M = -phi0 (x-w), S = e^{phi1/2 + phi2 tau/2};
+    # -(xw dm) is (-xw) dm exactly
+    dlog = batch.dlog
+    np.negative(np.multiply(xw[:, :-1], dm, out=dlog[..., 0]), out=dlog[..., 0])
+    np.multiply(0.5 * scale, ds, out=dlog[..., 1])
+    np.multiply(batch.half_tau * scale, ds, out=dlog[..., 2])
+    return _transpose_dot(dlog, delta), n_skipped
 
 
 def lagrange_update(w, terminal_batch, alpha_w: float, z: float):
@@ -469,7 +465,7 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
     """
     configs, markets = list(configs), list(markets)
     first = _check_batch(configs, markets)
-    n_steps, T = first.sim.n_steps, first.T
+    n_steps, x0 = first.sim.n_steps, float(first.x0)
     K, m = first.episodes, first.avg_window
     times = first.sim.times()
     B = len(configs)
@@ -484,7 +480,7 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
     # the batch rows: the cells still training, by index into configs
     live = np.arange(B)
     cols = slice(None)  # live as an index into the logs; a slice while no cell has left
-    sigmas = np.array([m.sigma for m in markets])  # the rows' market volatilities
+    sigmas = [float(m.sigma) for m in markets]  # the rows' market volatilities
     batch = _batch(times, configs)
     theta = np.tile(np.array(THETA_INIT, dtype=float), (B, 1))
     phi = np.tile(np.array(PHI_INIT, dtype=float), (B, 1))
@@ -500,27 +496,34 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
             for row, b in enumerate(live.tolist()):
                 eta[row], incs[row] = episode_draws(configs[b].h, markets[b], configs[b].sim,
                                                     j, count, rng)
+        if (j - 1) % m == 0:  # the first episode, or the first after a multiplier step
+            gap2 = _gap_squared(w[:, None], first.z)
         # a failing row rides along to the end of the episode, silently: every
         # batched step is row by row, so it touches no other cell's numbers
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = actor_scale(phi, times[None, :-1], T)  # (B, n), B = 1 too
-            states, actions = rollout(first.x0, w, -phi[:, 0], scale, eta[:, k], sigmas, incs[:, k])
-            g_theta, delta, g_reg = episode_gradients(batch, states, theta, phi, w, scale)
-            g_score, n_skip = score_gradient(batch, states, actions, phi, w, scale, delta)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            scale = actor_scale(phi, batch.tau[:-1])
+            explore = scale * eta[:, k]
+            coef = -phi[:, :1]  # the location's coefficient of x - w
+            states = wealth_recurrence([x0] * len(w), w.tolist(), coef[:, 0].tolist(), sigmas,
+                                       explore, incs[:, k])
+            xw = states - w[:, None]
+            location = coef * xw[:, :-1]
+            g_theta, delta, g_reg = episode_gradients(batch, xw, gap2, theta, phi, scale)
+            g_score, n_skip = score_gradient(batch, xw, location, location + explore, scale,
+                                             delta)
             g_phi = g_score - g_reg
-        skipped += n_skip
-        if first.grad_clip is not None:
-            g_theta, c1 = _clip(g_theta, first.grad_clip)
-            g_phi, c2 = _clip(g_phi, first.grad_clip)
-            clip_events += c1
-            clip_events += c2
+            skipped += n_skip
+            if first.grad_clip is not None:
+                g_theta, c1 = _clip(g_theta, first.grad_clip)
+                g_phi, c2 = _clip(g_phi, first.grad_clip)
+                clip_events += c1
+                clip_events += c2
 
-        lr = j ** (-first.decay)
-        theta = theta - first.alpha * lr * g_theta
-        phi = phi - first.alpha * lr * g_phi
-        tw_log[cols, j - 1] = states[:, -1]
-        if j % m == 0:
-            with np.errstate(over="ignore", invalid="ignore"):
+            lr = j ** (-first.decay)
+            theta = theta - first.alpha * lr * g_theta
+            phi = phi - first.alpha * lr * g_phi
+            tw_log[cols, j - 1] = states[:, -1]
+            if j % m == 0:
                 w = lagrange_update(w, tw_log[cols, j - m:j], first.alpha, first.z)
         theta_log[cols, j - 1] = theta
         phi_log[cols, j - 1] = phi
@@ -533,13 +536,13 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
             for row, col in zip(np.flatnonzero(~keep).tolist(),
                                 finite[~keep].argmin(axis=1).tolist()):
                 results[live[row]] = TrainingDivergedError(j, _CAUSES[col])
-            live, theta, phi, w = live[keep], theta[keep], phi[keep], w[keep]
+            live, theta, phi, w, gap2 = live[keep], theta[keep], phi[keep], w[keep], gap2[keep]
             skipped, clip_events = skipped[keep], clip_events[keep]
             eta, incs = eta[keep], incs[keep]
             cols = live
             if not len(live):
                 break
-            sigmas = sigmas[keep]
+            sigmas = [sigmas[row] for row in np.flatnonzero(keep).tolist()]
             batch = _batch(times, [configs[b] for b in live.tolist()])
 
     for b, n_skipped, n_clipped in zip(live.tolist(), skipped.tolist(), clip_events.tolist()):

@@ -51,15 +51,26 @@ def random_feasible_quantile(rng: np.random.Generator, m: float, s: float) -> Sc
 
 def regularizer(phi, t, h, mode, T):
     """``rl._regularizer`` (p and dp/dphi) of one actor, a batch of one, at times t."""
-    return rl._regularizer([phi], T - np.asarray(t), rl._regularizer_form(h, mode),
-                           rl.actor_scale([phi], t, T), np.zeros(np.shape(t) + (3,)), 1.0)
+    tau = T - np.asarray(t)
+    return rl._regularizer([phi], tau, 0.5 * tau, rl._regularizer_form(h, mode),
+                           rl.actor_scale([phi], tau), np.zeros(np.shape(t) + (3,)), 1.0)
+
+
+def episode_terms(batch, states, phi, w):
+    """(xw, location, gap2) of (B, n + 1) states, formed as ``rl.train_many``
+    forms them: the gaps x - w, the policy location -phi0 (x - w) on the
+    first n times and the (B, 1) (w - z)^2."""
+    w = np.asarray(w, dtype=float)[:, None]
+    xw = np.asarray(states, dtype=float) - w
+    return xw, -np.asarray(phi, dtype=float)[:, :1] * xw[:, :-1], rl._gap_squared(w, batch.z)
 
 
 def trainer_gradients(batch, states, actions, theta, phi, w, scale):
     """(grad_theta, grad_phi, n_skipped) of one episode: ``rl.episode_gradients``,
     the TD pass, then ``rl.score_gradient``, the actor, composed as
-    ``rl.train_many`` composes them."""
-    states = np.asarray(states, dtype=float)
-    grad_theta, delta, grad_reg = rl.episode_gradients(batch, states, theta, phi, w, scale)
-    grad_score, n_skipped = rl.score_gradient(batch, states, actions, phi, w, scale, delta)
+    ``rl.train_many`` composes them, under its ``np.errstate``."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        xw, location, gap2 = episode_terms(batch, states, phi, w)
+        grad_theta, delta, grad_reg = rl.episode_gradients(batch, xw, gap2, theta, phi, scale)
+        grad_score, n_skipped = rl.score_gradient(batch, xw, location, actions, scale, delta)
     return grad_theta, grad_score - grad_reg, n_skipped

@@ -75,6 +75,16 @@ class TestSolve:
         cli.main(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv", [["solve"], ["simulate", "--n-paths", "8", "--n-steps", "8"],
+                                      ["trajectory", "--n-steps", "8"]], ids=lambda a: a[0])
+    def test_log_mode_defaults_to_its_own_lambda(self, argv, tmp_path):
+        # every command reads a left-out --lambda from DEFAULT_LAMBDA by mode
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main(argv + ["--mode", "log", "--out", str(a)]) == 0
+        assert cli.main(argv + ["--mode", "log", "--lambda", str(cli.DEFAULT_LAMBDA["log"]),
+                                "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestSimulate:
     def test_path_rows_and_meta(self, tmp_path):
@@ -415,6 +425,14 @@ class TestExitStatus:
                          "--n-steps", "8", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "choquet-emv: error: 8 of 8 simulated paths turned non-finite\n")
+        assert not out.exists()
+
+    def test_non_finite_closed_form_is_one_line_with_status_1(self, tmp_path, capsys):
+        # log mode's value and scale overflow to inf without an error
+        out = tmp_path / "s.csv"
+        assert cli.main(["solve", "--mode", "log", "--lambda", "1e308", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "choquet-emv: error: value_initial turned non-finite: -inf\n")
         assert not out.exists()
 
     def test_diverged_training_is_one_line_with_status_1(self, tmp_path, monkeypatch, capsys):

@@ -25,6 +25,7 @@ from choquet_emv.market import (
     path_stream,
     pathwise_objectives,
     rollout,
+    wealth_recurrence,
 )
 from choquet_emv.policy import running_reward
 from choquet_emv.rl import episode_draws
@@ -211,6 +212,32 @@ class TestRollout:
                     xs.append(x)
             assert states[i].tobytes() == np.array(xs).tobytes()
             assert actions[i].tobytes() == np.array(us).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_recurrence_matches_step_loop_and_rollout_bitwise(self, rows):
+        # the trainer's call: Python-float x0, w, mean_coef and sigma per
+        # row, a different one of each on every row, with scale * eta and
+        # the increments as (B, n) rows
+        n, dt = 64, 1.0 / 64
+        markets = [MARKET, MarketParams(mu=0.3, sigma=0.5, r=0.02),
+                   MarketParams(mu=-0.5, sigma=0.1, r=0.02)][:rows]
+        ws, coefs = [1.6, 1.2, 0.9][:rows], [-1.3, -0.4, 2.1][:rows]
+        paths = [draws(get_distortion(h_name), n, dt)
+                 for h_name in ("gaussian_score", "gini", "entropy_like")[:rows]]
+        eta = np.array([e for e, _ in paths])
+        increments = np.array([increment(m, dt, z) for m, (_, z) in zip(markets, paths)])
+        scale = 0.4 * np.exp(0.6 * (1.0 - np.arange(n) * dt))
+        sigmas = [m.sigma for m in markets]
+        states = wealth_recurrence([1.0] * rows, ws, coefs, sigmas, scale * eta, increments)
+        checked, _ = rollout(1.0, np.array(ws), np.array(coefs), scale, eta, sigmas, increments)
+        assert states.shape == (rows, n + 1) and states.tobytes() == checked.tobytes()
+        for i, market in enumerate(markets):
+            x, xs = 1.0, [1.0]
+            for k in range(n):
+                u = coefs[i] * (x - ws[i]) + scale[k] * eta[i, k]
+                x = step(x, u, market, dt, paths[i][1][k])
+                xs.append(x)
+            assert states[i].tobytes() == np.array(xs).tobytes()
 
     @pytest.mark.parametrize("n_increments", [7, 3])
     def test_draws_and_increments_of_other_lengths_are_rejected(self, n_increments):

@@ -36,7 +36,7 @@ from choquet_emv.rl import (
     train_many,
 )
 
-from adversarial import regularizer, trainer_gradients
+from adversarial import episode_terms, regularizer, trainer_gradients
 
 GAUSS = get_distortion("gaussian_score")
 MARKET = MarketParams(mu=0.1, sigma=0.2, r=0.02)
@@ -50,7 +50,7 @@ def actor_policy(phi, t, x, w, h, T) -> LocationScalePolicy:
     """The actor's action distribution at state (t, x)."""
     ph = np.asarray(phi, dtype=float)
     return LocationScalePolicy(h=h, location=-ph[0] * (x - w),
-                               scale=float(actor_scale(ph, t, T)))
+                               scale=float(actor_scale(ph, T - t)))
 
 
 def td_error(theta, phi, t0, x0, t1, x1, lam, mode, h, w, z, T,
@@ -277,7 +277,7 @@ class TestEpisodeGradients:
 
         def surrogate(ph):
             total = 0.0
-            scales = actor_scale(ph, t_left, T)
+            scales = actor_scale(ph, T - t_left)
             for i in range(len(t_left)):
                 pol = LocationScalePolicy(h=GAUSS, location=-ph[0] * (x_left[i] - w),
                                           scale=float(scales[i]))
@@ -340,7 +340,7 @@ class TestEpisodeGradients:
         # actor side: score terms reweighted by the delta change, plus dp swap
         from choquet_emv.policy import log_density_grad_fields
 
-        scale = actor_scale(phi, t_left, T)
+        scale = actor_scale(phi, T - t_left)
         dm, ds = log_density_grad_fields(GAUSS, episode.actions[0], -phi[0] * (x_left - w), scale)
         tau = T - t_left
         dlog = np.stack([-(x_left - w) * dm, 0.5 * scale * ds, 0.5 * tau * scale * ds], axis=-1)
@@ -363,17 +363,18 @@ class TestEpisodeGradients:
             raise DensityUnavailableError(f"{dist.name} has no density")
 
         monkeypatch.setattr(rl, "log_density_grad_fields", no_density)
-        grads = rl.episode_gradients(episode.batch, episode.states, [rl.THETA_INIT], [phi],
-                                     [w], episode.scale)
+        xw, location, gap2 = episode_terms(episode.batch, episode.states, [phi], [w])
+        grads = rl.episode_gradients(episode.batch, xw, gap2, [rl.THETA_INIT], [phi],
+                                     episode.scale)
         assert asked == [] and all(np.isfinite(g).all() for g in grads)
         with pytest.raises(DensityUnavailableError):
-            rl.score_gradient(episode.batch, episode.states, episode.actions, [phi], [w],
-                              episode.scale, grads[1])
+            rl.score_gradient(episode.batch, xw, location, episode.actions, episode.scale,
+                              grads[1])
         assert asked == [h]
         monkeypatch.undo()  # the package's own density raises the same
         with pytest.raises(DensityUnavailableError):
-            rl.score_gradient(episode.batch, episode.states, episode.actions, [phi], [w],
-                              episode.scale, grads[1])
+            rl.score_gradient(episode.batch, xw, location, episode.actions, episode.scale,
+                              grads[1])
 
     def test_failing_row_rides_along_silently(self):
         # row 1's wealth is 1e308 from step 3 on, so -phi0 (x - w) and the
@@ -384,16 +385,17 @@ class TestEpisodeGradients:
         states[1, 3:] = 1e308
         actions, scale = np.repeat(episode.actions, 2, axis=0), np.tile(episode.scale, (2, 1))
         batch = rl._batch(episode.times, [cfg, cfg])
-        with warnings.catch_warnings():
+        # the TD pass and the actor leave warnings to their caller: enter train_many's errstate
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore",
+                                                    divide="ignore"):
             warnings.simplefilter("error")
-            gt, delta, g_reg = rl.episode_gradients(batch, states, theta, [phi] * 2, [w] * 2,
-                                                    scale)
-            g_score, skipped = rl.score_gradient(batch, states, actions, [phi] * 2, [w] * 2,
-                                                 scale, delta)
-            alone = rl.episode_gradients(episode.batch, episode.states, theta[:1], [phi], [w],
-                                         scale[:1])
-            alone_score = rl.score_gradient(episode.batch, episode.states, episode.actions,
-                                            [phi], [w], scale[:1], alone[1])
+            xw, location, gap2 = episode_terms(batch, states, [phi] * 2, [w] * 2)
+            gt, delta, g_reg = rl.episode_gradients(batch, xw, gap2, theta, [phi] * 2, scale)
+            g_score, skipped = rl.score_gradient(batch, xw, location, actions, scale, delta)
+            xw, location, gap2 = episode_terms(episode.batch, episode.states, [phi], [w])
+            alone = rl.episode_gradients(episode.batch, xw, gap2, theta[:1], [phi], scale[:1])
+            alone_score = rl.score_gradient(episode.batch, xw, location, episode.actions,
+                                            scale[:1], alone[1])
         assert not np.isfinite(delta[1]).all() and skipped[1] > 0
         for got, want in zip((gt, delta, g_reg, g_score, skipped), alone + alone_score):
             assert got[0].tobytes() == want[0].tobytes()
@@ -721,7 +723,7 @@ class TestTrainMany:
         phi = np.array([[1.2, -0.8, 0.9], [0.3, -1.1, 1.7]])
         _, grad_phi, skipped = trainer_gradients(rl._batch(times, [cfg, cfg]), states, actions,
                                                  np.ones((2, 3)), phi, np.array([1.4, 1.4]),
-                                                 actor_scale(phi, times[None, :-1], T))
+                                                 actor_scale(phi, T - times[None, :-1]))
         assert skipped.tolist() == [16, 16]
         rounded_apart = False
         for row in range(2):
