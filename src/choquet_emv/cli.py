@@ -295,10 +295,10 @@ def _train_config(mu, sigma, r, h_name, T, dt, seed, **fields) -> tuple[TrainCon
 
 
 def cmd_train(args) -> int:
-    # a left-out --lambda stays None in args, as the header's hash has always read it
+    args.lam = _lam(args)  # the header hashes the weight trained with
     cfg, market = _train_config(
         args.mu, args.sigma, args.r, args.h, args.T, args.dt, args.seed,
-        episodes=args.episodes, lam=_lam(args), mode=args.mode, z=args.z, x0=args.x0,
+        episodes=args.episodes, lam=args.lam, mode=args.mode, z=args.z, x0=args.x0,
         avg_window=args.m, alpha=args.alpha, decay=args.decay, critic_form=args.critic_form,
         grad_clip=args.grad_clip,
     )

@@ -13,8 +13,9 @@ holds one generator per worker, rekeyed per path or episode, which draws the
 same bytes as a fresh generator per path at a fraction of the set-up cost.
 ``pathwise_objectives`` cuts its chunks into one contiguous block per usable
 CPU (at most one per chunk) and runs the blocks through ``fork_map``, the
-package's one way to use several CPUs.  Each Euler step of a chunk is written
-in place into the chunk's wealth array through two buffers of its size.
+package's one way to use several CPUs.  A block allocates one noise, wealth,
+drift and vol set of one chunk's size; each of its chunks uses the first rows,
+and each Euler step is written in place into the wealth array.
 """
 
 from __future__ import annotations
@@ -172,11 +173,11 @@ def pathwise_objectives(
 
     The chunks are cut into one contiguous block per usable CPU, at most one
     per chunk, run by ``fork_map``; there is one generator per block, rekeyed
-    per path, and ``chunk`` bounds each block's memory.  A chunk steps its
-    wealth array in place, through a drift and a volatility buffer allocated
-    once per chunk, so the schedule receives that same array at every step
-    and must not keep it between calls.  A (w - z)^2 beyond float range
-    raises ValueError.
+    per path, and ``chunk`` bounds each block's memory.  A block allocates
+    one noise, wealth, drift and vol set of one chunk's size, and each of its
+    chunks steps a view of the first rows in place, so the schedule receives
+    the same memory at every step of the whole block and must not keep it
+    between calls.  A (w - z)^2 beyond float range raises ValueError.
     """
     if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) or chunk < 1:
         raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
@@ -192,15 +193,20 @@ def pathwise_objectives(
 
     def fill(lo, hi):
         rng = np.random.Generator(np.random.Philox())  # rekeyed for every path
+        # one working set per block; a chunk uses the first n rows of each
+        size = min(chunk, hi - lo)
+        noise_set = np.empty((size, sim.n_steps))
+        x_set, drift_set, vol_set = np.empty(size), np.empty(size), np.empty(size)
         # a diverging path runs on to inf/nan without warnings; callers check
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(lo, hi, chunk):
                 n = min(chunk, hi - start)
-                noise = np.empty((n, sim.n_steps))
+                noise = noise_set[:n]
                 for row in range(n):
                     path_stream(sim.seed, start + row, rng).standard_normal(out=noise[row])
-                x = np.full(n, float(spec.x0))
-                drift, vol = np.empty(n), np.empty(n)  # the step's two terms
+                x = x_set[:n]
+                x.fill(float(spec.x0))
+                drift, vol = drift_set[:n], vol_set[:n]  # the step's two terms
                 reg_acc = 0.0  # in the std's shape: a scalar while it depends on t only
                 for i in range(sim.n_steps):
                     mean, std = schedule(i * sim.dt, x)

@@ -76,7 +76,8 @@ class TestSolve:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("argv", [["solve"], ["simulate", "--n-paths", "8", "--n-steps", "8"],
-                                      ["trajectory", "--n-steps", "8"]], ids=lambda a: a[0])
+                                      ["trajectory", "--n-steps", "8"],
+                                      ["train", "--episodes", "4"]], ids=lambda a: a[0])
     def test_log_mode_defaults_to_its_own_lambda(self, argv, tmp_path):
         # every command reads a left-out --lambda from DEFAULT_LAMBDA by mode
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -3,6 +3,7 @@ import math
 import os
 import signal
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -495,6 +496,26 @@ class TestForkedWorkers:
         xs, vals = pathwise_objectives(optimal_schedule(spec, MARKET, w), spec, MARKET,
                                        self.SIM, w, chunk=chunk)
         assert np.isfinite(xs).all() and np.isfinite(vals).all()
+
+
+class TestWorkingSet:
+    def test_block_holds_one_chunk_noise_buffer(self, monkeypatch):
+        # 8 chunks of 32 paths x 1024 steps on two reported CPUs: the caller's
+        # block runs 4 of them, through one noise buffer of 32 x 1024 floats
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        spec = spec_for("plain", 0.01)
+        w = lagrange_multiplier(spec, MARKET)
+        schedule = optimal_schedule(spec, MARKET, w)
+        sim = SimConfig.from_horizon(1.0, 1024, n_paths=8 * 32, seed=7)
+        # untraced, a first call loads what later calls reuse: lazy imports
+        pathwise_objectives(schedule, spec, MARKET, sim, w, chunk=32)
+        tracemalloc.start()
+        try:
+            pathwise_objectives(schedule, spec, MARKET, sim, w, chunk=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 32 * 1024 * 8
 
 
 class TestMonteCarloBytes:
