@@ -36,7 +36,7 @@ from .closedform import (
     value,
 )
 from .distortion import get_distortion
-from .market import SimConfig, fork_map, mean_and_std_error, pathwise_objectives, rollout
+from .market import SimConfig, fork_map, mean_and_std_error, pathwise_objectives, wealth_recurrence
 from .policy import MODES
 from .rl import (
     CRITIC_FORMS,
@@ -421,15 +421,24 @@ def cmd_grid(args) -> int:
 
 def cmd_trajectory(args) -> int:
     rows = []
-    for h_name in args.h.split(","):
-        market, spec, w = _problem(args, h_name.strip())
+    for h_name in (name.strip() for name in args.h.split(",")):
+        market, spec, w = _problem(args, h_name)
         sim = SimConfig.from_horizon(spec.T, args.n_steps, 1, args.seed)
         eta, increments = episode_draws(spec.h, market, sim, 0)
         times = sim.times()[:-1]
-        (states,), (actions,) = rollout(spec.x0, w, -(market.rho / market.sigma),
-                                        optimal_scale(times, spec, market), eta, market.sigma,
-                                        increments)
-        rows.extend((h_name.strip(), t, u, x) for t, u, x in zip(times, actions, states))
+        a = -(market.rho / market.sigma)
+        # the scale, the wealth and the action overflow to inf/nan silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            explore = optimal_scale(times, spec, market) * eta
+            (states,) = wealth_recurrence([spec.x0], [w], [a], [market.sigma], explore,
+                                          increments)
+            actions = a * (states[:-1] - w) + explore[0]
+        finite = np.isfinite(actions) & np.isfinite(states[:-1])
+        if not finite.all():
+            print(f"choquet-emv: error: the {h_name} trajectory turned non-finite at "
+                  f"t={_fmt(times[np.argmin(finite)])}", file=sys.stderr)
+            return 1
+        rows.extend((h_name, t, u, x) for t, u, x in zip(times, actions, states))
     _write_csv(args.out, _meta(args, args.seed), ["h", "t", "action", "wealth"], rows)
     return 0
 

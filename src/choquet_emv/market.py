@@ -6,7 +6,7 @@ The wealth SDE is dX = sigma u (rho dt + dW) for a single action u, and
 
 under a randomized action with mean mu_t and standard deviation s_t.  Both
 are discretized with Euler-Maruyama on the time grid, by ``wealth_recurrence``
-(action-by-action paths, behind ``rollout``) and ``pathwise_objectives``.
+(action-by-action paths) and ``pathwise_objectives``.
 Noise comes from counter-based Philox streams keyed by (seed, path index),
 so paths are reproducible independently of chunking or parallel order.  A run
 holds one generator per worker, rekeyed per path or episode, which draws the
@@ -114,40 +114,13 @@ def increment(market: MarketParams, dt: float, noise):
     return market.rho * dt + math.sqrt(dt) * np.asarray(noise)
 
 
-def rollout(x0, w, mean_coef, scale, eta, sigma, increments):
-    """(states, actions) of B paths: (B, n + 1) wealths from x0 under the
-    (B, n) feedback actions u_i = mean_coef (x_i - w) + scale_i eta_i, wealth
-    moving by sigma u_i times ``increments`` (see ``increment``).
-
-    ``eta`` and ``increments`` are (B, n) rows of the paths' draws;
-    ``scale`` broadcasts to them, and x0, w, mean_coef and sigma are scalars
-    or one per row.  Each path steps ``wealth_recurrence``, and the actions
-    are formed once over all of them.  A diverging path runs on to inf/nan
-    without warnings; callers check the last state."""
-    eta = np.asarray(eta, dtype=float)
-    increments = np.asarray(increments, dtype=float)
-    if eta.ndim != 2 or eta.shape != increments.shape:
-        raise ValueError(f"rollout needs eta and increments of one shape (B, n), "
-                         f"got shapes {eta.shape} and {increments.shape}")
-    per_row = np.empty((4, len(eta)))  # each row's x0, w, mean_coef and sigma
-    per_row[0], per_row[1], per_row[2], per_row[3] = x0, w, mean_coef, sigma
-    explore = np.empty(eta.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:  # an output of eta's shape admits only a scale that broadcasts to it
-            np.multiply(scale, eta, out=explore)
-        except ValueError:
-            raise ValueError(f"rollout's scale of shape {np.shape(scale)} does not broadcast "
-                             f"to the draws of shape {eta.shape}") from None
-        states = wealth_recurrence(*per_row.tolist(), explore, increments)
-        w, a = per_row[1:3, :, None]
-        actions = a * (states[:, :-1] - w) + explore
-    return states, actions
-
-
 def wealth_recurrence(x0, w, mean_coef, sigma, explore, increments) -> np.ndarray:
-    """``rollout``'s (B, n + 1) states without its checks or actions: x0, w,
-    mean_coef and sigma hold one Python float per row, ``explore`` (scale
-    eta) and ``increments`` are (B, n) float64 rows."""
+    """(B, n + 1) wealths from x0 under the feedback actions
+    u_i = mean_coef (x_i - w) + explore_i, wealth moving by sigma u_i times
+    ``increments`` (see ``increment``).  x0, w, mean_coef and sigma hold one
+    Python float per row, ``explore`` (scale eta) and ``increments`` are
+    (B, n) float64 rows, all unchecked.  A diverging path runs on to inf/nan
+    without warnings; callers check the states."""
     states = np.empty((len(explore), explore.shape[1] + 1))
     # Python floats round like float64 scalars and overflow to inf/nan
     # silently, at a fraction of the per-step cost of numpy scalars;

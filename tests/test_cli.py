@@ -13,10 +13,16 @@ import pytest
 import yaml
 
 from choquet_emv import cli
-from choquet_emv.closedform import MarketParams
+from choquet_emv.closedform import (
+    EMVSpec,
+    MarketParams,
+    lagrange_multiplier,
+    optimal_policy,
+    optimal_scale,
+)
 from choquet_emv.distortion import get_distortion
 from choquet_emv.market import SimConfig
-from choquet_emv.rl import TrainConfig, TrainingDivergedError, train
+from choquet_emv.rl import TrainConfig, TrainingDivergedError, episode_draws, train
 
 ROOT = Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
@@ -428,6 +434,17 @@ class TestExitStatus:
             "choquet-emv: error: 8 of 8 simulated paths turned non-finite\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("lam, t", [("1e150", "0"), ("1e100", "0.8125")],
+                             ids=["scale", "wealth"])
+    def test_non_finite_trajectory_is_one_line_with_status_1(self, lam, t, tmp_path, capsys):
+        # the scale overflows at every step, or the wealth late in the path
+        out = tmp_path / "t.csv"
+        assert cli.main(["trajectory", "--mu", "0.52", "--sigma", "0.025", "--lambda", lam,
+                         "--n-steps", "64", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"choquet-emv: error: the gaussian_score trajectory turned non-finite at t={t}\n")
+        assert not out.exists()
+
     def test_non_finite_closed_form_is_one_line_with_status_1(self, tmp_path, capsys):
         # log mode's value and scale overflow to inf without an error
         out = tmp_path / "s.csv"
@@ -485,12 +502,34 @@ class TestTrajectory:
         _, _, rows = read_csv(a)
         assert len(rows) == 3 * 64
 
-    def test_uniform_actions_stay_in_band(self, tmp_path):
-        from choquet_emv.closedform import (
-            EMVSpec, MarketParams, lagrange_multiplier, optimal_policy,
-        )
-        from choquet_emv.distortion import get_distortion
+    @pytest.mark.parametrize("mode", ["plain", "log"])
+    def test_rows_match_a_step_loop_bitwise(self, mode, monkeypatch):
+        # the written floats, not their 6-digit text: each family's actions
+        # and wealths against its own Euler loop over the trainer's draws
+        written = []
+        monkeypatch.setattr(cli, "_write_csv",
+                            lambda out, meta, header, rows: written.extend(rows))
+        families = ["gaussian_score", "gini", "entropy_like"]
+        assert cli.main(["trajectory", "--mode", mode, "--h", ",".join(families),
+                         "--n-steps", "64", "--seed", "3"]) == 0
+        market = MarketParams(mu=0.1, sigma=0.2, r=0.02)
+        sim = SimConfig.from_horizon(1.0, 64, 1, 3)
+        for f, h_name in enumerate(families):
+            spec = EMVSpec(T=1.0, lam=cli.DEFAULT_LAMBDA[mode], z=1.4, x0=1.0, mode=mode,
+                           h=get_distortion(h_name))
+            w = lagrange_multiplier(spec, market)
+            scale = optimal_scale(sim.times()[:-1], spec, market)
+            (eta,), (increments,) = episode_draws(spec.h, market, sim, 0)
+            x, expected = 1.0, []
+            for k in range(64):
+                u = -(market.rho / market.sigma) * (x - w) + scale[k] * eta[k]
+                expected.append((h_name, k * sim.dt, u, x))
+                x = x + market.sigma * u * increments[k]
+            rows = written[64 * f:64 * (f + 1)]
+            assert [(h, t, u.hex(), x.hex()) for h, t, u, x in rows] == [
+                (h, t, float(u).hex(), float(x).hex()) for h, t, u, x in expected]
 
+    def test_uniform_actions_stay_in_band(self, tmp_path):
         out = tmp_path / "traj.csv"
         cli.main(["trajectory", "--h", "gini", "--mu", "0.1", "--sigma", "0.2",
                   "--n-steps", "128", "--seed", "5", "--out", str(out)])

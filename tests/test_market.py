@@ -25,7 +25,6 @@ from choquet_emv.market import (
     mean_and_std_error,
     path_stream,
     pathwise_objectives,
-    rollout,
     wealth_recurrence,
 )
 from choquet_emv.policy import running_reward
@@ -41,7 +40,7 @@ def spec_for(mode, lam, h=GAUSS):
 
 def step(x, u, market, dt, noise):
     """One Euler step of the wealth SDE under action u: the reference that
-    ``rollout`` is checked against."""
+    ``wealth_recurrence`` is checked against."""
     return x + market.sigma * u * increment(market, dt, noise)
 
 
@@ -135,17 +134,21 @@ class TestStep:
 
 
 class TestRollout:
+    """Action-by-action paths through ``wealth_recurrence``, with the actions
+    formed from its states as ``choquet-emv trajectory`` forms them."""
+
     @pytest.mark.parametrize("h_name", sorted(BUILTIN_DISTORTIONS))
     @pytest.mark.parametrize("level", [0.0, 0.4])
     def test_matches_step_loop_bitwise(self, h_name, level):
         n, dt, w, mean_coef = 64, 1.0 / 64, 1.6, -1.3
         eta, noise = draws(get_distortion(h_name), n, dt)
-        scale = level * np.exp(0.6 * (1.0 - np.arange(n) * dt))
-        (states,), (actions,) = rollout(1.0, w, mean_coef, scale, [eta], MARKET.sigma,
-                                        [increment(MARKET, dt, noise)])
+        explore = level * np.exp(0.6 * (1.0 - np.arange(n) * dt)) * eta
+        (states,) = wealth_recurrence([1.0], [w], [mean_coef], [MARKET.sigma], explore[None],
+                                      increment(MARKET, dt, noise)[None])
+        actions = mean_coef * (states[:-1] - w) + explore
         x, xs, us = 1.0, [1.0], []
         for i in range(n):
-            u = mean_coef * (x - w) + scale[i] * eta[i]
+            u = mean_coef * (x - w) + explore[i]
             x = step(x, u, MARKET, dt, noise[i])
             us.append(u)
             xs.append(x)
@@ -155,116 +158,51 @@ class TestRollout:
     def test_diverging_path_matches_step_loop_bytes_silently(self):
         n, dt, w, mean_coef = 64, 1.0 / 64, 1.6, 1e200
         eta, noise = draws(GAUSS, n, dt)
-        scale = 0.4 * np.ones(n)
+        explore = 0.4 * eta
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (states,), (actions,) = rollout(1.0, w, mean_coef, scale, [eta], MARKET.sigma,
-                                            [increment(MARKET, dt, noise)])
+            (states,) = wealth_recurrence([1.0], [w], [mean_coef], [MARKET.sigma],
+                                          explore[None], increment(MARKET, dt, noise)[None])
         assert np.isinf(states).any() and np.isnan(states[-1])
-        x, xs, us = 1.0, [1.0], []
+        x, xs = 1.0, [1.0]
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(n):
-                u = mean_coef * (x - w) + scale[i] * eta[i]
-                x = step(x, u, MARKET, dt, noise[i])
-                us.append(u)
+                x = step(x, mean_coef * (x - w) + explore[i], MARKET, dt, noise[i])
                 xs.append(x)
         assert states.tobytes() == np.array(xs).tobytes()
-        assert actions.tobytes() == np.array(us).tobytes()
-
-    def test_numpy_scalar_inputs_match_python_floats(self):
-        n, dt = 64, 1.0 / 64
-        eta, noise = draws(GAUSS, n, dt)
-        scale = 0.4 * np.exp(0.6 * (1.0 - np.arange(n) * dt))
-        increments = increment(MARKET, dt, noise)
-        a = rollout(1.0, 1.6, -1.3, scale, [eta], MARKET.sigma, [increments])
-        b = rollout(np.float64(1.0), np.float64(1.6), -np.float64(1.3), scale, [eta],
-                    np.float64(MARKET.sigma), [increments])
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
     def test_rows_match_the_step_loop_bitwise(self):
-        # the trainer's call: (B, n) draws, scales and increments, one x0,
-        # and w, mean_coef and sigma per row.  Each row gives the bytes of
-        # its step loop and of its own call as a batch of one, and the
-        # diverging last row stays silent.
-        n, dt = 64, 1.0 / 64
-        markets = [MARKET, MarketParams(mu=0.3, sigma=0.5, r=0.02), MARKET]
-        ws, coefs, levels = [1.6, 1.2, 1.6], [-1.3, -0.4, 1e200], [0.4, 0.0, 0.4]
-        paths = [draws(get_distortion(h_name), n, dt)
-                 for h_name in ("gini", "gaussian_score", "gaussian_score")]
-        eta = np.array([e for e, _ in paths])
-        increments = np.array([increment(m, dt, z) for m, (_, z) in zip(markets, paths)])
-        scale = np.array([level * np.exp(0.6 * (1.0 - np.arange(n) * dt)) for level in levels])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            states, actions = rollout(1.0, np.array(ws), np.array(coefs), scale, eta,
-                                      [m.sigma for m in markets], increments)
-        assert states.shape == (3, n + 1) and actions.shape == (3, n)
-        assert np.isfinite(states[:2]).all() and not np.isfinite(states[2, -1])
-        for i, market in enumerate(markets):
-            alone = rollout(1.0, ws[i], coefs[i], scale[i], eta[[i]], market.sigma, increments[[i]])
-            assert states[i].tobytes() == alone[0].tobytes()
-            assert actions[i].tobytes() == alone[1].tobytes()
-            x, xs, us = 1.0, [1.0], []
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k in range(n):
-                    u = coefs[i] * (x - ws[i]) + scale[i, k] * eta[i, k]
-                    x = step(x, u, market, dt, paths[i][1][k])
-                    us.append(u)
-                    xs.append(x)
-            assert states[i].tobytes() == np.array(xs).tobytes()
-            assert actions[i].tobytes() == np.array(us).tobytes()
-
-    @pytest.mark.parametrize("rows", [1, 3])
-    def test_recurrence_matches_step_loop_and_rollout_bitwise(self, rows):
-        # the trainer's call: Python-float x0, w, mean_coef and sigma per
-        # row, a different one of each on every row, with scale * eta and
-        # the increments as (B, n) rows
+        # the trainer's call: (B, n) explore and increment rows, and a
+        # different x0, w, mean_coef, sigma and scale level on every row.
+        # Each row gives the bytes of its step loop and of its own call as
+        # a batch of one, and the diverging last row stays silent.
         n, dt = 64, 1.0 / 64
         markets = [MARKET, MarketParams(mu=0.3, sigma=0.5, r=0.02),
-                   MarketParams(mu=-0.5, sigma=0.1, r=0.02)][:rows]
-        ws, coefs = [1.6, 1.2, 0.9][:rows], [-1.3, -0.4, 2.1][:rows]
+                   MarketParams(mu=-0.5, sigma=0.1, r=0.02), MARKET]
+        x0s, ws, coefs = [1.0, 0.8, 1.1, 1.0], [1.6, 1.2, 0.9, 1.6], [-1.3, -0.4, 2.1, 1e200]
+        levels = [0.4, 0.0, 0.4, 0.4]
         paths = [draws(get_distortion(h_name), n, dt)
-                 for h_name in ("gaussian_score", "gini", "entropy_like")[:rows]]
-        eta = np.array([e for e, _ in paths])
+                 for h_name in ("gaussian_score", "gini", "entropy_like", "gaussian_score")]
+        explore = np.array([level * np.exp(0.6 * (1.0 - np.arange(n) * dt)) * e
+                            for level, (e, _) in zip(levels, paths)])
         increments = np.array([increment(m, dt, z) for m, (_, z) in zip(markets, paths)])
-        scale = 0.4 * np.exp(0.6 * (1.0 - np.arange(n) * dt))
         sigmas = [m.sigma for m in markets]
-        states = wealth_recurrence([1.0] * rows, ws, coefs, sigmas, scale * eta, increments)
-        checked, _ = rollout(1.0, np.array(ws), np.array(coefs), scale, eta, sigmas, increments)
-        assert states.shape == (rows, n + 1) and states.tobytes() == checked.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = wealth_recurrence(x0s, ws, coefs, sigmas, explore, increments)
+        assert states.shape == (4, n + 1)
+        assert np.isfinite(states[:3]).all() and not np.isfinite(states[3, -1])
         for i, market in enumerate(markets):
-            x, xs = 1.0, [1.0]
-            for k in range(n):
-                u = coefs[i] * (x - ws[i]) + scale[k] * eta[i, k]
-                x = step(x, u, market, dt, paths[i][1][k])
-                xs.append(x)
+            alone = wealth_recurrence(x0s[i:i + 1], ws[i:i + 1], coefs[i:i + 1],
+                                      sigmas[i:i + 1], explore[i:i + 1], increments[i:i + 1])
+            assert states[i].tobytes() == alone.tobytes()
+            x, xs = x0s[i], [x0s[i]]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(n):
+                    x = step(x, coefs[i] * (x - ws[i]) + explore[i, k], market, dt,
+                             paths[i][1][k])
+                    xs.append(x)
             assert states[i].tobytes() == np.array(xs).tobytes()
-
-    @pytest.mark.parametrize("n_increments", [7, 3])
-    def test_draws_and_increments_of_other_lengths_are_rejected(self, n_increments):
-        eta, noise = draws(GAUSS, 7, 1.0 / 7)
-        increments = increment(MARKET, 1.0 / 7, noise)[:n_increments]
-        with pytest.raises(ValueError, match=r"eta and increments of one shape \(B, n\), got "
-                                             rf"shapes \(1, 5\) and \(1, {n_increments}\)") as err:
-            rollout(1.0, 1.6, -1.3, 0.4, [eta[:5]], MARKET.sigma, [increments])
-        assert "\n" not in str(err.value)
-
-    def test_one_path_of_one_dimensional_draws_is_rejected(self):
-        eta, noise = draws(GAUSS, 7, 1.0 / 7)
-        with pytest.raises(ValueError, match=r"eta and increments of one shape \(B, n\), got "
-                                             r"shapes \(7,\) and \(7,\)$") as err:
-            rollout(1.0, 1.6, -1.3, 0.4, eta, MARKET.sigma, increment(MARKET, 1.0 / 7, noise))
-        assert "\n" not in str(err.value)
-
-    @pytest.mark.parametrize("scale_shape", [(4,), (2, 5)])
-    def test_scale_that_does_not_broadcast_to_the_draws_is_rejected(self, scale_shape):
-        eta, noise = draws(GAUSS, 5, 1.0 / 5)
-        with pytest.raises(ValueError, match=rf"scale of shape \({scale_shape[0]},"
-                                             r".* does not broadcast to the draws of shape "
-                                             r"\(1, 5\)") as err:
-            rollout(1.0, 1.6, -1.3, np.full(scale_shape, 0.4), [eta], MARKET.sigma,
-                    [increment(MARKET, 1.0 / 5, noise)])
-        assert "\n" not in str(err.value)
 
 
 @pytest.fixture

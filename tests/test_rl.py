@@ -83,7 +83,7 @@ class Episode(NamedTuple):
 
 def rollout(phi, w, h, config, episode_seed=0, market=MARKET):
     """Simulate one episode under a fixed actor, mirroring the trainer with
-    its own draw and Euler loop, independent of market.rollout."""
+    its own draw and Euler loop, independent of market.wealth_recurrence."""
     n, dt = config.sim.n_steps, config.sim.dt
     times = config.sim.times()
     rng = path_stream(config.sim.seed, episode_seed)
