@@ -204,6 +204,34 @@ class TestRollout:
                     xs.append(x)
             assert states[i].tobytes() == np.array(xs).tobytes()
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_recurrence_matches_step_loop_and_rollout_bitwise(self, rows):
+        # Python-float x0, w, mean_coef and sigma per row, a different one of
+        # each on every row, with one shared scale times each row's eta and
+        # the increments as (B, n) rows; each row is also rolled out alone
+        n, dt = 64, 1.0 / 64
+        markets = [MARKET, MarketParams(mu=0.3, sigma=0.5, r=0.02),
+                   MarketParams(mu=-0.5, sigma=0.1, r=0.02)][:rows]
+        ws, coefs = [1.6, 1.2, 0.9][:rows], [-1.3, -0.4, 2.1][:rows]
+        paths = [draws(get_distortion(h_name), n, dt)
+                 for h_name in ("gaussian_score", "gini", "entropy_like")[:rows]]
+        eta = np.array([e for e, _ in paths])
+        increments = np.array([increment(m, dt, z) for m, (_, z) in zip(markets, paths)])
+        scale = 0.4 * np.exp(0.6 * (1.0 - np.arange(n) * dt))
+        sigmas = [m.sigma for m in markets]
+        states = wealth_recurrence([1.0] * rows, ws, coefs, sigmas, scale * eta, increments)
+        assert states.shape == (rows, n + 1)
+        for i, market in enumerate(markets):
+            (alone,) = wealth_recurrence([1.0], ws[i:i + 1], coefs[i:i + 1], sigmas[i:i + 1],
+                                         (scale * eta[i])[None], increments[i:i + 1])
+            assert states[i].tobytes() == alone.tobytes()
+            x, xs = 1.0, [1.0]
+            for k in range(n):
+                u = coefs[i] * (x - ws[i]) + scale[k] * eta[i, k]
+                x = step(x, u, market, dt, paths[i][1][k])
+                xs.append(x)
+            assert states[i].tobytes() == np.array(xs).tobytes()
+
 
 @pytest.fixture
 def forks(monkeypatch):
