@@ -20,9 +20,10 @@ episodes.  Update magnitudes decay like j^{-decay}.
 
 ``train_many`` runs a batch of such loops in lockstep: each cell draws
 its episodes by block and steps its own ``market.wealth_recurrence`` row;
-the gaps x - w, the policy location and the actions are formed once per
-episode over the batch and (w - z)^2 once per multiplier step, and the TD
-pass and the actor read them under one ``np.errstate``.  Each cell gives
+the actor's log scale and scale, the gaps x - w, the policy location and
+the actions are formed once per episode over the batch and (w - z)^2 once
+per multiplier step, and the TD pass and the actor read them under one
+``np.errstate``.  Each cell gives
 the bytes it gives alone (``train`` is the one-cell case).
 """
 
@@ -226,50 +227,38 @@ def critic_grad(theta, t, x, w, T, form: str = "standard"):
 # ---------------------------------------------------------------------------
 
 
-def actor_scale(phi, tau):
-    """The actor scale e^{phi1/2 + phi2 tau/2} at the times to go ``tau``."""
+def actor_log_scale(phi, tau):
+    """The log of the actor scale, phi1/2 + phi2 tau/2, at the times to go
+    ``tau``; the trainer's scale is its exponential."""
     ph = _columns(phi)
-    return np.exp(0.5 * ph[1] + 0.5 * ph[2] * tau)
-
-
-def _regularizer_form(h: DistortionFn, mode: str) -> tuple[bool, float]:
-    """(plain?, the constant of p): ||h'||^2 in plain mode, 2 log ||h'||_2 in log."""
-    l2 = h.l2_norm
-    return (True, l2**2) if check_mode(mode) == "plain" else (False, 2.0 * math.log(l2))
+    return 0.5 * ph[1] + 0.5 * ph[2] * tau
 
 
 def _regularizer_forms(hs, modes):
-    """The ``_regularizer_form`` of a batch's rows: one pair when every row
-    shares it, else a (B, 1) column of each."""
-    forms = list(map(_regularizer_form, hs, modes))
-    if len(set(forms)) == 1:
-        return forms[0]
-    return tuple(np.array(v)[:, None] for v in zip(*forms))
+    """(plain?, the constant of p) of a batch's rows, as two (B, 1) columns:
+    ||h'||^2 in plain mode, 2 log ||h'||_2 in log."""
+    plain = [check_mode(mode) == "plain" for mode in modes]
+    const = [h.l2_norm**2 if is_plain else 2.0 * math.log(h.l2_norm)
+             for h, is_plain in zip(hs, plain)]
+    return np.array(plain)[:, None], np.array(const)[:, None]
 
 
-def _regularizer(phi, tau, half_tau, forms, scale, grad, lam):
-    """The actor's regularizer value p at the times to go ``tau`` (and their
-    halves ``half_tau``) for rows whose ``_regularizer_forms`` are ``forms``,
-    with ``grad`` filled with lam dp/dphi:
+def _regularizer(log_scale, half_tau, forms, scale, grad, lam):
+    """The actor's regularizer value p for rows whose ``_regularizer_forms``
+    are ``forms``, with ``grad`` filled with lam dp/dphi at times to go tau
+    whose halves are ``half_tau``:
 
     plain: p = S ||h'||^2 with gradient (0, p/2, p tau/2);
-    log:   p = phi1/2 + phi2 tau/2 + 2 log ||h'||_2 with gradient
-           (0, 1/2, tau/2).
+    log:   p = log S + 2 log ||h'||_2 = phi1/2 + phi2 tau/2 + 2 log ||h'||_2
+           with gradient (0, 1/2, tau/2).
 
-    S is ``scale``, the actor scale at those times (``actor_scale``), and
-    ``grad`` a buffer of p's shape by 3 whose first column is 0."""
+    S is ``scale``, the actor scale at those times, and log S ``log_scale``
+    (``actor_log_scale``); ``grad`` is a buffer of p's shape by 3 whose
+    first column is 0."""
     plain, const = forms
+    p = np.where(plain, scale * const, log_scale + const)
     # dp: dp/d(phi1/2), which is p in plain mode and 1 in log mode
-    if np.ndim(plain) == 0 and plain:  # phi is read in log mode only
-        p = dp = scale * const
-    else:
-        ph = _columns(phi)
-        p = 0.5 * ph[1] + 0.5 * ph[2] * tau + const
-        if np.ndim(plain) == 0:
-            dp = 1.0
-        else:  # cells of both modes or of several norms, row by row
-            p = np.where(plain, scale * const, p)
-            dp = np.where(plain, p, 1.0)
+    dp = np.where(plain, p, 1.0)
     np.multiply(0.5 * dp, lam, out=grad[..., 1])
     np.multiply(half_tau * dp, lam, out=grad[..., 2])
     return p, grad
@@ -320,12 +309,13 @@ def _batch(times, configs) -> _Batch:
                   [(h, _rows(rows)) for h, rows in groups.values()], *buffers)
 
 
-def episode_gradients(batch: _Batch, xw, gap2, theta, phi, scale):
+def episode_gradients(batch: _Batch, xw, gap2, theta, log_scale, scale):
     """The TD pass over one episode of each of the batch's B cells, which
     reads no density: the (B, n + 1) gaps ``xw`` = x - w of the wealths on
     the grid times, the (B, 1) (w - z)^2 ``gap2`` (``_gap_squared``), (B, 3)
-    theta and phi, and the actor scale ``scale`` (``actor_scale`` on the
-    grid's first n times).  ``batch`` is the cells' ``_batch`` layout.
+    theta, and the actor scale ``scale`` with its log ``log_scale``
+    (``actor_log_scale`` on the grid's first n times).  ``batch`` is the
+    cells' ``_batch`` layout.
 
     Returns (grad_theta, delta, grad_reg), each with a leading axis of B:
     the critic gradient -sum_i dV/dtheta(t_i) delta_i, the (B, n) TD errors
@@ -338,7 +328,7 @@ def episode_gradients(batch: _Batch, xw, gap2, theta, phi, scale):
     th, grow, offset, decay, xw2 = _critic_pass(theta, batch.tau, xw, batch.form)
     v = _value(th, offset, decay, xw2, gap2)
     neg_dv = _neg_grad(tau, th, *(a[..., :-1] for a in (grow, offset, decay, xw2)), batch.neg_dv)
-    p, lam_dp = _regularizer(phi, tau, batch.half_tau, batch.forms, scale, batch.lam_dp, lam)
+    p, lam_dp = _regularizer(log_scale, batch.half_tau, batch.forms, scale, batch.lam_dp, lam)
     delta = v[:, 1:] - v[:, :-1] - lam * p * dts
     return _transpose_dot(neg_dv, delta), delta, _transpose_dot(lam_dp, dts)
 
@@ -385,10 +375,11 @@ def lagrange_update(w, terminal_batch, alpha_w: float, z: float):
 
 
 def _clip(vec: np.ndarray, limit: float):
-    """``vec``, a (B, 3) batch of gradient rows, with each row scaled down
-    to norm ``limit`` where its norm exceeds it, and a (B,) array of whether
-    it was.  A non-finite norm is left to the parameter check.  Input that
-    needs no clipping comes back as is."""
+    """``vec``, gradient rows of any leading shape (..., 3), with each row
+    scaled down to norm ``limit`` where its norm exceeds it, and an array
+    of that leading shape of whether it was: one norm per row.  A
+    non-finite norm is left to the parameter check.  Input that needs no
+    clipping comes back as is."""
     with np.errstate(over="ignore", invalid="ignore"):
         # a 1 x 3 by 3 x 1 matmul is the dot product np.linalg.norm takes
         norm = np.sqrt((vec[..., None, :] @ vec[..., :, None])[..., 0, 0])
@@ -501,23 +492,22 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
         # a failing row rides along to the end of the episode, silently: every
         # batched step is row by row, so it touches no other cell's numbers
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            scale = actor_scale(phi, batch.tau[:-1])
+            log_scale = actor_log_scale(phi, batch.tau[:-1])
+            scale = np.exp(log_scale)
             explore = scale * eta[:, k]
             coef = -phi[:, :1]  # the location's coefficient of x - w
             states = wealth_recurrence([x0] * len(w), w.tolist(), coef[:, 0].tolist(), sigmas,
                                        explore, incs[:, k])
             xw = states - w[:, None]
             location = coef * xw[:, :-1]
-            g_theta, delta, g_reg = episode_gradients(batch, xw, gap2, theta, phi, scale)
+            g_theta, delta, g_reg = episode_gradients(batch, xw, gap2, theta, log_scale, scale)
             g_score, n_skip = score_gradient(batch, xw, location, location + explore, scale,
                                              delta)
             g_phi = g_score - g_reg
             skipped += n_skip
             if first.grad_clip is not None:
-                g_theta, c1 = _clip(g_theta, first.grad_clip)
-                g_phi, c2 = _clip(g_phi, first.grad_clip)
-                clip_events += c1
-                clip_events += c2
+                (g_theta, g_phi), engaged = _clip(np.stack((g_theta, g_phi)), first.grad_clip)
+                clip_events += engaged.sum(axis=0)
 
             lr = j ** (-first.decay)
             theta = theta - first.alpha * lr * g_theta

@@ -50,10 +50,13 @@ def random_feasible_quantile(rng: np.random.Generator, m: float, s: float) -> Sc
 
 
 def regularizer(phi, t, h, mode, T):
-    """``rl._regularizer`` (p and dp/dphi) of one actor, a batch of one, at times t."""
-    tau = T - np.asarray(t)
-    return rl._regularizer([phi], tau, 0.5 * tau, rl._regularizer_form(h, mode),
-                           rl.actor_scale([phi], tau), np.zeros(np.shape(t) + (3,)), 1.0)
+    """``rl._regularizer`` (p and dp/dphi) of one actor, a batch of one, at
+    times t, in the shape of t."""
+    tau = (T - np.asarray(t, dtype=float)).reshape(1, -1)
+    log_scale = rl.actor_log_scale([phi], tau)
+    p, grad = rl._regularizer(log_scale, 0.5 * tau, rl._regularizer_forms([h], [mode]),
+                              np.exp(log_scale), np.zeros(tau.shape + (3,)), 1.0)
+    return p.reshape(np.shape(t)), grad.reshape(np.shape(t) + (3,))
 
 
 def episode_terms(batch, states, phi, w):
@@ -65,12 +68,15 @@ def episode_terms(batch, states, phi, w):
     return xw, -np.asarray(phi, dtype=float)[:, :1] * xw[:, :-1], rl._gap_squared(w, batch.z)
 
 
-def trainer_gradients(batch, states, actions, theta, phi, w, scale):
-    """(grad_theta, grad_phi, n_skipped) of one episode: ``rl.episode_gradients``,
-    the TD pass, then ``rl.score_gradient``, the actor, composed as
-    ``rl.train_many`` composes them, under its ``np.errstate``."""
+def trainer_gradients(batch, states, actions, theta, phi, w, log_scale):
+    """(grad_theta, grad_phi, n_skipped) of one episode at the actor log scale
+    ``log_scale``: ``rl.episode_gradients``, the TD pass, then
+    ``rl.score_gradient``, the actor, composed as ``rl.train_many`` composes
+    them, under its ``np.errstate``."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         xw, location, gap2 = episode_terms(batch, states, phi, w)
-        grad_theta, delta, grad_reg = rl.episode_gradients(batch, xw, gap2, theta, phi, scale)
+        scale = np.exp(log_scale)
+        grad_theta, delta, grad_reg = rl.episode_gradients(batch, xw, gap2, theta, log_scale,
+                                                           scale)
         grad_score, n_skipped = rl.score_gradient(batch, xw, location, actions, scale, delta)
     return grad_theta, grad_score - grad_reg, n_skipped

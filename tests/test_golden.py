@@ -22,6 +22,9 @@ CASES = {
     "solve.csv": ["solve"],
     "simulate.csv": ["simulate", "--n-paths", "64", "--n-steps", "16"],
     "train.csv": ["train", "--episodes", "30"],
+    # the log regularizer with ||h'|| != 1, clipped 40 times
+    "train_log.csv": ["train", "--mode", "log", "--h", "gini", "--mu", "-0.5",
+                      "--episodes", "30", "--grad-clip", "1.0"],
     "trajectory.csv": ["trajectory", "--h", "gaussian_score,entropy_like,gini",
                        "--n-steps", "32"],
     "table.csv": ["table", "--config", GRID],

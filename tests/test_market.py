@@ -138,7 +138,7 @@ class TestRollout:
     formed from its states as ``choquet-emv trajectory`` forms them."""
 
     @pytest.mark.parametrize("h_name", sorted(BUILTIN_DISTORTIONS))
-    @pytest.mark.parametrize("level", [0.0, 0.4])
+    @pytest.mark.parametrize("level", [0.0, 0.4, 40.0])
     def test_matches_step_loop_bitwise(self, h_name, level):
         n, dt, w, mean_coef = 64, 1.0 / 64, 1.6, -1.3
         eta, noise = draws(get_distortion(h_name), n, dt)

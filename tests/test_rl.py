@@ -28,7 +28,7 @@ from choquet_emv.rl import (
     TrainConfig,
     TrainingDivergedError,
     _clip,
-    actor_scale,
+    actor_log_scale,
     critic_grad,
     critic_value,
     lagrange_update,
@@ -50,7 +50,7 @@ def actor_policy(phi, t, x, w, h, T) -> LocationScalePolicy:
     """The actor's action distribution at state (t, x)."""
     ph = np.asarray(phi, dtype=float)
     return LocationScalePolicy(h=h, location=-ph[0] * (x - w),
-                               scale=float(actor_scale(ph, T - t)))
+                               scale=float(np.exp(actor_log_scale(ph, T - t))))
 
 
 def td_error(theta, phi, t0, x0, t1, x1, lam, mode, h, w, z, T,
@@ -72,13 +72,18 @@ def base_config(**kw):
 
 class Episode(NamedTuple):
     """One cell's episode: the batch layout, (1, n + 1) states and (1, n)
-    actions trainer_gradients takes first, then the times and actor scale."""
+    actions trainer_gradients takes first, then the times and actor log
+    scale."""
 
     batch: rl._Batch
     states: np.ndarray
     actions: np.ndarray
     times: np.ndarray
-    scale: np.ndarray
+    log_scale: np.ndarray
+
+    @property
+    def scale(self) -> np.ndarray:
+        return np.exp(self.log_scale)
 
 
 def rollout(phi, w, h, config, episode_seed=0, market=MARKET):
@@ -90,14 +95,15 @@ def rollout(phi, w, h, config, episode_seed=0, market=MARKET):
     draws = np.clip(rng.random(n), 2.0**-53, 1.0 - 2.0**-53)
     eta = standardized_draw(h, draws)
     noise = rng.standard_normal(n)
-    scale = np.exp(0.5 * phi[1] + 0.5 * phi[2] * (T - times[:-1]))
+    log_scale = 0.5 * phi[1] + 0.5 * phi[2] * (T - times[:-1])
+    scale = np.exp(log_scale)
     x, xs, us = config.x0, [config.x0], []
     for i in range(n):
         u = -phi[0] * (x - w) + scale[i] * eta[i]
         x = x + market.sigma * u * (market.rho * dt + math.sqrt(dt) * noise[i])
         us.append(u)
         xs.append(x)
-    return Episode(rl._batch(times, [config]), np.array([xs]), np.array([us]), times, scale)
+    return Episode(rl._batch(times, [config]), np.array([xs]), np.array([us]), times, log_scale)
 
 
 class TestCritic:
@@ -245,7 +251,7 @@ class TestEpisodeGradients:
         # the base parameters; its gradient at the base point is grad_theta
         episode, phi, w, cfg = self.make_episode()
         theta = np.array([0.9, 0.2, 1.1])
-        (gt,), _, _ = trainer_gradients(*episode[:3], [theta], [phi], [w], episode.scale)
+        (gt,), _, _ = trainer_gradients(*episode[:3], [theta], [phi], [w], episode.log_scale)
 
         p, _ = regularizer(phi, episode.times[:-1], GAUSS, cfg.mode, T)
         v_base = critic_value(theta, episode.times, episode.states[0], w, cfg.z, T)
@@ -268,7 +274,7 @@ class TestEpisodeGradients:
         # point (common random numbers); its gradient is grad_phi
         episode, phi, w, cfg = self.make_episode()
         theta = np.array([0.9, 0.2, 1.1])
-        _, (gp,), _ = trainer_gradients(*episode[:3], [theta], [phi], [w], episode.scale)
+        _, (gp,), _ = trainer_gradients(*episode[:3], [theta], [phi], [w], episode.log_scale)
 
         t_left, x_left = episode.times[:-1], episode.states[0, :-1]
         v = critic_value(theta, episode.times, episode.states[0], w, cfg.z, T)
@@ -277,7 +283,7 @@ class TestEpisodeGradients:
 
         def surrogate(ph):
             total = 0.0
-            scales = actor_scale(ph, T - t_left)
+            scales = np.exp(actor_log_scale(ph, T - t_left))
             for i in range(len(t_left)):
                 pol = LocationScalePolicy(h=GAUSS, location=-ph[0] * (x_left[i] - w),
                                           scale=float(scales[i]))
@@ -299,7 +305,7 @@ class TestEpisodeGradients:
         # the target side and must disagree
         episode, phi, w, cfg = self.make_episode()
         theta = np.array([0.9, 0.2, 1.1])
-        (gt,), _, _ = trainer_gradients(*episode[:3], [theta], [phi], [w], episode.scale)
+        (gt,), _, _ = trainer_gradients(*episode[:3], [theta], [phi], [w], episode.log_scale)
 
         t, x = episode.times, episode.states[0]
         p, _ = regularizer(phi, t[:-1], GAUSS, cfg.mode, T)
@@ -318,7 +324,7 @@ class TestEpisodeGradients:
         phi, w = np.array([0.5, -1.0, 0.5]), 1.4
         episode = rollout(phi, w, gini, cfg, episode_seed=1)
         episode.actions[0, 2] = 100.0  # replay with a shifted action
-        _, _, skipped = trainer_gradients(*episode[:3], [rl.THETA_INIT], [phi], [w], episode.scale)
+        _, _, skipped = trainer_gradients(*episode[:3], [rl.THETA_INIT], [phi], [w], episode.log_scale)
         assert skipped.tolist() == [1]
 
     def test_mode_changes_only_regularizer_terms(self):
@@ -326,9 +332,9 @@ class TestEpisodeGradients:
         cfg_log = base_config(mode="log", lam=cfg_plain.lam,
                               sim=cfg_plain.sim)
         theta = np.array([0.9, 0.2, 1.1])
-        (gt_p,), (gp_p,), _ = trainer_gradients(*episode[:3], [theta], [phi], [w], episode.scale)
+        (gt_p,), (gp_p,), _ = trainer_gradients(*episode[:3], [theta], [phi], [w], episode.log_scale)
         (gt_l,), (gp_l,), _ = trainer_gradients(rl._batch(episode.times, [cfg_log]), *episode[1:3],
-                                                [theta], [phi], [w], episode.scale)
+                                                [theta], [phi], [w], episode.log_scale)
         t_left, x_left = episode.times[:-1], episode.states[0, :-1]
         dts = np.diff(episode.times)
         p_p, dp_p = regularizer(phi, t_left, GAUSS, "plain", T)
@@ -340,7 +346,7 @@ class TestEpisodeGradients:
         # actor side: score terms reweighted by the delta change, plus dp swap
         from choquet_emv.policy import log_density_grad_fields
 
-        scale = actor_scale(phi, T - t_left)
+        scale = np.exp(actor_log_scale(phi, T - t_left))
         dm, ds = log_density_grad_fields(GAUSS, episode.actions[0], -phi[0] * (x_left - w), scale)
         tau = T - t_left
         dlog = np.stack([-(x_left - w) * dm, 0.5 * scale * ds, 0.5 * tau * scale * ds], axis=-1)
@@ -364,8 +370,8 @@ class TestEpisodeGradients:
 
         monkeypatch.setattr(rl, "log_density_grad_fields", no_density)
         xw, location, gap2 = episode_terms(episode.batch, episode.states, [phi], [w])
-        grads = rl.episode_gradients(episode.batch, xw, gap2, [rl.THETA_INIT], [phi],
-                                     episode.scale)
+        grads = rl.episode_gradients(episode.batch, xw, gap2, [rl.THETA_INIT],
+                                     episode.log_scale, episode.scale)
         assert asked == [] and all(np.isfinite(g).all() for g in grads)
         with pytest.raises(DensityUnavailableError):
             rl.score_gradient(episode.batch, xw, location, episode.actions, episode.scale,
@@ -383,17 +389,20 @@ class TestEpisodeGradients:
         theta = np.array([rl.THETA_INIT] * 2)
         states = np.repeat(episode.states, 2, axis=0)
         states[1, 3:] = 1e308
-        actions, scale = np.repeat(episode.actions, 2, axis=0), np.tile(episode.scale, (2, 1))
+        actions = np.repeat(episode.actions, 2, axis=0)
+        log_scale = np.tile(episode.log_scale, (2, 1))
+        scale = np.exp(log_scale)
         batch = rl._batch(episode.times, [cfg, cfg])
         # the TD pass and the actor leave warnings to their caller: enter train_many's errstate
         with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore",
                                                     divide="ignore"):
             warnings.simplefilter("error")
             xw, location, gap2 = episode_terms(batch, states, [phi] * 2, [w] * 2)
-            gt, delta, g_reg = rl.episode_gradients(batch, xw, gap2, theta, [phi] * 2, scale)
+            gt, delta, g_reg = rl.episode_gradients(batch, xw, gap2, theta, log_scale, scale)
             g_score, skipped = rl.score_gradient(batch, xw, location, actions, scale, delta)
             xw, location, gap2 = episode_terms(episode.batch, episode.states, [phi], [w])
-            alone = rl.episode_gradients(episode.batch, xw, gap2, theta[:1], [phi], scale[:1])
+            alone = rl.episode_gradients(episode.batch, xw, gap2, theta[:1], log_scale[:1],
+                                         scale[:1])
             alone_score = rl.score_gradient(episode.batch, xw, location, episode.actions,
                                             scale[:1], alone[1])
         assert not np.isfinite(delta[1]).all() and skipped[1] > 0
@@ -450,7 +459,7 @@ class TestTrain:
         theta, phi, w = np.array([rl.THETA_INIT]), np.array([rl.PHI_INIT]), cfg.z
         for j in range(1, cfg.episodes + 1):
             episode = rollout(phi[0], w, GAUSS, cfg, episode_seed=j)
-            gt, gp, _ = trainer_gradients(*episode[:3], theta, phi, [w], episode.scale)
+            gt, gp, _ = trainer_gradients(*episode[:3], theta, phi, [w], episode.log_scale)
             lr = j**-cfg.decay
             theta = theta - cfg.alpha * lr * gt
             phi = phi - cfg.alpha * lr * gp
@@ -474,7 +483,7 @@ class TestTrain:
         skipped = clipped = 0
         for j in range(1, cfg.episodes + 1):
             episode = rollout(phi[0], w, h, cfg, episode_seed=j)
-            gt, gp, n_skipped = trainer_gradients(*episode[:3], theta, phi, [w], episode.scale)
+            gt, gp, n_skipped = trainer_gradients(*episode[:3], theta, phi, [w], episode.log_scale)
             gt, c1 = _clip(gt, cfg.grad_clip)
             gp, c2 = _clip(gp, cfg.grad_clip)
             skipped += n_skipped
@@ -723,7 +732,7 @@ class TestTrainMany:
         phi = np.array([[1.2, -0.8, 0.9], [0.3, -1.1, 1.7]])
         _, grad_phi, skipped = trainer_gradients(rl._batch(times, [cfg, cfg]), states, actions,
                                                  np.ones((2, 3)), phi, np.array([1.4, 1.4]),
-                                                 actor_scale(phi, T - times[None, :-1]))
+                                                 actor_log_scale(phi, T - times[None, :-1]))
         assert skipped.tolist() == [16, 16]
         rounded_apart = False
         for row in range(2):
