@@ -30,8 +30,8 @@ from .closedform import (
     cost_ratio,
     exploration_cost,
     lagrange_multiplier,
+    optimal_feedback,
     optimal_policy,
-    optimal_scale,
     optimal_schedule,
     value,
 )
@@ -426,13 +426,13 @@ def cmd_trajectory(args) -> int:
         sim = SimConfig.from_horizon(spec.T, args.n_steps, 1, args.seed)
         eta, increments = episode_draws(spec.h, market, sim, 0)
         times = sim.times()[:-1]
-        a = -(market.rho / market.sigma)
+        fb = optimal_feedback(spec, market)
         # the scale, the wealth and the action overflow to inf/nan silently
         with np.errstate(over="ignore", invalid="ignore"):
-            explore = optimal_scale(times, spec, market) * eta
-            (states,) = wealth_recurrence([spec.x0], [w], [a], [market.sigma], explore,
-                                          increments)
-            actions = a * (states[:-1] - w) + explore[0]
+            explore = fb.scale(spec.T - times) * eta
+            (states,) = wealth_recurrence([spec.x0], [w], [fb.mean_coef], [market.sigma],
+                                          explore, increments)
+            actions = fb.mean_coef * (states[:-1] - w) + explore[0]
         finite = np.isfinite(actions) & np.isfinite(states[:-1])
         if not finite.all():
             print(f"choquet-emv: error: the {h_name} trajectory turned non-finite at "

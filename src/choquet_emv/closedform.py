@@ -98,6 +98,10 @@ class FeedbackPolicyParams:
     scale_base: float
     scale_rate: float
 
+    def scale(self, tau):
+        """Scale c1 e^{c2 tau} at time to go tau = T - t."""
+        return self.scale_base * np.exp(self.scale_rate * tau)
+
 
 @dataclass(frozen=True)
 class QuadraticValueFn:
@@ -274,25 +278,21 @@ def _scale(spec: EMVSpec, sigma: float, vxx) -> tuple[float, float]:
     return math.sqrt(spec.lam / (sigma**2 * spec.h.l2_norm**2 * vxx)), 0.5
 
 
-def optimal_scale(t, spec: EMVSpec, market: MarketParams):
-    """Scale S(t) of the optimal exploratory policy for the mode."""
+def optimal_feedback(spec: EMVSpec, market: MarketParams) -> FeedbackPolicyParams:
+    """The mode's optimal exploratory policy, the one place it is formed:
+    a = -rho/sigma, c1 the scale at V_xx = 2 and c2 = rho^2 (plain) or
+    rho^2 / 2 (log).  Finite at rho = 0, where a = -0.0 and c2 = 0."""
+    rho = market.rho
     c1, power = _scale(spec, market.sigma, 2.0)
-    return c1 * np.exp(power * market.rho**2 * (spec.T - t))
+    return FeedbackPolicyParams(-(rho / market.sigma), c1, power * rho**2)
 
 
 def optimal_policy(t, x, spec: EMVSpec, market: MarketParams, w: float) -> LocationScalePolicy:
     """Optimal exploratory action distribution at state (t, x)."""
     _check_time(t, spec.T)
-    rho = market.rho
-    mean = -(rho / market.sigma) * (x - w)
-    return LocationScalePolicy(h=spec.h, location=mean,
-                               scale=float(optimal_scale(t, spec, market)))
-
-
-def optimal_feedback(spec: EMVSpec, market: MarketParams) -> FeedbackPolicyParams:
-    """The optimum expressed in the feedback family's (a, c1, c2) parameters."""
-    classical = FeedbackPolicyParams(-_require_rho(market) / market.sigma, 0.0, 0.0)
-    return improve_feedback(classical, spec, market)
+    fb = optimal_feedback(spec, market)
+    return LocationScalePolicy(h=spec.h, location=fb.mean_coef * (x - w),
+                               scale=float(fb.scale(spec.T - t)))
 
 
 def exploration_cost(spec: EMVSpec, market: MarketParams) -> float:
@@ -417,12 +417,10 @@ def policy_iteration(
 
 
 def optimal_schedule(spec: EMVSpec, market: MarketParams, w: float):
-    rho, sigma = market.rho, market.sigma
-    l2 = spec.h.l2_norm
+    fb, T, l2 = optimal_feedback(spec, market), spec.T, spec.h.l2_norm
 
     def schedule(t, x):
-        mean = -(rho / sigma) * (np.asarray(x, dtype=float) - w)
-        return mean, optimal_scale(t, spec, market) * l2
+        return fb.mean_coef * (np.asarray(x, dtype=float) - w), fb.scale(T - t) * l2
 
     return schedule
 
@@ -437,7 +435,7 @@ def exploration_cost_by_quadrature(spec: EMVSpec, market: MarketParams) -> float
     """
     w = lagrange_multiplier(spec, market)
     nodes, weights = gauss_legendre_01(512)
-    scales = optimal_scale(nodes * spec.T, spec, market)
+    scales = optimal_feedback(spec, market).scale(spec.T - nodes * spec.T)
     reg = running_reward(scales * spec.h.l2_norm**2, spec.mode)
     integral = float(np.dot(weights, reg)) * spec.T
     _, vcl = classical_solution(0.0, spec.x0, spec, market, w)

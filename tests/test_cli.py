@@ -17,8 +17,8 @@ from choquet_emv.closedform import (
     EMVSpec,
     MarketParams,
     lagrange_multiplier,
+    optimal_feedback,
     optimal_policy,
-    optimal_scale,
 )
 from choquet_emv.distortion import get_distortion
 from choquet_emv.market import SimConfig
@@ -294,6 +294,10 @@ class TestExitStatus:
          "a result overflows a float"),
         # e^(rho^2 T) is finite here; z times it is not
         (["solve", "--z", "1e308"], "z = 1e+308 or x0 = 1 at rho^2 T = 0.16 is too large"),
+        # rho = 0: the optimum is finite, and lagrange_multiplier refuses first
+        (["solve", "--mu", "0.02", "--r", "0.02"], "degenerate Sharpe ratio"),
+        (["simulate", "--mu", "0.02", "--r", "0.02"], "degenerate Sharpe ratio"),
+        (["trajectory", "--mu", "0.02", "--r", "0.02"], "degenerate Sharpe ratio"),
     ])
     def test_bad_input_is_one_line_with_status_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -518,7 +522,7 @@ class TestTrajectory:
             spec = EMVSpec(T=1.0, lam=cli.DEFAULT_LAMBDA[mode], z=1.4, x0=1.0, mode=mode,
                            h=get_distortion(h_name))
             w = lagrange_multiplier(spec, market)
-            scale = optimal_scale(sim.times()[:-1], spec, market)
+            scale = optimal_feedback(spec, market).scale(spec.T - sim.times()[:-1])
             (eta,), (increments,) = episode_draws(spec.h, market, sim, 0)
             x, expected = 1.0, []
             for k in range(64):

@@ -237,6 +237,41 @@ class TestOptimalPolicy:
             assert moments(pa)[1] == pytest.approx(moments(pb)[1], rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["plain", "log"])
+    @pytest.mark.parametrize("h_name", ["gaussian_score", "entropy_like", "gini"])
+    def test_schedule_reads_the_policy_bitwise(self, mode, h_name):
+        # the simulator's schedule and the solver's policy are one record
+        h = get_distortion(h_name)
+        spec = spec_for(mode, h=h)
+        xs = np.linspace(-1.0, 3.0, 9)
+        for market in TestClosedFormBytes.MARKETS:
+            w = lagrange_multiplier(spec, market)
+            schedule = optimal_schedule(spec, market, w)
+            for t in (0.0, 0.3, 0.75, 1.0):
+                mean, std = schedule(t, xs)
+                for i, x in enumerate(xs):
+                    pol = optimal_policy(t, x, spec, market, w)
+                    assert mean[i].hex() == float(pol.location).hex()
+                    assert float(std).hex() == (pol.scale * h.l2_norm).hex()
+
+    def test_flat_market_is_finite(self):
+        # rho = 0: mean -0.0 (x - w) and a constant scale c1
+        flat = MarketParams(mu=0.02, sigma=0.2, r=0.02)
+        w, xs = 2.0, np.array([0.5, 2.0, 3.0])
+        for mode, c1 in (("plain", 0.01 / (2 * 0.2**2)), ("log", math.sqrt(0.1 / (2 * 0.2**2)))):
+            spec = spec_for(mode)
+            fb = optimal_feedback(spec, flat)
+            assert math.copysign(1.0, fb.mean_coef) == -1.0 and fb.mean_coef == 0.0
+            assert fb.scale_base == pytest.approx(c1, rel=1e-15)
+            assert fb.scale_rate == 0.0
+            schedule = optimal_schedule(spec, flat, w)
+            for t in (0.0, 0.5, 1.0):
+                pol = optimal_policy(t, 0.7, spec, flat, w)
+                assert (pol.location, pol.scale) == (0.0, fb.scale_base)
+                mean, std = schedule(t, xs)
+                np.testing.assert_array_equal(mean, np.zeros(3))
+                assert std == fb.scale_base
+
+    @pytest.mark.parametrize("mode", ["plain", "log"])
     def test_variance_strictly_decays_in_time(self, mode):
         spec = spec_for(mode)
         w = lagrange_multiplier(spec, MARKET)
@@ -436,12 +471,23 @@ class TestFeedbackValueFn:
             vt = (vf.value(t + e, x) - vf.value(t - e, x)) / (2 * e)
             vx, vxx = 2.0 * vf.A(t) * (x - w), 2.0 * vf.A(t)
             mean = fb.mean_coef * (x - w)
-            scale = fb.scale_base * math.exp(fb.scale_rate * (spec.T - t))
+            scale = float(fb.scale(spec.T - t))
             var = scale**2 * spec.h.l2_norm**2
             reg = scale * spec.h.l2_norm**2 if mode == "plain" else math.log(scale * spec.h.l2_norm**2)
             resid = (vt + MARKET.rho * MARKET.sigma * mean * vx
                      + 0.5 * MARKET.sigma**2 * (mean**2 + var) * vxx - spec.lam * reg)
             assert abs(resid) < 1e-5
+
+    @pytest.mark.parametrize("mode", ["plain", "log"])
+    @pytest.mark.parametrize("h_name", ["gaussian_score", "entropy_like", "gini"])
+    def test_optimum_record_attains_value(self, mode, h_name):
+        # the exact objective of the optimal record is the value function
+        spec = spec_for(mode, h=get_distortion(h_name))
+        for market in TestClosedFormBytes.MARKETS:
+            w = lagrange_multiplier(spec, market)
+            vf = feedback_value_fn(optimal_feedback(spec, market), spec, market, w)
+            for t, x in ((0.0, spec.x0), (0.25, -1.0), (0.5, 0.3), (0.9, 2.5), (1.0, 1.7)):
+                assert vf.value(t, x) == pytest.approx(value(t, x, spec, market, w), rel=1e-12)
 
     def test_terminal_condition(self):
         spec = spec_for("plain")

@@ -14,7 +14,7 @@ from choquet_emv.closedform import (
     MarketParams,
     classical_solution,
     lagrange_multiplier,
-    optimal_scale,
+    optimal_feedback,
     optimal_schedule,
     value,
 )
@@ -278,7 +278,8 @@ class TestMCObjective:
         sim = SimConfig.from_horizon(1.0, 32, n_paths=8, seed=5)
         xt, vals = pathwise_objectives(optimal_schedule(spec, MARKET, w), spec, MARKET, sim, w)
         recovered = (xt - w) ** 2 - (w - spec.z) ** 2 - vals
-        reg = running_reward(optimal_scale(sim.times()[:-1], spec, MARKET) * h.l2_norm**2, mode)
+        scale = optimal_feedback(spec, MARKET).scale(spec.T - sim.times()[:-1])
+        reg = running_reward(scale * h.l2_norm**2, mode)
         np.testing.assert_allclose(recovered, np.full(8, lam * np.sum(reg) * sim.dt), rtol=1e-9)
 
     def test_determinism(self):
