@@ -38,7 +38,8 @@ def main() -> int:
         if args.episodes is not None:
             argv += ["--episodes", str(args.episodes)]
         print(f"[{name}] -> {out}", file=sys.stderr)
-        status = status or cli.main(argv)
+        code = cli.main(argv)  # every table runs; the first failure's status is returned
+        status = status or code
     return status
 
 

@@ -210,14 +210,8 @@ def _write_csv(out_path: str | None, meta: dict, header: list[str], rows):
             fh.close()
 
 
-def _lam(args) -> float:
-    """The --lambda given, or the mode's ``DEFAULT_LAMBDA``."""
-    return DEFAULT_LAMBDA[args.mode] if args.lam is None else args.lam
-
-
 def _problem(args, h_name: str) -> tuple[MarketParams, EMVSpec, float]:
     """Market, EMV spec and Lagrange multiplier of a closed-form command."""
-    args.lam = _lam(args)  # the header hashes the weight solved with
     market = MarketParams(mu=args.mu, sigma=args.sigma, r=args.r)
     spec = EMVSpec(T=args.T, lam=args.lam, z=args.z, x0=args.x0, mode=args.mode,
                    h=get_distortion(h_name))
@@ -235,7 +229,7 @@ def _meta(args, seed, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args):
     if args.grid_points < 1:
         raise ValueError(f"--grid-points must be >= 1, got {args.grid_points}")
     market, spec, w = _problem(args, args.h)
@@ -253,10 +247,8 @@ def cmd_solve(args) -> int:
     # log mode overflows to inf through numpy and math, without an error
     if bad := next((row for row in rows if not math.isfinite(row[2])), None):
         at = "" if isinstance(bad[1], str) else f" at t={_fmt(bad[1])}"
-        print(f"choquet-emv: error: {bad[0]}{at} turned non-finite: {bad[2]}", file=sys.stderr)
-        return 1
+        raise FloatingPointError(f"{bad[0]}{at} turned non-finite: {bad[2]}")
     _write_csv(args.out, _meta(args, "-"), ["quantity", "t", "value"], rows)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +256,19 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     market, spec, w = _problem(args, args.h)
     sim = SimConfig.from_horizon(spec.T, args.n_steps, args.n_paths, args.seed)
     schedule = optimal_schedule(spec, market, w)
     xT, objectives = pathwise_objectives(schedule, spec, market, sim, w)
     # a path whose wealth turns non-finite has a non-finite objective too
     if bad := np.count_nonzero(~np.isfinite(objectives)):
-        print(f"choquet-emv: error: {bad} of {len(xT)} simulated paths turned non-finite",
-              file=sys.stderr)
-        return 1
+        raise FloatingPointError(f"{bad} of {len(xT)} simulated paths turned non-finite")
     est, se = mean_and_std_error(objectives)
     meta = _meta(args, args.seed, objective_estimate=est, objective_std_error=se,
                  closed_form_value=value(0.0, spec.x0, spec, market, w))
     rows = [(i, xT[i], objectives[i]) for i in range(len(xT))]
     _write_csv(args.out, meta, ["path", "terminal_wealth", "pathwise_objective"], rows)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -294,19 +283,14 @@ def _train_config(mu, sigma, r, h_name, T, dt, seed, **fields) -> tuple[TrainCon
     return cfg, MarketParams(mu=mu, sigma=sigma, r=r)
 
 
-def cmd_train(args) -> int:
-    args.lam = _lam(args)  # the header hashes the weight trained with
+def cmd_train(args):
     cfg, market = _train_config(
         args.mu, args.sigma, args.r, args.h, args.T, args.dt, args.seed,
         episodes=args.episodes, lam=args.lam, mode=args.mode, z=args.z, x0=args.x0,
         avg_window=args.m, alpha=args.alpha, decay=args.decay, critic_form=args.critic_form,
         grad_clip=args.grad_clip,
     )
-    try:
-        log = train(cfg, market)
-    except TrainingDivergedError as exc:
-        print(f"choquet-emv: error: {exc}", file=sys.stderr)
-        return 1
+    log = train(cfg, market)
     mean, var, sharpe = log.last_window_stats()
     meta = _meta(args, args.seed, last200_mean=mean, last200_variance=var, sharpe=sharpe,
                  clip_events=log.clip_events, skipped_actions=log.skipped_actions)
@@ -319,7 +303,6 @@ def cmd_train(args) -> int:
                 "phi0", "phi1", "phi2", "w"], rows)
     if log.clip_events:
         print(f"gradient clipping engaged {log.clip_events} times", file=sys.stderr)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +382,7 @@ _GRID_OUTPUTS = {
 }
 
 
-def cmd_grid(args) -> int:
+def cmd_grid(args):
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     grid = grid_from_file(args.config, {"seed": args.seed, "episodes": args.episodes,
@@ -416,10 +399,9 @@ def cmd_grid(args) -> int:
             "seed": grid.seed, "mode": ",".join(grid.modes)}
     _write_csv(_out_path(args, grid), meta,
                ["mu", "sigma", "mode", "h", "lambda", "cell_seed", "status", *columns], rows)
-    return 0
 
 
-def cmd_trajectory(args) -> int:
+def cmd_trajectory(args):
     rows = []
     for h_name in (name.strip() for name in args.h.split(",")):
         market, spec, w = _problem(args, h_name)
@@ -435,12 +417,10 @@ def cmd_trajectory(args) -> int:
             actions = fb.mean_coef * (states[:-1] - w) + explore[0]
         finite = np.isfinite(actions) & np.isfinite(states[:-1])
         if not finite.all():
-            print(f"choquet-emv: error: the {h_name} trajectory turned non-finite at "
-                  f"t={_fmt(times[np.argmin(finite)])}", file=sys.stderr)
-            return 1
+            raise FloatingPointError(f"the {h_name} trajectory turned non-finite at "
+                                     f"t={_fmt(times[np.argmin(finite)])}")
         rows.extend((h_name, t, u, x) for t, u, x in zip(times, actions, states))
     _write_csv(args.out, _meta(args, args.seed), ["h", "t", "action", "wealth"], rows)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -519,26 +499,30 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_trajectory)
 
     args = parser.parse_args(argv)
+    if getattr(args, "lam", 0.0) is None:  # the header hashes the weight used
+        args.lam = DEFAULT_LAMBDA[args.mode]
+    # a command returns nothing or raises; only here does an outcome become
+    # an exit status and an error line
     try:
-        status = args.fn(args)
+        args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-        return status
+        return 0
     except BrokenPipeError:
         # stop quietly, as a filter that SIGPIPE ends does; stdout goes to
         # devnull so the interpreter's exit-time flush fails no more
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 128 + 13  # 128 + SIGPIPE
-    except (ValueError, KeyError, OSError, MemoryError) as exc:
-        # a KeyError's str() quotes its message, so print the message itself;
-        # a bare MemoryError has none, so print its name
-        message = (exc.args[0] if isinstance(exc, KeyError) and exc.args
-                   else str(exc) or type(exc).__name__)
-        print(f"choquet-emv: error: {message}", file=sys.stderr)
-        return 2
+    except (FloatingPointError, TrainingDivergedError) as exc:
+        # a result turned non-finite, or training diverged
+        status, message = 1, str(exc)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a bad input; a bare MemoryError has no message, so print its name
+        status, message = 2, str(exc) or type(exc).__name__
     except OverflowError:
         # a Python-float ** raises this where numpy would return inf
-        print("choquet-emv: error: a result overflows a float", file=sys.stderr)
-        return 2
+        status, message = 2, "a result overflows a float"
+    print(f"choquet-emv: error: {message}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -372,20 +372,9 @@ def improvement_step(
     a_t = value_fn.A(t)
     if a_t <= 0.0:
         raise ConvexityError(f"convexity violated: A({t}) = {a_t} <= 0")
-    rho, sigma = market.rho, market.sigma
-    mean = -(rho / sigma) * (x - value_fn.w)
-    scale, _ = _scale(spec, sigma, 2.0 * a_t)
+    mean = optimal_feedback(spec, market).mean_coef * (x - value_fn.w)
+    scale, _ = _scale(spec, market.sigma, 2.0 * a_t)
     return LocationScalePolicy(h=spec.h, location=mean, scale=scale)
-
-
-def improve_feedback(
-    fb: FeedbackPolicyParams, spec: EMVSpec, market: MarketParams
-) -> FeedbackPolicyParams:
-    """The improvement step expressed inside the feedback family."""
-    rho, sigma = market.rho, market.sigma
-    k = 2.0 * rho * sigma * fb.mean_coef + sigma**2 * fb.mean_coef**2
-    c1, power = _scale(spec, sigma, 2.0)
-    return FeedbackPolicyParams(-rho / sigma, c1, -power * k)
 
 
 def policy_iteration(
@@ -397,16 +386,22 @@ def policy_iteration(
 
     Returns [(policy_k, value_k) for steps k = 0, 1, 2, 3]: policy_0 is the
     initial one, policy_2 equals the mode's optimum and policy_3 confirms it
-    is a fixed point.
+    is a fixed point.  Each improvement keeps the optimum's mean and base
+    scale and sets the rate to -power * k, with k = 2 rho sigma a + sigma^2 a^2
+    of the policy it improves.
     """
     if not isinstance(initial, FeedbackPolicyParams):
         initial = FeedbackPolicyParams(*initial)
     w = lagrange_multiplier(spec, market)
+    opt = optimal_feedback(spec, market)
+    power = _scale(spec, market.sigma, 2.0)[1]
+    rho, sigma = market.rho, market.sigma
     out = []
     fb = initial
     for _ in range(4):
         out.append((fb, feedback_value_fn(fb, spec, market, w)))
-        fb = improve_feedback(fb, spec, market)
+        k = 2.0 * rho * sigma * fb.mean_coef + sigma**2 * fb.mean_coef**2
+        fb = FeedbackPolicyParams(opt.mean_coef, opt.scale_base, -power * k)
     return out
 
 

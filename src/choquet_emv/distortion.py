@@ -198,7 +198,7 @@ def get_distortion(name: str) -> DistortionFn:
     try:
         return BUILTIN_DISTORTIONS[name]
     except KeyError:
-        raise KeyError(
+        raise ValueError(
             f"unknown distortion {name!r}; available: {sorted(BUILTIN_DISTORTIONS)}"
         ) from None
 

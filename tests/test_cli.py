@@ -466,6 +466,26 @@ class TestExitStatus:
         assert capsys.readouterr().err == (
             "choquet-emv: error: training diverged at episode 3: forced for the test\n")
 
+    @pytest.mark.parametrize("argv, status", [
+        (["solve", "--mode", "log", "--lambda", "1e308"], 1),
+        (["simulate", "--mu", "0.5", "--sigma", "0.025", "--n-paths", "8", "--n-steps", "8"], 1),
+        (["trajectory", "--mu", "0.52", "--sigma", "0.025", "--lambda", "1e100",
+          "--n-steps", "64"], 1),
+        (["train", "--episodes", "5"], 1),
+        (["solve", "--h", "nope"], 2),
+    ], ids=["solve", "simulate", "trajectory", "train", "unknown_h"])
+    def test_failure_writes_nothing_to_stdout(self, argv, status, monkeypatch, capsys):
+        # no --out: the CSV would go to stdout, so a failure must leave it empty
+        def diverging(cfg, market):
+            raise TrainingDivergedError(3, "forced for the test")
+
+        monkeypatch.setattr(cli, "train", diverging)
+        assert cli.main(argv) == status
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("choquet-emv: error: ") and err.count("\n") == 1
+        assert err.endswith("\n")
+
 
 class TestFigures:
     def test_block_mean_count(self, tmp_path):
@@ -655,11 +675,16 @@ class TestGridConfig:
 
 
 class TestReproduceTablesScript:
-    def test_episodes_zero_is_passed_on(self, tmp_path, monkeypatch):
+    @staticmethod
+    def load_script():
         spec = importlib.util.spec_from_file_location(
             "reproduce_tables", ROOT / "scripts" / "reproduce_tables.py")
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
+        return script
+
+    def test_episodes_zero_is_passed_on(self, tmp_path, monkeypatch):
+        script = self.load_script()
         calls = []
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
@@ -669,6 +694,22 @@ class TestReproduceTablesScript:
         config = str(CONFIGS.resolve() / "table_gaussian.yaml")
         assert calls == [["table", "--config", config, "--jobs", "4",
                           "--out", "results/table_gaussian.csv", "--episodes", "0"]]
+
+    def test_a_failed_table_stops_no_other(self, tmp_path, monkeypatch):
+        script = self.load_script()
+        statuses = {"gaussian": 2, "exponential": 1, "uniform": 0}
+        ran = []
+
+        def fake_main(argv):
+            name = Path(argv[argv.index("--out") + 1]).stem.removeprefix("table_")
+            ran.append(name)
+            return statuses[name]
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "main", fake_main)
+        monkeypatch.setattr(sys, "argv", ["reproduce_tables.py"])
+        assert script.main() == 2  # the first nonzero status
+        assert ran == ["gaussian", "exponential", "uniform"]
 
 
 class TestLambdaSweepContrast:

@@ -489,6 +489,21 @@ class TestFeedbackValueFn:
             for t, x in ((0.0, spec.x0), (0.25, -1.0), (0.5, 0.3), (0.9, 2.5), (1.0, 1.7)):
                 assert vf.value(t, x) == pytest.approx(value(t, x, spec, market, w), rel=1e-12)
 
+    @pytest.mark.parametrize("mode", ["plain", "log"])
+    @pytest.mark.parametrize("h_name", ["gaussian_score", "entropy_like", "gini"])
+    def test_optimum_record_is_the_papers_formulas(self, mode, h_name):
+        # field by field and exactly: the objective is stationary at the
+        # optimum, so its value cannot see a last-digit error in the record
+        h = get_distortion(h_name)
+        spec = spec_for(mode, h=h)
+        for m in TestClosedFormBytes.MARKETS:
+            rho, sigma, lam = m.rho, m.sigma, spec.lam
+            if mode == "plain":
+                c1, c2 = lam / (2.0 * sigma**2), rho**2
+            else:
+                c1, c2 = math.sqrt(lam / (2.0 * sigma**2 * h.l2_norm**2)), rho**2 / 2.0
+            assert optimal_feedback(spec, m) == FeedbackPolicyParams(-(rho / sigma), c1, c2)
+
     def test_terminal_condition(self):
         spec = spec_for("plain")
         w = lagrange_multiplier(spec, MARKET)
