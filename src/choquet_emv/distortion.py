@@ -110,24 +110,18 @@ class DistortionFn:
         """The quadrature rule for ||h'||_2."""
         return tanh_sinh_01() if self.hprime_singular else gauss_legendre_01()
 
-    def _hprime_on_rule(self, mirrored: bool) -> Array:
-        """h'(1 - p) on the tanh-sinh nodes, evaluated once.
+    def _hprime_on_rule(self) -> Array:
+        """h'(1 - p) on the tanh-sinh nodes, evaluated once and kept read-only.
 
-        ``mirrored`` reads 1 - p off the symmetric node layout (``nodes[::-1]``),
-        as ``regularizer_of_quantile`` does; otherwise 1 - p is ``1.0 - nodes``,
-        as in the quantile of ``max_constrained``.  The values are read-only
-        and kept with the node array they were computed on, so a rule rebuilt
-        after ``tanh_sinh_01.cache_clear()`` gets its own.
+        1 - p is read off the symmetric node layout (``nodes[::-1]``), so h'
+        sees each node's exact distance to 1, never a rounded ``1.0 - p``.
         """
-        nodes = tanh_sinh_01()[0]
-        key = "_hprime_mirrored" if mirrored else "_hprime_minus"
-        kept = self.__dict__.get(key)
-        if kept is None or kept[0] is not nodes:
-            vals = np.array(self.hprime(nodes[::-1] if mirrored else 1.0 - nodes), dtype=float)
-            vals.flags.writeable = False
-            kept = (nodes, vals)
-            object.__setattr__(self, key, kept)
-        return kept[1]
+        kept = self.__dict__.get("_hprime_kept")
+        if kept is None:
+            kept = np.array(self.hprime(tanh_sinh_01()[0][::-1]), dtype=float)
+            kept.flags.writeable = False
+            object.__setattr__(self, "_hprime_kept", kept)
+        return kept
 
 
 def _entropy_h(p: Array) -> Array:
@@ -165,7 +159,7 @@ BUILTIN_DISTORTIONS: dict[str, DistortionFn] = {
     "gaussian_score": DistortionFn(
         name="gaussian_score",
         h=_gaussian_h,
-        hprime=lambda p: ndtri(1.0 - np.asarray(p, dtype=float)),
+        hprime=lambda p: -ndtri(p),
         l2_norm=1.0,
         hprime_singular=True,
         hprime_range=(-math.inf, math.inf),
@@ -281,13 +275,12 @@ def regularizer_of_quantile(fn: DistortionFn, quantile: ScalarFn) -> float:
     """Phi_h of a distribution given through its quantile function.
 
     Evaluates integral_0^1 Q(p) h'(1-p) dp on the tanh-sinh rule, which
-    handles a quantile or an h' unbounded at an endpoint.  The complement
-    1-p is taken from the symmetric node layout, so h' is never evaluated
-    at a rounded 0 or 1.
+    handles a quantile or an h' unbounded at an endpoint.  It reads the
+    h'(1-p) that ``fn`` keeps on the rule's nodes.
     """
     nodes, weights = tanh_sinh_01()
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(quantile(nodes), dtype=float) * fn._hprime_on_rule(mirrored=True)
+        vals = np.asarray(quantile(nodes), dtype=float) * fn._hprime_on_rule()
         total = float(np.dot(weights, vals))
     if not math.isfinite(total):
         raise DivergentIntegralError(
@@ -301,7 +294,7 @@ def max_constrained(fn: DistortionFn, m: float, s: float) -> tuple[ScalarFn, flo
 
     Returns the maximizing quantile Q*(p) = m + s h'(1-p)/||h'||_2 together
     with the maximum value s ||h'||_2.  On the tanh-sinh rule's own nodes
-    the quantile reads the h'(1-p) that ``fn`` keeps there.
+    the quantile reads ``fn``'s kept h'(1-p), at the nodes' exact complements.
     """
     if not math.isfinite(m):
         raise ValueError(f"mean must be finite, got {m}")
@@ -313,7 +306,7 @@ def max_constrained(fn: DistortionFn, m: float, s: float) -> tuple[ScalarFn, flo
 
     def q(p: Array, _fn=fn, _m=m, _c=s / norm) -> Array:
         if p is tanh_sinh_01()[0]:
-            return _m + _c * _fn._hprime_on_rule(mirrored=False)
+            return _m + _c * _fn._hprime_on_rule()
         return _m + _c * np.asarray(_fn.hprime(1.0 - np.asarray(p, dtype=float)), dtype=float)
 
     return q, s * norm

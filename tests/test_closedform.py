@@ -75,6 +75,29 @@ def test_emv_spec_rejects_bad_fields(bad, match):
         EMVSpec(**fields)
 
 
+HORIZON_SPEC = EMVSpec(T=2.0, lam=0.01, z=1.4, x0=1.0, mode="plain", h=GAUSS)
+HORIZON_W = lagrange_multiplier(HORIZON_SPEC, MARKET)
+TIMED = {
+    "value": lambda t: value(t, 1.0, HORIZON_SPEC, MARKET, HORIZON_W),
+    "value_derivatives": lambda t: value_derivatives(t, 1.0, HORIZON_SPEC, MARKET, HORIZON_W),
+    "hjb_residual": lambda t: hjb_residual(t, 1.0, HORIZON_SPEC, MARKET, HORIZON_W),
+    "optimal_policy": lambda t: optimal_policy(t, 1.0, HORIZON_SPEC, MARKET, HORIZON_W),
+    "classical_solution": lambda t: classical_solution(t, 1.0, HORIZON_SPEC, MARKET, HORIZON_W),
+    "improvement_step": lambda t: improvement_step(
+        feedback_value_fn(optimal_feedback(HORIZON_SPEC, MARKET), HORIZON_SPEC, MARKET, HORIZON_W),
+        HORIZON_SPEC, MARKET, t, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", TIMED)
+def test_times_outside_the_horizon_are_refused(name):
+    fn, T = TIMED[name], HORIZON_SPEC.T
+    for t in (-1e-9, T * (1.0 + 1e-9)):
+        with pytest.raises(ValueError, match="outside the horizon"):
+            fn(t)
+    fn(T * (1.0 + 1e-13))  # a rounding past T is inside
+
+
 class TestLagrangeMultiplier:
     def test_target_equals_start(self):
         spec = EMVSpec(T=1.0, lam=0.01, z=1.0, x0=1.0, mode="plain", h=GAUSS)
@@ -518,9 +541,9 @@ class TestClosedFormBytes:
     the HJB residual, policy iteration, the exploration cost by quadrature
     and the Choquet integrals of the maximising quantile."""
 
-    # the bytes of the closed forms that evaluated h' on the tanh-sinh rule
-    # at every integral and read rho through a property
-    DIGEST = "dc757ca6d4c7886b67550d190f3a9898a5e9e78130d49a30bf126259c8fc164e"
+    # the bytes of the closed forms whose maximising quantile and regularizer
+    # read one kept h'(1 - p) at the tanh-sinh nodes' exact complements
+    DIGEST = "9d5553ab579ae4981639fc738b134336aef07eb12abe85b270bb57e56ca7d3ff"
     MARKETS = (MARKET, MarketParams(mu=-0.25, sigma=0.3, r=0.02))  # rho 0.4 and -0.9
 
     @staticmethod

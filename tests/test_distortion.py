@@ -261,8 +261,9 @@ class TestQuadratureRules:
 
 
 class TestHprimeOnRule:
-    """h'(1 - p) kept on the tanh-sinh nodes, once per distortion, moves no
-    integral by a bit."""
+    """h'(1 - p) kept on the tanh-sinh nodes, once per distortion, at the
+    nodes' exact complements: the regularizer and the maximising quantile
+    read the same array, and no integral moves by a bit."""
 
     @staticmethod
     def distortions():
@@ -283,38 +284,69 @@ class TestHprimeOnRule:
         (phi, mean, var), q = self.integrals(h)
         nodes, weights = tanh_sinh_01()
         copy = nodes.copy()  # not the rule's array: h' is evaluated afresh
-        vals = q(copy)
-        assert np.array_equal(vals, q(nodes))
-        assert phi == float(np.dot(weights, vals * np.asarray(h.hprime(copy[::-1]), dtype=float)))
+        hp = np.asarray(h.hprime(copy[::-1]), dtype=float)
+        vals = 0.3 + (1.7 / h.l2_norm) * hp
+        assert np.array_equal(q(nodes), vals)
+        assert np.array_equal(q(copy), 0.3 + (1.7 / h.l2_norm) * np.asarray(h.hprime(1 - copy)))
+        assert phi == float(np.dot(weights, vals * hp))
         assert mean == float(np.dot(weights, vals))
         assert var == float(np.dot(weights, (vals - mean) ** 2))
 
     @pytest.mark.parametrize("index", range(5))
     def test_a_rebuilt_rule_gets_its_own_values(self, index):
+        # the rule is deterministic: a rebuilt rule has the same nodes, so the
+        # kept array and every integral stay as they were
         h = self.distortions()[index]
         before, _ = self.integrals(h)
         old = tanh_sinh_01()[0]
-        kept = [h._hprime_on_rule(mirrored) for mirrored in (True, False)]
+        kept = h._hprime_on_rule()
         tanh_sinh_01.cache_clear()
         assert tanh_sinh_01()[0] is not old
+        assert np.array_equal(tanh_sinh_01()[0], old)
         assert self.integrals(h)[0] == before
-        for mirrored, was in zip((True, False), kept):
-            now = h._hprime_on_rule(mirrored)
-            assert now is not was and np.array_equal(now, was)
-            assert now is h._hprime_on_rule(mirrored)
+        assert h._hprime_on_rule() is kept
 
     def test_kept_values_are_read_only(self):
         h = get_distortion("gaussian_score")
-        for mirrored in (True, False):
-            with pytest.raises(ValueError, match="read-only"):
-                h._hprime_on_rule(mirrored)[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            h._hprime_on_rule()[0] = 0.0
 
     def test_a_scaled_distortion_keeps_its_own_values(self):
         base = get_distortion("gini")
         scaled = scale_distortion(base, 2.0)
-        for mirrored in (True, False):
-            assert np.array_equal(scaled._hprime_on_rule(mirrored),
-                                  2.0 * base._hprime_on_rule(mirrored))
+        assert scaled._hprime_on_rule() is not base._hprime_on_rule()
+        assert np.array_equal(scaled._hprime_on_rule(), 2.0 * base._hprime_on_rule())
+
+
+ROOT = custom_distortion("root", lambda p: np.asarray(p) ** 0.75 - np.asarray(p),
+                         lambda p: 0.75 * np.asarray(p) ** -0.25 - 1.0)
+
+
+@pytest.mark.parametrize("m, s", [(0.3, 0.7), (-2.0, 5.0)])
+def test_root_maximiser_meets_its_identities(m, s):
+    # h' is unbounded at 0, so Phi and the variance see whether the maximiser
+    # and the regularizer read h' at the same, exact complements of the nodes
+    q, bound = max_constrained(ROOT, m, s)
+    assert bound == s * ROOT.l2_norm
+    assert abs(regularizer_of_quantile(ROOT, q) - bound) <= 1e-10 * max(1.0, s)
+    assert abs(quantile_moments(q)[1] - s * s) <= 1e-12 * max(1.0, s * s)
+
+
+class TestGaussianHprime:
+    """h'(p) = -ndtri(p): exact near 0, and ndtri(1 - p)'s bits where 1 - p
+    is exact."""
+
+    H = get_distortion("gaussian_score")
+
+    @pytest.mark.parametrize("p", [1e-15, 1e-12, 1e-9, 1e-6, 0.3])
+    def test_below_one_half_is_minus_ndtri(self, p):
+        assert self.H.hprime(p) == -scipy.special.ndtri(p)
+        assert np.array_equal(self.H.hprime(np.array([p])), -scipy.special.ndtri(np.array([p])))
+
+    def test_from_one_half_up_equals_ndtri_of_the_complement(self):
+        p = np.concatenate([np.linspace(0.5, 1.0 - 2.0**-20, 100_001),
+                            1.0 - np.logspace(-16, -6, 1001), [1.0]])
+        assert np.array_equal(self.H.hprime(p), scipy.special.ndtri(1.0 - p))
 
 
 class TestCustomValidation:

@@ -128,6 +128,14 @@ class TestLogDensity:
         assert log_density(make_policy("gini"), 1.5) == -math.inf
         assert log_density(make_policy("entropy_like"), -1.01) == -math.inf
 
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_degenerate_policy_has_no_density_and_a_step_cdf(self, name):
+        pol = make_policy(name, 0.7, 0.0)
+        with pytest.raises(ValueError, match="nondegenerate"):
+            log_density(pol, 0.7)
+        u = np.array([-1.0, 0.7 - 1e-12, 0.7, 0.7 + 1e-12, 2.0])
+        assert np.array_equal(cdf(pol, u), [0.0, 0.0, 1.0, 1.0, 1.0])
+
     def test_unregistered_family(self):
         base = get_distortion("gini")
         other = custom_distortion("mystery", base.h, base.hprime, hprime_singular=False)
