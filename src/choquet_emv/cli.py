@@ -59,7 +59,7 @@ def _fmt(x) -> str:
 
 
 def config_hash(payload: dict) -> str:
-    payload = {k: v for k, v in payload.items() if k not in ("fn", "out", "out_dir")}
+    payload = {k: v for k, v in payload.items() if k not in ("fn", "out")}
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -83,7 +83,8 @@ def _n_steps(T: float, dt: float) -> int:
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """Declarative description of a sweep over (mu, sigma, mode, h) cells."""
+    """A sweep over (mu, sigma, mode, h, lambda) cells.  Every key is checked
+    and stored here, for a grid read from a file and one built in Python alike."""
 
     mu_list: tuple[float, ...]
     sigma_list: tuple[float, ...]
@@ -100,13 +101,18 @@ class ExperimentGrid:
     lambda_by_mode: dict = field(default_factory=lambda: dict(DEFAULT_LAMBDA))
     lambdas: tuple[float, ...] = ()  # λ axis; empty means lambda_by_mode[mode]
     grad_clip: float | None = 1e3
-    out_dir: str = "."
 
     def __post_init__(self):
-        for f in fields(self):  # numbers of float fields as floats, as a grid file stores them
-            if "float" in f.type or f.type == "dict":
-                stored = _GRID_VALUE_KINDS[f.type][2]
-                object.__setattr__(self, f.name, stored(getattr(self, f.name)))
+        for f in fields(self):
+            ok, what, stored = _GRID_VALUE_KINDS[f.type]
+            value = getattr(self, f.name)
+            if not ok(value):
+                raise ValueError(f"grid key {f.name} must be {what}, got {value!r}")
+            try:
+                object.__setattr__(self, f.name, stored(value))
+            except OverflowError:
+                raise ValueError(f"grid key {f.name} holds an integer too large "
+                                 f"for a float") from None
         if not self.mu_list or not self.sigma_list or not self.modes or not self.h_names:
             raise ValueError("grid lists must be non-empty")
         _require_finite(self, "T", "dt", "z", "x0")
@@ -127,7 +133,7 @@ class ExperimentGrid:
 
     def payload(self) -> dict:
         """The fields that shape the results, under the config hash's key names."""
-        return {_PAYLOAD_KEYS.get(k, k): v for k, v in vars(self).items() if k != "out_dir"}
+        return {_PAYLOAD_KEYS.get(k, k): v for k, v in vars(self).items()}
 
 
 def _is_real(v) -> bool:
@@ -135,10 +141,10 @@ def _is_real(v) -> bool:
 
 
 def _is_list_of(item_ok):
-    return lambda v: isinstance(v, list) and all(map(item_ok, v))
+    return lambda v: isinstance(v, (list, tuple)) and all(map(item_ok, v))
 
 
-# YAML value checks keyed by the ExperimentGrid field annotation, and the
+# grid value checks keyed by the ExperimentGrid field annotation, and the
 # value each kind stores: every number of a float field as a float, so a
 # grid hashes and seeds the same whether it writes 1 or 1.0, in a file or
 # in Python
@@ -147,7 +153,6 @@ _GRID_VALUE_KINDS = {
     "float | None": (lambda v: v is None or _is_real(v), "a number or null",
                      lambda v: v if v is None else float(v)),
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", int),
-    "str": (lambda v: isinstance(v, str), "a string", str),
     "tuple[float, ...]": (_is_list_of(_is_real), "a list of numbers",
                           lambda v: tuple(map(float, v))),
     "tuple[str, ...]": (_is_list_of(lambda v: isinstance(v, str)), "a list of names", tuple),
@@ -159,7 +164,7 @@ _GRID_VALUE_KINDS = {
 
 def grid_from_file(path: str, overrides: dict | None = None) -> ExperimentGrid:
     """ExperimentGrid from a YAML mapping; a file of the wrong shape, with an
-    unknown or missing key, or a value of the wrong type raises ValueError."""
+    unknown or missing key, or a value the grid refuses raises ValueError."""
     with open(path) as fh:
         try:
             raw = yaml.safe_load(fh)
@@ -171,21 +176,14 @@ def grid_from_file(path: str, overrides: dict | None = None) -> ExperimentGrid:
                          f"got a {type(raw).__name__}")
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
-    kinds = {f.name: f.type for f in fields(ExperimentGrid)}
-    if unknown := set(raw) - set(kinds):
+    if unknown := set(raw) - {f.name for f in fields(ExperimentGrid)}:
         raise ValueError(f"unknown grid key(s) in {path}: {', '.join(sorted(map(str, unknown)))}")
     if missing := [k for k in ("mu_list", "sigma_list") if k not in raw]:
         raise ValueError(f"missing grid key(s) in {path}: {', '.join(missing)}")
-    for key, value in raw.items():
-        ok, what, stored = _GRID_VALUE_KINDS[kinds[key]]
-        if not ok(value):
-            raise ValueError(f"grid key {key} in {path} must be {what}, got {value!r}")
-        try:
-            raw[key] = stored(value)
-        except OverflowError:
-            raise ValueError(f"grid key {key} in {path} holds an integer too large "
-                             f"for a float") from None
-    return ExperimentGrid(**raw)
+    try:
+        return ExperimentGrid(**raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _open_out(path: str | None):
@@ -385,8 +383,7 @@ _GRID_OUTPUTS = {
 def cmd_grid(args):
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    grid = grid_from_file(args.config, {"seed": args.seed, "episodes": args.episodes,
-                                        "out_dir": args.out_dir})
+    grid = grid_from_file(args.config, {"seed": args.seed, "episodes": args.episodes})
     columns, value_rows = _GRID_OUTPUTS[args.cmd]
     rows = []
     for cell, (status, stats, blocks, error) in _run_grid(grid, args.jobs):
@@ -397,7 +394,7 @@ def cmd_grid(args):
         rows += [(*cell, status, *values) for values in value_rows(stats, blocks)]
     meta = {"config_hash": config_hash(grid.payload() | {"cmd": args.cmd}),
             "seed": grid.seed, "mode": ",".join(grid.modes)}
-    _write_csv(_out_path(args, grid), meta,
+    _write_csv(args.out, meta,
                ["mu", "sigma", "mode", "h", "lambda", "cell_seed", "status", *columns], rows)
 
 
@@ -426,14 +423,6 @@ def cmd_trajectory(args):
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
-
-
-def _out_path(args, grid: ExperimentGrid) -> str | None:
-    if args.out is not None:
-        return args.out
-    if grid.out_dir in (".", ""):
-        return None  # stdout
-    return os.path.join(grid.out_dir, f"{args.cmd}.csv")
 
 
 def _add_market_args(p: argparse.ArgumentParser):
@@ -488,8 +477,7 @@ def main(argv=None) -> int:
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--episodes", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--out-dir", default=None)
+        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
         p.set_defaults(fn=cmd_grid)
 
     p = sub.add_parser("trajectory", help="one seeded action path per distortion")

@@ -218,11 +218,13 @@ def custom_distortion(
     """Wrap a user-supplied (h, h') pair; ||h'||_2 is computed by quadrature.
 
     The pair is checked on a sampled grid (endpoints of h vanish, h'
-    nonincreasing) before the norm is measured.
+    nonincreasing) before the norm is measured.  The default ``hprime_range``
+    is h' at 1 - 2**-53 and 2**-53, the extremes at which the sampler
+    (``policy.standardized_draw``) evaluates it, so every draw lies in the
+    support.
     """
     if hprime_range is None:
-        eps = 1e-12
-        ends = np.asarray(hprime(np.array([1.0 - eps, eps])), dtype=float)
+        ends = np.asarray(hprime(np.array([1.0 - 2.0**-53, 2.0**-53])), dtype=float)
         hprime_range = (float(ends[0]), float(ends[1]))
     fn = DistortionFn(
         name=name,

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -242,13 +243,20 @@ class TestTable:
         with pytest.raises(ChildProcessError):  # every child was reaped
             os.waitpid(-1, os.WNOHANG)
 
-    def test_out_dir_flag_is_the_only_directory_switch(self, tmp_path, monkeypatch):
+    def test_out_is_the_only_output_switch(self, tmp_path, monkeypatch, capsys):
         cfg = write_grid(tmp_path / "grid.yaml", episodes=10)
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("CHOQUET_EMV_OUTPUT_DIR", "a")
-        assert cli.main(["table", "--config", str(cfg), "--out-dir", "b"]) == 0
-        assert (tmp_path / "b" / "table.csv").is_file()
-        assert not (tmp_path / "a").exists()
+        assert cli.main(["table", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# config_hash=") and out.count("\n") == 3
+        assert list(tmp_path.iterdir()) == [cfg]
+        # a grid file names no output: out_dir is an unknown key
+        cfg = write_grid(tmp_path / "grid.yaml", episodes=10, out_dir="b")
+        assert cli.main(["table", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"choquet-emv: error: unknown grid key(s) in {cfg}: out_dir\n")
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestExitStatus:
@@ -330,7 +338,7 @@ class TestExitStatus:
         cfg = write_grid(tmp_path / "grid.yaml", modes="plain")
         assert cli.main(["table", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
         err = capsys.readouterr().err
-        assert err == (f"choquet-emv: error: grid key modes in {cfg} must be a list of names, "
+        assert err == (f"choquet-emv: error: {cfg}: grid key modes must be a list of names, "
                        "got 'plain'\n")
         assert not (tmp_path / "t.csv").exists()
 
@@ -345,7 +353,7 @@ class TestExitStatus:
         for cmd in ("table", "figures"):
             assert cli.main([cmd, "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
             assert capsys.readouterr().err == (
-                "choquet-emv: error: lambda_by_mode has no weight for mode(s): log\n")
+                f"choquet-emv: error: {cfg}: lambda_by_mode has no weight for mode(s): log\n")
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -606,6 +614,26 @@ class TestGridConfig:
         grid = cli.grid_from_file(str(config))
         assert cli.config_hash(grid.payload() | {"cmd": cmd}) == digest
 
+    def test_every_grid_key_is_hashed(self):
+        base = cli.ExperimentGrid(mu_list=(0.3,), sigma_list=(0.2,))
+        changed = dict(mu_list=(0.4,), sigma_list=(0.3,), r=0.03, T=2.0, dt=1.0 / 126.0,
+                       z=1.5, x0=1.1, modes=("plain",), h_names=("gini",), episodes=10,
+                       avg_window=5, seed=1, lambda_by_mode={"plain": 0.02, "log": 0.1},
+                       lambdas=(0.1,), grad_clip=None)
+        names = [f.name for f in fields(cli.ExperimentGrid)]
+        assert sorted(names) == sorted(changed)
+        for name in names:
+            grid = replace(base, **{name: changed[name]})
+            assert cli.config_hash(grid.payload()) != cli.config_hash(base.payload()), name
+
+    def test_python_built_grid_is_checked_as_a_file_grid(self):
+        for bad, message in ((dict(episodes="ten"), "grid key episodes must be an integer, "
+                                                    "got 'ten'$"),
+                             (dict(mu_list=(0.1, 10**400)), "grid key mu_list holds an integer "
+                                                            "too large for a float$")):
+            with pytest.raises(ValueError, match=message):
+                cli.ExperimentGrid(**(dict(mu_list=(0.3,), sigma_list=(0.2,)) | bad))
+
     def test_integer_and_float_spellings_give_one_seed_and_hash(self):
         grids = [cli.ExperimentGrid(mu_list=(mu,), sigma_list=(0.2,)) for mu in (1, 1.0)]
         seeds = [[cli.cell_seed(g.seed, *cell) for cell in g.cells()] for g in grids]
@@ -622,16 +650,16 @@ class TestGridConfig:
                              (dict(dt=0), "must be finite and positive"),
                              (dict(z=math.nan), "z must be finite"),
                              (dict(episode=10), r"unknown grid key\(s\) in .*: episode$"),
-                             (dict(T="one"), "grid key T in .* must be a number, got 'one'"),
+                             (dict(T="one"), r"g3\.yaml: grid key T must be a number, got 'one'"),
                              (dict(mu_list=0.3), "grid key mu_list .* list of numbers"),
                              (dict(lambda_by_mode=0.3), "grid key lambda_by_mode .* mapping"),
                              (dict(episodes="ten"), "grid key episodes .* an integer"),
                              (dict(episodes=True), "grid key episodes .* an integer"),
                              (dict(modes="plain"), "grid key modes .* list of names"),
-                             (dict(T=10**400), "grid key T in .* holds an integer too large "
-                                               "for a float$"),
-                             (dict(mu_list=[0.1, 10**400]), "grid key mu_list in .* holds an "
-                                                            "integer too large for a float$"),
+                             (dict(T=10**400), r"g3\.yaml: grid key T holds an integer too "
+                                               "large for a float$"),
+                             (dict(mu_list=[0.1, 10**400]), r"g3\.yaml: grid key mu_list holds "
+                                                            "an integer too large for a float$"),
                              (dict(modes=["plain", "log", "other"], lambda_by_mode={"plain": 0.1}),
                               "lambda_by_mode has no weight for mode\\(s\\): log, other$")):
             with pytest.raises(ValueError, match=message):

@@ -502,7 +502,13 @@ class TestMonteCarloBytes:
         each family at plain lam 0.01, log lam 0.1 and plain lam 0 on two
         markets, and a scalar mean with a per-path std that depends on x,
         built from arithmetic alone: numpy's SIMD tanh, exp and log may round
-        differently on another CPU, arithmetic rounds the same everywhere."""
+        differently on another CPU, arithmetic rounds the same everywhere.
+        The optimal schedules are not built so: the 12 runs with lam > 0 form
+        their std through ``np.exp`` in ``FeedbackPolicyParams.scale``, and
+        the 6 log-mode runs form their reward through ``np.log`` in
+        ``policy.running_reward``.  So the digest holds only where numpy
+        dispatches exp and log to its AVX-512 kernels, as on the host that
+        recorded it (ROADMAP item 16)."""
         for h_name in ("gaussian_score", "entropy_like", "gini"):
             for mode, lam in (("plain", 0.01), ("log", 0.1), ("plain", 0.0)):
                 for mu, sigma in ((0.1, 0.2), (-0.5, 0.1)):

@@ -67,6 +67,17 @@ class TestSample:
         if scale == 0.0:
             assert u == 2.5
 
+    # two h' unbounded as p -> 0, whose default range is measured, not given
+    @pytest.mark.parametrize("h", [
+        custom_distortion("log", get_distortion("entropy_like").h, lambda p: -np.log(p) - 1.0),
+        custom_distortion("root", lambda p: np.asarray(p) ** 0.75 - np.asarray(p),
+                          lambda p: 0.75 * np.asarray(p) ** -0.25 - 1.0)], ids=["log", "root"])
+    def test_custom_draws_lie_in_the_support(self, h):
+        pol = LocationScalePolicy(h=h, location=0.0, scale=1.0)
+        lo, hi = pol.support
+        for p in (1e-300, 2.0**-53, 0.5, 1.0 - 1e-15, 1.0 - 2.0**-53):
+            assert lo <= sample(pol, p) <= hi, p
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3, math.nan])
     def test_draw_outside_open_interval_rejected(self, p):
         with pytest.raises(ValueError):

@@ -525,6 +525,17 @@ class TestTrain:
             clipped, engaged = _clip(vec, 1.0)
         assert clipped is vec and not engaged
 
+    def test_clip_engages_only_above_the_limit(self):
+        rows = np.array([[1e3 * (1.0 + 1e-12), 0.0, 0.0], [1e3 * (1.0 - 1e-12), 0.0, 0.0],
+                         [1e3, 0.0, 0.0], [300.0, 400.0, 1000.0]])
+        clipped, engaged = _clip(rows, 1e3)
+        assert engaged.tolist() == [True, False, False, True]
+        assert clipped[1:3].tobytes() == rows[1:3].tobytes()
+        for got, row in zip(clipped[[0, 3]], rows[[0, 3]]):
+            norm = np.linalg.norm(got)
+            assert norm == pytest.approx(1e3, rel=1e-15)
+            np.testing.assert_allclose(got / norm, row / np.linalg.norm(row), rtol=1e-15)
+
     def test_divergence_reports_episode(self):
         cfg = base_config(episodes=500, alpha=2e4)
         with pytest.raises(TrainingDivergedError) as err:
