@@ -117,7 +117,9 @@ class ExperimentGrid:
             raise ValueError("grid lists must be non-empty")
         _require_finite(self, "T", "dt", "z", "x0")
         _n_steps(self.T, self.dt)
-        if missing := [m for m in self.modes if m not in self.lambda_by_mode]:
+        # a lambdas axis sets every cell's weight, and lambda_by_mode goes unread
+        if not self.lambdas and (missing := [m for m in self.modes
+                                             if m not in self.lambda_by_mode]):
             raise ValueError(f"lambda_by_mode has no weight for mode(s): {', '.join(missing)}")
 
     @property

@@ -16,15 +16,15 @@ dV/dtheta * delta_i, and the actor (``score_gradient``) follows the score
 sum less the explicit regularizer gradient.  Targets are frozen (no
 gradient flows through V at t_{i+1}).  A stochastic approximation step
 moves the multiplier w toward the wealth target every ``avg_window``
-episodes.  Update magnitudes decay like j^{-decay}.
+episodes.  Update magnitudes decay like j^{-decay}.  w is fixed within an
+episode, so V's -(w - z)^2 cancels from each delta_i: the TD pass omits it.
 
 ``train_many`` runs a batch of such loops in lockstep: each cell draws
 its episodes by block and steps its own ``market.wealth_recurrence`` row;
 the actor's log scale and scale, the gaps x - w, the policy location and
-the actions are formed once per episode over the batch and (w - z)^2 once
-per multiplier step, and the TD pass and the actor read them under one
-``np.errstate``.  Each cell gives
-the bytes it gives alone (``train`` is the one-cell case).
+the actions are formed once per episode over the batch, and the TD pass
+and the actor read them under one ``np.errstate``.  Each cell gives the
+bytes it gives alone (``train`` is the one-cell case).
 """
 
 from __future__ import annotations
@@ -186,8 +186,9 @@ def _critic_pass(theta, tau, xw, form: str):
     return th, grow, offset, np.exp(-th[2] * tau), xw ** 2
 
 
-def _value(th, offset, decay, xw2, gap2):
-    return xw2 * decay - th[1] * offset - gap2
+def _value(th, offset, decay, xw2):
+    """V less its multiplier term -(w - z)^2."""
+    return xw2 * decay - th[1] * offset
 
 
 def _neg_grad(tau, th, grow, offset, decay, xw2, out):
@@ -210,7 +211,7 @@ def critic_value(theta, t, x, w, z, T, form: str = "standard"):
     """
     th, _, offset, decay, xw2 = _critic_pass(theta, T - np.asarray(t, dtype=float),
                                              np.asarray(x, dtype=float) - w, _check_form(form))
-    return _value(th, offset, decay, xw2, _gap_squared(w, z))
+    return _value(th, offset, decay, xw2) - _gap_squared(w, z)
 
 
 def critic_grad(theta, t, x, w, T, form: str = "standard"):
@@ -274,7 +275,6 @@ class _Batch(NamedTuple):
     buffers it fills: fixed while the batch keeps its cells, so built once
     per layout."""
 
-    z: float
     form: str
     tau: np.ndarray  # T - t on the n + 1 grid times
     half_tau: np.ndarray  # (T - t)/2 on the first n
@@ -303,19 +303,19 @@ def _batch(times, configs) -> _Batch:
     tau = first.T - times
     buffers = np.empty((3, len(configs), len(times) - 1, 3))
     buffers[2, ..., 0] = 0.0
-    return _Batch(first.z, first.critic_form, tau, 0.5 * tau[:-1], times[1:] - times[:-1],
+    return _Batch(first.critic_form, tau, 0.5 * tau[:-1], times[1:] - times[:-1],
                   np.array([[c.lam] for c in configs], dtype=float),
                   _regularizer_forms([c.h for c in configs], [c.mode for c in configs]),
                   [(h, _rows(rows)) for h, rows in groups.values()], *buffers)
 
 
-def episode_gradients(batch: _Batch, xw, gap2, theta, log_scale, scale):
+def episode_gradients(batch: _Batch, xw, theta, log_scale, scale):
     """The TD pass over one episode of each of the batch's B cells, which
     reads no density: the (B, n + 1) gaps ``xw`` = x - w of the wealths on
-    the grid times, the (B, 1) (w - z)^2 ``gap2`` (``_gap_squared``), (B, 3)
-    theta, and the actor scale ``scale`` with its log ``log_scale``
-    (``actor_log_scale`` on the grid's first n times).  ``batch`` is the
-    cells' ``_batch`` layout.
+    the grid times, (B, 3) theta, and the actor scale ``scale`` with its
+    log ``log_scale`` (``actor_log_scale`` on the grid's first n times).
+    ``batch`` is the cells' ``_batch`` layout.  The critic values omit
+    -(w - z)^2, which cancels from each TD error (``_value``).
 
     Returns (grad_theta, delta, grad_reg), each with a leading axis of B:
     the critic gradient -sum_i dV/dtheta(t_i) delta_i, the (B, n) TD errors
@@ -326,7 +326,7 @@ def episode_gradients(batch: _Batch, xw, gap2, theta, log_scale, scale):
     lam, tau, dts = batch.lam, batch.tau[:-1], batch.dts
     # one critic pass: V on the n + 1 grid, dV/dtheta on its first n points
     th, grow, offset, decay, xw2 = _critic_pass(theta, batch.tau, xw, batch.form)
-    v = _value(th, offset, decay, xw2, gap2)
+    v = _value(th, offset, decay, xw2)
     neg_dv = _neg_grad(tau, th, *(a[..., :-1] for a in (grow, offset, decay, xw2)), batch.neg_dv)
     p, lam_dp = _regularizer(log_scale, batch.half_tau, batch.forms, scale, batch.lam_dp, lam)
     delta = v[:, 1:] - v[:, :-1] - lam * p * dts
@@ -416,9 +416,9 @@ def episode_draws(h: DistortionFn, market: MarketParams, sim: SimConfig, index: 
 # w) rows, in the order a cell's checks run
 _CAUSES = ("non-finite wealth",) + ("non-finite parameters",) * 6 + ("non-finite multiplier",)
 
-# the fields cells of one batch may differ in; the rest (and sim apart from
-# its seed) set the loop every cell runs
-_PER_CELL_FIELDS = ("h", "lam", "mode", "sim.seed")
+# the fields cells of one batch may differ in, and sim.n_paths, which the
+# trainer never reads; the rest set the loop every cell runs
+_PER_CELL_FIELDS = ("h", "lam", "mode", "sim.seed", "sim.n_paths")
 
 
 def _shared_settings(config: TrainConfig) -> dict:
@@ -449,10 +449,10 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
     Each cell draws from its own Philox stream and steps its own wealth
     path; the actions, critic, regularizer, gradients and updates run once
     per episode over the whole batch.  Cells may differ only in h, lam, mode,
-    sim.seed and market; any other differing field raises ValueError.  A
-    cell whose wealth, parameters or multiplier turn non-finite leaves the
-    batch with the ``TrainingDivergedError`` of that episode and cause.
-    The logs of one batch are views of shared arrays.
+    sim.seed, sim.n_paths and market; any other differing field raises
+    ValueError.  A cell whose wealth, parameters or multiplier turn
+    non-finite leaves the batch with the ``TrainingDivergedError`` of that
+    episode and cause.  The logs of one batch are views of shared arrays.
     """
     configs, markets = list(configs), list(markets)
     first = _check_batch(configs, markets)
@@ -487,8 +487,6 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
             for row, b in enumerate(live.tolist()):
                 eta[row], incs[row] = episode_draws(configs[b].h, markets[b], configs[b].sim,
                                                     j, count, rng)
-        if (j - 1) % m == 0:  # the first episode, or the first after a multiplier step
-            gap2 = _gap_squared(w[:, None], first.z)
         # a failing row rides along to the end of the episode, silently: every
         # batched step is row by row, so it touches no other cell's numbers
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -500,7 +498,7 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
                                        explore, incs[:, k])
             xw = states - w[:, None]
             location = coef * xw[:, :-1]
-            g_theta, delta, g_reg = episode_gradients(batch, xw, gap2, theta, log_scale, scale)
+            g_theta, delta, g_reg = episode_gradients(batch, xw, theta, log_scale, scale)
             g_score, n_skip = score_gradient(batch, xw, location, location + explore, scale,
                                              delta)
             g_phi = g_score - g_reg
@@ -526,7 +524,7 @@ def train_many(configs, markets) -> list[TrainLog | TrainingDivergedError]:
             for row, col in zip(np.flatnonzero(~keep).tolist(),
                                 finite[~keep].argmin(axis=1).tolist()):
                 results[live[row]] = TrainingDivergedError(j, _CAUSES[col])
-            live, theta, phi, w, gap2 = live[keep], theta[keep], phi[keep], w[keep], gap2[keep]
+            live, theta, phi, w = live[keep], theta[keep], phi[keep], w[keep]
             skipped, clip_events = skipped[keep], clip_events[keep]
             eta, incs = eta[keep], incs[keep]
             cols = live

@@ -59,13 +59,12 @@ def regularizer(phi, t, h, mode, T):
     return p.reshape(np.shape(t)), grad.reshape(np.shape(t) + (3,))
 
 
-def episode_terms(batch, states, phi, w):
-    """(xw, location, gap2) of (B, n + 1) states, formed as ``rl.train_many``
-    forms them: the gaps x - w, the policy location -phi0 (x - w) on the
-    first n times and the (B, 1) (w - z)^2."""
-    w = np.asarray(w, dtype=float)[:, None]
-    xw = np.asarray(states, dtype=float) - w
-    return xw, -np.asarray(phi, dtype=float)[:, :1] * xw[:, :-1], rl._gap_squared(w, batch.z)
+def episode_terms(states, phi, w):
+    """(xw, location) of (B, n + 1) states, formed as ``rl.train_many``
+    forms them: the gaps x - w and the policy location -phi0 (x - w) on the
+    first n times."""
+    xw = np.asarray(states, dtype=float) - np.asarray(w, dtype=float)[:, None]
+    return xw, -np.asarray(phi, dtype=float)[:, :1] * xw[:, :-1]
 
 
 def trainer_gradients(batch, states, actions, theta, phi, w, log_scale):
@@ -74,9 +73,8 @@ def trainer_gradients(batch, states, actions, theta, phi, w, log_scale):
     ``rl.score_gradient``, the actor, composed as ``rl.train_many`` composes
     them, under its ``np.errstate``."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        xw, location, gap2 = episode_terms(batch, states, phi, w)
+        xw, location = episode_terms(states, phi, w)
         scale = np.exp(log_scale)
-        grad_theta, delta, grad_reg = rl.episode_gradients(batch, xw, gap2, theta, log_scale,
-                                                           scale)
+        grad_theta, delta, grad_reg = rl.episode_gradients(batch, xw, theta, log_scale, scale)
         grad_score, n_skipped = rl.score_gradient(batch, xw, location, actions, scale, delta)
     return grad_theta, grad_score - grad_reg, n_skipped

@@ -465,6 +465,17 @@ class TestExitStatus:
             "choquet-emv: error: value_initial turned non-finite: -inf\n")
         assert not out.exists()
 
+    def test_multiplier_beyond_a_float_square_is_one_line_with_status_1(self, tmp_path,
+                                                                          capsys):
+        # the multiplier passes 1e154, where (w - z)^2 overflows a Python
+        # float; the trainer never squares it and diverges as usual
+        out = tmp_path / "t.csv"
+        assert cli.main(["train", "--episodes", "30", "--alpha", "1e160", "--grad-clip",
+                         "1e-300", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "choquet-emv: error: training diverged at episode 11: non-finite parameters\n")
+        assert not out.exists()
+
     def test_diverged_training_is_one_line_with_status_1(self, tmp_path, monkeypatch, capsys):
         def diverging(cfg, market):
             raise TrainingDivergedError(3, "forced for the test")
@@ -633,6 +644,18 @@ class TestGridConfig:
                                                             "too large for a float$")):
             with pytest.raises(ValueError, match=message):
                 cli.ExperimentGrid(**(dict(mu_list=(0.3,), sigma_list=(0.2,)) | bad))
+
+    def test_lambda_axis_needs_no_mode_weight(self, tmp_path):
+        # a lambdas axis sets every cell's weight, so lambda_by_mode goes unread
+        grid = dict(mu_list=(0.3,), sigma_list=(0.2,), modes=("plain", "log"),
+                    lambda_by_mode={"plain": 0.01}, lambdas=(0.1,))
+        assert cli.ExperimentGrid(**grid).lambdas == (0.1,)
+        cfg = write_grid(tmp_path / "grid.yaml", episodes=30,
+                         **{k: list(v) if isinstance(v, tuple) else v for k, v in grid.items()})
+        out = tmp_path / "table.csv"
+        assert cli.main(["table", "--config", str(cfg), "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert [(r[2], r[4]) for r in rows] == [("plain", "0.1"), ("log", "0.1")]
 
     def test_integer_and_float_spellings_give_one_seed_and_hash(self):
         grids = [cli.ExperimentGrid(mu_list=(mu,), sigma_list=(0.2,)) for mu in (1, 1.0)]

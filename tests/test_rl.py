@@ -2,6 +2,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -354,6 +355,23 @@ class TestEpisodeGradients:
                         - cfg_plain.lam * (dp_l - dp_p).T @ dts)
         np.testing.assert_allclose(gp_l - gp_p, expected_dgp, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("gap", [10.0, 1e4])
+    def test_td_errors_are_the_exact_difference_of_the_critic_terms(self, gap):
+        # -(w - z)^2 cancels from every TD error, so the TD pass leaves it
+        # out and loses no digits to it however far z is from w
+        episode, phi, w, cfg = self.make_episode()
+        batch, theta = rl._batch(episode.times, [replace(cfg, z=w - gap)]), [[0.9, 0.2, 1.1]]
+        xw, _ = episode_terms(episode.states, [phi], [w])
+        _, (delta,), _ = rl.episode_gradients(batch, xw, theta, episode.log_scale, episode.scale)
+        th, _, offset, decay, xw2 = rl._critic_pass(theta, batch.tau, xw, batch.form)
+        (v,) = rl._value(th, offset, decay, xw2)
+        p, _ = rl._regularizer(episode.log_scale, batch.half_tau, batch.forms, episode.scale,
+                               np.zeros(episode.actions.shape + (3,)), batch.lam)
+        (cost,) = batch.lam * p * batch.dts
+        for i, got in enumerate(delta.tolist()):
+            exact = Fraction(v[i + 1]) - Fraction(v[i]) - Fraction(cost[i])
+            assert abs(Fraction(got) - exact) <= Fraction(1e-15) * abs(exact), i
+
     def test_td_pass_reads_no_density(self, monkeypatch):
         # a custom distortion has no family record and so no closed-form
         # density; only the score actor asks for one, through rl's namespace
@@ -369,9 +387,9 @@ class TestEpisodeGradients:
             raise DensityUnavailableError(f"{dist.name} has no density")
 
         monkeypatch.setattr(rl, "log_density_grad_fields", no_density)
-        xw, location, gap2 = episode_terms(episode.batch, episode.states, [phi], [w])
-        grads = rl.episode_gradients(episode.batch, xw, gap2, [rl.THETA_INIT],
-                                     episode.log_scale, episode.scale)
+        xw, location = episode_terms(episode.states, [phi], [w])
+        grads = rl.episode_gradients(episode.batch, xw, [rl.THETA_INIT], episode.log_scale,
+                                     episode.scale)
         assert asked == [] and all(np.isfinite(g).all() for g in grads)
         with pytest.raises(DensityUnavailableError):
             rl.score_gradient(episode.batch, xw, location, episode.actions, episode.scale,
@@ -397,12 +415,11 @@ class TestEpisodeGradients:
         with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore",
                                                     divide="ignore"):
             warnings.simplefilter("error")
-            xw, location, gap2 = episode_terms(batch, states, [phi] * 2, [w] * 2)
-            gt, delta, g_reg = rl.episode_gradients(batch, xw, gap2, theta, log_scale, scale)
+            xw, location = episode_terms(states, [phi] * 2, [w] * 2)
+            gt, delta, g_reg = rl.episode_gradients(batch, xw, theta, log_scale, scale)
             g_score, skipped = rl.score_gradient(batch, xw, location, actions, scale, delta)
-            xw, location, gap2 = episode_terms(episode.batch, episode.states, [phi], [w])
-            alone = rl.episode_gradients(episode.batch, xw, gap2, theta[:1], log_scale[:1],
-                                         scale[:1])
+            xw, location = episode_terms(episode.states, [phi], [w])
+            alone = rl.episode_gradients(episode.batch, xw, theta[:1], log_scale[:1], scale[:1])
             alone_score = rl.score_gradient(episode.batch, xw, location, episode.actions,
                                             scale[:1], alone[1])
         assert not np.isfinite(delta[1]).all() and skipped[1] > 0
@@ -541,6 +558,16 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError) as err:
             train(cfg, MARKET)
         assert err.value.episode >= 1
+
+    def test_multiplier_beyond_a_float_square_diverges_as_its_parameters(self):
+        # the train command's default cell: the multiplier step at episode 10
+        # sends w past 1e154, where (w - z)^2 overflows a Python float; the
+        # TD pass never squares it, and the parameters turn non-finite next
+        cfg = base_config(episodes=30, alpha=1e160, grad_clip=1e-300,
+                          sim=SimConfig.from_horizon(T, 252, seed=0))
+        with pytest.raises(TrainingDivergedError) as err:
+            train(cfg, MARKET)
+        assert str(err.value) == "training diverged at episode 11: non-finite parameters"
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -700,6 +727,37 @@ class TestTrainMany:
         for a, b in zip(batch, alone):
             self.assert_same(a, b)
 
+    def test_multiplier_whose_square_overflows_leaves_as_its_parameters(self, monkeypatch):
+        # w = 1e200 is finite, though (w - z)^2 overflows a Python float: the
+        # TD pass never squares it, so the cell leaves as any other does
+        configs, markets = self.batch([self.CELLS[i] for i in (0, 4, 6)])
+        alone = [self.alone(c, m) for c, m in zip(configs, markets)]
+        update = rl.lagrange_update
+
+        def far(w, window, alpha_w, z):
+            w = update(w, window, alpha_w, z)
+            if len(w) == 3:  # the batch still holds all three cells
+                w[1] = 1e200
+            return w
+
+        monkeypatch.setattr(rl, "lagrange_update", far)
+        batch = train_many(configs, markets)
+        diverged = batch.pop(1)
+        m = configs[1].avg_window
+        assert (diverged.episode, str(diverged)) == (
+            m + 1, f"training diverged at episode {m + 1}: non-finite parameters")
+        assert not isinstance(alone.pop(1), TrainingDivergedError)
+        for a, b in zip(batch, alone):
+            self.assert_same(a, b)
+
+    def test_cells_may_differ_in_the_unread_path_count(self):
+        # the trainer draws one path per episode, whatever sim.n_paths says
+        configs, markets = self.batch([self.CELLS[i] for i in (0, 4, 6)])
+        configs[1] = replace(configs[1], sim=replace(configs[1].sim, n_paths=2))
+        batch = train_many(configs, markets)
+        for config, market, result in zip(configs, markets, batch):
+            self.assert_same(result, self.alone(config, market))
+
     @pytest.mark.parametrize("field, change", [
         ("episodes", dict(episodes=151)),
         ("sim.n_steps", dict(sim=SimConfig.from_horizon(T, 32, seed=9))),
@@ -802,10 +860,9 @@ class TestTrainBytes:
 
     # 151 episodes: no multiple of any draw block larger than one episode
     EPISODES = 151
-    # the bytes of the trainer that drew one episode per call and evaluated
-    # the critic twice per episode; its block draws and one critic pass
-    # must not move them
-    DIGEST = "a82389bb781e46cbb9a911c297b1c54538dd813d6eed4959f9d6e3a799b638b2"
+    # the bytes of the trainer whose TD pass leaves out the critic's
+    # -(w - z)^2, which cancels from every TD error
+    DIGEST = "427a3eef96eb44c52e6a3994a084c018635983b192574eae9985281ac502236d"
 
     @staticmethod
     def feed(digest, result):
