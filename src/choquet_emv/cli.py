@@ -134,8 +134,10 @@ class ExperimentGrid:
                         yield mu, sigma, mode, h_name
 
     def payload(self) -> dict:
-        """The fields that shape the results, under the config hash's key names."""
-        return {_PAYLOAD_KEYS.get(k, k): v for k, v in vars(self).items()}
+        """The fields that shape the results, under the config hash's key
+        names: every field but lambda_by_mode when a lambdas axis leaves it unread."""
+        return {_PAYLOAD_KEYS.get(k, k): v for k, v in vars(self).items()
+                if not (k == "lambda_by_mode" and self.lambdas)}
 
 
 def _is_real(v) -> bool:
@@ -317,14 +319,24 @@ def _grid_cells(grid: ExperimentGrid) -> list[tuple]:
             for lam in grid.lambdas or [grid.lambda_by_mode[mode]]]
 
 
-def _cell_inputs(grid: ExperimentGrid, cell) -> tuple[TrainConfig, MarketParams]:
-    """Training config and market of one grid cell; bad values raise ValueError."""
+def _cell_label(cell) -> str:
+    """A grid cell as the error lines name it."""
+    mu, sigma, mode, h_name, lam, _ = cell
+    return f"cell (mu={mu}, sigma={sigma}, mode={mode}, h={h_name}, lambda={lam})"
+
+
+def _cell_inputs(grid: ExperimentGrid, cell, path: str) -> tuple[TrainConfig, MarketParams]:
+    """Training config and market of one cell of the grid read from ``path``;
+    a value the cell refuses raises ValueError naming the file and the cell."""
     mu, sigma, mode, h_name, lam, seed = cell
-    return _train_config(
-        mu, sigma, grid.r, h_name, grid.T, grid.dt, seed,
-        episodes=grid.episodes, lam=lam, mode=mode, z=grid.z, x0=grid.x0,
-        avg_window=grid.avg_window, grad_clip=grid.grad_clip,
-    )
+    try:
+        return _train_config(
+            mu, sigma, grid.r, h_name, grid.T, grid.dt, seed,
+            episodes=grid.episodes, lam=lam, mode=mode, z=grid.z, x0=grid.x0,
+            avg_window=grid.avg_window, grad_clip=grid.grad_clip,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {_cell_label(cell)}: {exc}") from None
 
 
 def _outcome(grid: ExperimentGrid, log) -> tuple:
@@ -353,10 +365,10 @@ def _run_shard(shard) -> list[tuple]:
     return [_outcome(grid, log) for log in logs]
 
 
-def _run_grid(grid: ExperimentGrid, jobs: int) -> list[tuple]:
-    """(cell, outcome) of every grid cell, in row order."""
+def _run_grid(grid: ExperimentGrid, jobs: int, path: str) -> list[tuple]:
+    """(cell, outcome) of every cell of the grid read from ``path``, in row order."""
     cells = _grid_cells(grid)
-    inputs = [_cell_inputs(grid, cell) for cell in cells]  # every cell checked before any trains
+    inputs = [_cell_inputs(grid, cell, path) for cell in cells]  # all checked before any trains
     # shard k trains cells k, k + shards, ...; every cell gives the same
     # bytes whatever batch it is in, so the CSV does not depend on jobs
     shards = min(jobs, len(cells))
@@ -388,11 +400,9 @@ def cmd_grid(args):
     grid = grid_from_file(args.config, {"seed": args.seed, "episodes": args.episodes})
     columns, value_rows = _GRID_OUTPUTS[args.cmd]
     rows = []
-    for cell, (status, stats, blocks, error) in _run_grid(grid, args.jobs):
+    for cell, (status, stats, blocks, error) in _run_grid(grid, args.jobs, args.config):
         if error:
-            mu, sigma, mode, h_name, lam, _ = cell
-            print(f"choquet-emv: cell (mu={mu}, sigma={sigma}, mode={mode}, h={h_name}, "
-                  f"lambda={lam}) diverged: {error}", file=sys.stderr)
+            print(f"choquet-emv: {_cell_label(cell)} diverged: {error}", file=sys.stderr)
         rows += [(*cell, status, *values) for values in value_rows(stats, blocks)]
     meta = {"config_hash": config_hash(grid.payload() | {"cmd": args.cmd}),
             "seed": grid.seed, "mode": ",".join(grid.modes)}
@@ -401,8 +411,10 @@ def cmd_grid(args):
 
 
 def cmd_trajectory(args):
+    names = [name.strip() for name in args.h.split(",")]
+    args.h = ",".join(names)  # the header hashes the stripped names
     rows = []
-    for h_name in (name.strip() for name in args.h.split(",")):
+    for h_name in names:
         market, spec, w = _problem(args, h_name)
         sim = SimConfig.from_horizon(spec.T, args.n_steps, 1, args.seed)
         eta, increments = episode_draws(spec.h, market, sim, 0)

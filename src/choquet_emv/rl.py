@@ -141,24 +141,16 @@ class TrainLog:
 # Batch layout
 # ---------------------------------------------------------------------------
 # The critic, actor and TD functions take a (B, 3) batch of parameters, one
-# row per cell; a (3,) vector is a batch of one.  Wealths and actions are
-# (B, ...) rows, per-cell values such as the multipliers are (B, 1) columns
-# that broadcast against them, and the grid times stay shared.
+# row per cell, B = 1 included, or a (3,) vector of one actor.  Wealths and
+# actions are (B, ...) rows, per-cell values such as the multipliers are
+# (B, 1) columns that broadcast against them, and the grid times stay shared.
 
 
 def _columns(params) -> np.ndarray:
-    """A (B, 3) batch as three (B, 1) columns, or a batch of one as three
+    """A (B, 3) batch as three (B, 1) columns, or a (3,) vector as three
     scalars: ``p[k]`` broadcasts against a time grid either way."""
-    p = np.asarray(params, dtype=float).reshape(-1, 3)
-    return p[0] if len(p) == 1 else p.T[..., None]
-
-
-def _gap_squared(w, z):
-    """(w - z)^2 in the shape of w.  Each cell squares a Python float (libm
-    pow), whatever the batch: numpy's array square is x * x, which differs
-    from pow in the last bit for some inputs."""
-    w = np.asarray(w, dtype=float)
-    return np.array([(v - z) ** 2 for v in w.ravel().tolist()]).reshape(w.shape)
+    p = np.asarray(params, dtype=float)
+    return p if p.ndim == 1 else p.T[..., None]
 
 
 def _transpose_dot(a, b):
@@ -211,7 +203,8 @@ def critic_value(theta, t, x, w, z, T, form: str = "standard"):
     """
     th, _, offset, decay, xw2 = _critic_pass(theta, T - np.asarray(t, dtype=float),
                                              np.asarray(x, dtype=float) - w, _check_form(form))
-    return _value(th, offset, decay, xw2) - _gap_squared(w, z)
+    gap = np.asarray(w, dtype=float) - z  # squared by one multiply, in a batch and alone
+    return _value(th, offset, decay, xw2) - gap * gap
 
 
 def critic_grad(theta, t, x, w, T, form: str = "standard"):

@@ -21,7 +21,7 @@ from choquet_emv.closedform import (
     optimal_feedback,
     optimal_policy,
 )
-from choquet_emv.distortion import get_distortion
+from choquet_emv.distortion import BUILTIN_DISTORTIONS, get_distortion
 from choquet_emv.market import SimConfig
 from choquet_emv.rl import TrainConfig, TrainingDivergedError, episode_draws, train
 
@@ -357,12 +357,18 @@ class TestExitStatus:
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("bad, message", [
-        (dict(h_names=["gaussian_score", "nope"]), "unknown distortion 'nope'"),
-        (dict(sigma_list=[0.2, -0.1]), "sigma must be positive, got -0.1"),
-        (dict(episodes=0), "episodes and avg_window must be >= 1"),
-    ], ids=["h_name", "sigma", "episodes"])
-    def test_bad_cell_stops_before_any_cell_trains(self, bad, message, jobs, tmp_path,
+    @pytest.mark.parametrize("bad, cell, message", [
+        (dict(h_names=["gaussian_score", "nope"]),
+         "mu=0.3, sigma=0.2, mode=plain, h=nope, lambda=0.01",
+         f"unknown distortion 'nope'; available: {sorted(BUILTIN_DISTORTIONS)}"),
+        (dict(sigma_list=[0.2, -0.1]), "mu=0.3, sigma=-0.1, mode=plain, h=gaussian_score, "
+                                       "lambda=0.01", "sigma must be positive, got -0.1"),
+        (dict(episodes=0), "mu=0.3, sigma=0.2, mode=plain, h=gaussian_score, lambda=0.01",
+         "episodes and avg_window must be >= 1"),
+        (dict(lambdas=[-0.1]), "mu=0.3, sigma=0.2, mode=plain, h=gaussian_score, lambda=-0.1",
+         "lam and decay must be nonnegative, got -0.1, 0.51"),
+    ], ids=["h_name", "sigma", "episodes", "lambdas"])
+    def test_bad_cell_stops_before_any_cell_trains(self, bad, cell, message, jobs, tmp_path,
                                                    monkeypatch, capsys):
         calls = []
 
@@ -375,7 +381,8 @@ class TestExitStatus:
         out = tmp_path / "t.csv"
         assert cli.main(["table", "--config", str(cfg), "--jobs", jobs, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("choquet-emv: error: ") and message in err
+        # the error names the grid file and the first cell that refuses its value
+        assert err == f"choquet-emv: error: {cfg}: cell ({cell}): {message}\n"
         assert err.count("\n") == 1
         assert calls == [] and not out.exists()
 
@@ -572,6 +579,15 @@ class TestTrajectory:
             assert [(h, t, u.hex(), x.hex()) for h, t, u, x in rows] == [
                 (h, t, float(u).hex(), float(x).hex()) for h, t, u, x in expected]
 
+    def test_spaces_around_the_names_move_no_byte(self, tmp_path):
+        outs = []
+        for k, names in enumerate(("gini, entropy_like", "gini,entropy_like")):
+            out = tmp_path / f"t{k}.csv"
+            assert cli.main(["trajectory", "--h", names, "--n-steps", "2",
+                             "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_uniform_actions_stay_in_band(self, tmp_path):
         out = tmp_path / "traj.csv"
         cli.main(["trajectory", "--h", "gini", "--mu", "0.1", "--sigma", "0.2",
@@ -656,6 +672,17 @@ class TestGridConfig:
         assert cli.main(["table", "--config", str(cfg), "--out", str(out)]) == 0
         _, _, rows = read_csv(out)
         assert [(r[2], r[4]) for r in rows] == [("plain", "0.1"), ("log", "0.1")]
+
+    def test_lambda_axis_leaves_the_mode_weights_out_of_the_hash(self, tmp_path):
+        # lambda_by_mode goes unread under a lambdas axis, so it moves no byte
+        tables = []
+        for k, plain in enumerate((0.01, 0.02)):
+            cfg = write_grid(tmp_path / f"g{k}.yaml", episodes=30, lambdas=[0.1],
+                             lambda_by_mode={"plain": plain})
+            out = tmp_path / f"t{k}.csv"
+            assert cli.main(["table", "--config", str(cfg), "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
 
     def test_integer_and_float_spellings_give_one_seed_and_hash(self):
         grids = [cli.ExperimentGrid(mu_list=(mu,), sigma_list=(0.2,)) for mu in (1, 1.0)]

@@ -777,8 +777,9 @@ class TestTrainMany:
         with pytest.raises(ValueError, match="7 configs but 6 markets"):
             train_many(configs, markets[:-1])
 
-    def test_critic_squares_each_multiplier_gap_as_a_python_float(self):
-        # numpy's x * x and libm's pow round this gap's square differently
+    def test_critic_batch_row_equals_its_lone_call_where_pow_and_multiply_differ(self):
+        # numpy's x * x and libm's pow round this gap's square differently, so
+        # a row squared one way and its lone call the other would not agree
         d = 2.3480084736201086
         assert d ** 2 == 5.5131437921918325 and d * d == 5.513143792191832
         theta = np.array([[0.8, 0.3, 1.1], [0.2, 0.5, 0.9]])
@@ -789,6 +790,12 @@ class TestTrainMany:
         for row in range(2):
             alone = critic_value(theta[row], t, x[row], float(w[row, 0]), 0.0, T)
             assert batched[row].tobytes() == alone.tobytes()
+
+    def test_a_batch_of_one_takes_columns_and_a_vector_scalars(self):
+        tau = np.linspace(1.0, 0.0, 5)
+        assert [c.shape for c in rl._columns(np.zeros((1, 3)))] == [(1, 1)] * 3
+        assert actor_log_scale(np.zeros((1, 3)), tau).shape == (1, 5)
+        assert actor_log_scale(np.zeros(3), tau).shape == (5,)
 
     def test_regularizer_term_scales_before_summing(self):
         # with every action outside the gini support only the regularizer
