@@ -69,6 +69,13 @@ class MarketParams:
         return (self.mu - self.r) / self.sigma
 
 
+def _check_mode_weight(mode: str, lam: float):
+    """Refuse an unknown mode, and log mode at lam = 0: its running reward
+    lam log Phi vanishes there, so the problem is not a log-mode one."""
+    if check_mode(mode) == "log" and lam <= 0.0:
+        raise ValueError("log mode requires a positive exploration weight")
+
+
 @dataclass(frozen=True)
 class EMVSpec:
     """Problem data: horizon, exploration weight, wealth target and mode."""
@@ -86,8 +93,7 @@ class EMVSpec:
             raise ValueError(f"horizon must be positive, got {self.T}")
         if self.lam < 0.0:
             raise ValueError(f"exploration weight must be nonnegative, got {self.lam}")
-        if check_mode(self.mode) == "log" and self.lam <= 0.0:
-            raise ValueError("log mode requires a positive exploration weight")
+        _check_mode_weight(self.mode, self.lam)
 
 
 @dataclass(frozen=True)
@@ -193,7 +199,7 @@ def value(t, x, spec: EMVSpec, market: MarketParams, w: float):
             running = -(lam**2 * l2sq / (4.0 * rho**2 * market.sigma**2)) * np.expm1(rho**2 * tau)
         else:
             running = (lam * rho**2 / 4.0) * (T**2 - t**2) - (lam / 2.0) * (
-                rho**2 * T + math.log(lam * l2sq / (2.0 * math.e * market.sigma**2))
+                rho**2 * T + _log_ratio(lam, l2sq, market.sigma, 2.0 * math.e * market.sigma**2)
             ) * tau
         return quad + running - (w - spec.z) ** 2
     except OverflowError:
@@ -220,12 +226,25 @@ def value_derivatives(t, x, spec: EMVSpec, market: MarketParams, w: float):
                 rho**2 * (x - w) ** 2 * decay
                 - (spec.lam * rho**2 / 2.0) * t
                 + (spec.lam / 2.0)
-                * (rho**2 * spec.T + math.log(spec.lam * l2sq / (2.0 * math.e * market.sigma**2)))
+                * (rho**2 * spec.T
+                   + _log_ratio(spec.lam, l2sq, market.sigma, 2.0 * math.e * market.sigma**2))
             )
     except OverflowError:
         _name_overflow(spec, x, w)
         raise
     return vt, vx, vxx
+
+
+def _log_ratio(lam: float, l2sq: float, sigma: float, denom: float) -> float:
+    """log(lam ||h'||^2 / denom), the log-mode closed forms' log term, with
+    denom a multiple of sigma^2; a quotient that underflows to 0 raises a
+    ValueError naming lambda, ||h'||^2 and sigma."""
+    ratio = lam * l2sq / denom
+    if ratio == 0.0:
+        raise ValueError(f"log mode's quotient lambda ||h'||^2 / sigma^2 underflows to 0 at "
+                         f"lambda = {lam:.3g}, ||h'||^2 = {l2sq:.3g} and "
+                         f"sigma = {sigma:.3g}: its log is undefined")
+    return math.log(ratio)
 
 
 def _name_overflow(spec: EMVSpec, x, w):
@@ -264,8 +283,8 @@ def hjb_residual(t, x, spec: EMVSpec, market: MarketParams, w: float) -> float:
     hamiltonian = vt - 0.5 * rho**2 * vx**2 / vxx
     if spec.mode == "plain":
         return hamiltonian - spec.lam**2 * l2sq / (2.0 * market.sigma**2 * vxx)
-    return hamiltonian + 0.5 * spec.lam - 0.5 * spec.lam * math.log(
-        spec.lam * l2sq / (market.sigma**2 * vxx)
+    return hamiltonian + 0.5 * spec.lam - 0.5 * spec.lam * _log_ratio(
+        spec.lam, l2sq, market.sigma, market.sigma**2 * vxx
     )
 
 

@@ -17,12 +17,17 @@ distortion into a location-scale family of exploration samplers: the
 standard normal quantile weight yields Gaussians, -p log p yields shifted
 exponentials and the Gini weight p - p^2 yields uniforms.
 
-The Gaussian records evaluate ``scipy.special``'s ``ndtri`` and ``ndtr``
-through this module's functions of the same names, which import
-``scipy.special`` on their first call.  A run that never evaluates a
-Gaussian quantile or CDF never loads it.  A grid run split into more than
-one shard loads it once, in the parent, before ``market.fork_map`` forks
-the shards; a one-shard grid forks none and loads it on first use.
+The Gaussian family's draws and CDF evaluate ``scipy.special``'s ``ndtri``
+and ``ndtr`` through this module's functions of the same names, which
+import ``scipy.special`` on their first call.  The Gaussian h and h' read
+the normal quantile from ``_ndtri_exact`` instead, a port of the same cephes
+``ndtri`` on Python floats with scipy's bits: the closed forms evaluate it
+on the 791 tanh-sinh nodes once per process, where importing
+``scipy.special`` would be the whole cost.  So no closed form, Choquet
+integral, h or h' loads scipy; a run that never draws from the Gaussian
+family nor evaluates its CDF never loads it.  A grid run split into more
+than one shard loads it once, in the parent, before ``market.fork_map``
+forks the shards; a one-shard grid forks none and loads it on first use.
 """
 
 from __future__ import annotations
@@ -55,6 +60,76 @@ def ndtr(y):
     import scipy.special
 
     return scipy.special.ndtr(y)
+
+
+# cephes ndtri's constants, as scipy.special compiles them: exp(-2), sqrt(2 pi)
+# and the rational approximations' coefficients, highest power first; the Q
+# polynomials lead with the 1 that cephes' p1evl leaves implicit, and 1 * x
+# is exact, so one Horner sum rounds as both polevl and p1evl do
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+# |y - 1/2| <= 3/8
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+# sqrt(-2 log y) in [2, 8)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# sqrt(-2 log y) >= 8
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x: float, coef: tuple) -> float:
+    """The polynomial with coefficients ``coef`` at x, in cephes' order."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _cephes_ndtri(y0: float) -> float:
+    """cephes ``ndtri`` on a Python float: libm's log and sqrt and the same
+    roundings, so scipy.special.ndtri's bits.  NaN flows through (and is
+    negated, as in cephes); only y0 outside [0, 1] returns NaN early."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if y0 < 0.0 or y0 > 1.0:
+        return math.nan
+    y, negate = y0, True
+    if y > 1.0 - _EXP_M2:
+        y, negate = 1.0 - y, False
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        return (y + y * (y2 * _horner(y2, _P0) / _horner(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x0 - z * _horner(z, p) / _horner(z, q)
+    return -x if negate else x
+
+
+def _ndtri_exact(p):
+    """``scipy.special.ndtri``'s values and return types (an np.float64 for a
+    scalar), evaluated value by value without loading scipy.  About 2 us a
+    value: for the quadrature nodes, not for the sampler's draw blocks."""
+    arr = np.asarray(p, dtype=float)
+    out = np.array([_cephes_ndtri(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
+    return out[()]
 
 
 class DivergentNormError(ValueError):
@@ -135,7 +210,7 @@ def _gaussian_h(p: Array) -> Array:
     # h(p) = integral_0^p z(1-s) ds = phi(z(p)) - phi(z(0+)) = pdf of N(0,1) at z(p)
     p = np.asarray(p, dtype=float)
     inner = np.clip(p, 1e-300, 1.0 - 1e-16)
-    zp = ndtri(inner)
+    zp = _ndtri_exact(inner)
     out = np.exp(-0.5 * zp * zp) / math.sqrt(2.0 * math.pi)
     return np.where((p <= 0.0) | (p >= 1.0), 0.0, out)
 
@@ -159,7 +234,7 @@ BUILTIN_DISTORTIONS: dict[str, DistortionFn] = {
     "gaussian_score": DistortionFn(
         name="gaussian_score",
         h=_gaussian_h,
-        hprime=lambda p: -ndtri(p),
+        hprime=lambda p: -_ndtri_exact(p),
         l2_norm=1.0,
         hprime_singular=True,
         hprime_range=(-math.inf, math.inf),

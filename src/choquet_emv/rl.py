@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closedform import MarketParams, _require_finite, _require_int
+from .closedform import MarketParams, _check_mode_weight, _require_finite, _require_int
 from .distortion import DistortionFn
 from .market import SimConfig, increment, path_stream, wealth_recurrence
 from .policy import check_mode, log_density_grad_fields, standardized_draw
@@ -89,7 +89,7 @@ class TrainConfig:
             raise ValueError(f"learning rate alpha must be positive, got {self.alpha}")
         if min(self.lam, self.decay) < 0.0:
             raise ValueError(f"lam and decay must be nonnegative, got {self.lam}, {self.decay}")
-        check_mode(self.mode)
+        _check_mode_weight(self.mode, self.lam)
         _check_form(self.critic_form)
         if self.grad_clip is not None and not 0.0 < self.grad_clip < math.inf:
             raise ValueError(f"grad_clip must be positive and finite (or None for no clipping), "

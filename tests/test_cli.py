@@ -306,6 +306,14 @@ class TestExitStatus:
         (["solve", "--mu", "0.02", "--r", "0.02"], "degenerate Sharpe ratio"),
         (["simulate", "--mu", "0.02", "--r", "0.02"], "degenerate Sharpe ratio"),
         (["trajectory", "--mu", "0.02", "--r", "0.02"], "degenerate Sharpe ratio"),
+        # at lambda = 0 the trainer's lambda log Phi term vanishes: no log-mode
+        # run (test_bad_cell_stops_before_any_cell_trains covers the grid)
+        (["train", "--mode", "log", "--lambda", "0", "--episodes", "3"],
+         "log mode requires a positive exploration weight"),
+        # lambda ||h'||^2 / (2 e sigma^2) rounds to 0 in the log-mode value
+        (["solve", "--mode", "log", "--lambda", "5e-324", "--sigma", "10"],
+         "log mode's quotient lambda ||h'||^2 / sigma^2 underflows to 0 at lambda = 4.94e-324, "
+         "||h'||^2 = 1 and sigma = 10"),
     ])
     def test_bad_input_is_one_line_with_status_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -367,7 +375,10 @@ class TestExitStatus:
          "episodes and avg_window must be >= 1"),
         (dict(lambdas=[-0.1]), "mu=0.3, sigma=0.2, mode=plain, h=gaussian_score, lambda=-0.1",
          "lam and decay must be nonnegative, got -0.1, 0.51"),
-    ], ids=["h_name", "sigma", "episodes", "lambdas"])
+        (dict(modes=["log"], lambda_by_mode={"log": 0.0}),
+         "mu=0.3, sigma=0.2, mode=log, h=gaussian_score, lambda=0.0",
+         "log mode requires a positive exploration weight"),
+    ], ids=["h_name", "sigma", "episodes", "lambdas", "log_lambda_zero"])
     def test_bad_cell_stops_before_any_cell_trains(self, bad, cell, message, jobs, tmp_path,
                                                    monkeypatch, capsys):
         calls = []
@@ -808,23 +819,40 @@ class TestLambdaSweepContrast:
 
 
 class TestScipyLoading:
-    """scipy.special loads on the first Gaussian quantile or CDF, not at import."""
+    """scipy.special loads on the first Gaussian draw or CDF, not at import."""
 
     @staticmethod
-    def loaded_after(argvs) -> list[bool]:
+    def fresh_json(script, *args):
         # a fresh interpreter: the test process has long since loaded scipy
-        script = (
+        done = subprocess.run([sys.executable, "-c", script, *args],
+                              capture_output=True, text=True, env=package_env(), timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    def loaded_after(self, argvs) -> list[bool]:
+        return self.fresh_json(
             "import json, os, sys\n"
             "import choquet_emv, choquet_emv.cli as cli\n"
             "seen = ['scipy.special' in sys.modules]\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert cli.main(argv + ['--out', os.devnull]) == 0, argv\n"
             "    seen.append('scipy.special' in sys.modules)\n"
-            "print(json.dumps(seen))\n")
-        done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
-                              capture_output=True, text=True, env=package_env(), timeout=120)
-        assert done.returncode == 0, done.stderr
-        return json.loads(done.stdout)
+            "print(json.dumps(seen))\n", json.dumps(argvs))
+
+    def test_gaussian_closed_forms_leave_it_unloaded_until_a_draw(self):
+        assert self.fresh_json(
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from choquet_emv import distortion, policy\n"
+            "g = distortion.get_distortion('gaussian_score')\n"
+            "q, _ = distortion.max_constrained(g, 0.3, 1.2)\n"
+            "distortion.regularizer_of_quantile(g, q)\n"
+            "distortion.quantile_moments(q)\n"
+            "g.h(np.array([0.25, 0.5])), g.hprime(0.25)\n"
+            "seen = ['scipy.special' in sys.modules]\n"
+            "policy.standardized_draw(g, np.array([0.25, 0.75]))\n"
+            "seen.append('scipy.special' in sys.modules)\n"
+            "print(json.dumps(seen))\n") == [False, True]
 
     def test_only_a_gaussian_draw_loads_it(self):
         assert self.loaded_after([

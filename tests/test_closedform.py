@@ -214,6 +214,18 @@ class TestValueFunctions:
         with pytest.raises(ValueError, match=r"\(w - z\)\^2 at w = 1e\+200 and z = 1.4"):
             value(0.5, 1e200, spec_for("log"), MARKET, 1e200)
 
+    @pytest.mark.parametrize("fn", [value, value_derivatives, hjb_residual])
+    def test_underflowing_log_quotient_names_its_inputs(self, fn):
+        # lam ||h'||^2 / (2 e sigma^2) rounds to 0, where math.log raised a
+        # bare "math domain error"
+        market = MarketParams(mu=4.02, sigma=10.0, r=0.02)  # rho = 0.4
+        spec = spec_for("log", lam=5e-324)
+        w = lagrange_multiplier(spec, market)
+        with pytest.raises(ValueError, match=r"log mode's quotient lambda \|\|h'\|\|\^2 / sigma\^2 "
+                                             r"underflows to 0 at lambda = 4.94e-324, "
+                                             r"\|\|h'\|\|\^2 = 1 and sigma = 10"):
+            fn(0.5, 1.0, spec, market, w)
+
     def test_plain_rejects_zero_sharpe(self):
         flat = MarketParams(mu=0.02, sigma=0.2, r=0.02)
         with pytest.raises(DegenerateSharpeError):

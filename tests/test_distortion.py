@@ -364,24 +364,72 @@ class TestCustomValidation:
 
 
 class TestLazyGaussianFunctions:
-    """The lazily loaded ndtri and ndtr give scipy.special's results bit for bit."""
+    """The lazily loaded ndtri and ndtr, and the Gaussian h and h' built on the
+    port, give scipy.special's results bit for bit."""
 
     POINTS = [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0, math.nan, -0.25, 1.5, -40.0, math.inf]
+
+    @staticmethod
+    def scipy_h(p):
+        # _gaussian_h's formula on scipy's quantile
+        p = np.asarray(p, dtype=float)
+        zp = scipy.special.ndtri(np.clip(p, 1e-300, 1.0 - 1e-16))
+        out = np.exp(-0.5 * zp * zp) / math.sqrt(2.0 * math.pi)
+        return np.where((p <= 0.0) | (p >= 1.0), 0.0, out)
 
     def results(self, fns):
         inputs = [np.array(self.POINTS), *self.POINTS, *map(np.float64, self.POINTS)]
         return [fn(x) for fn in fns for x in inputs]
 
-    def test_equal_scipy_bit_for_bit(self, monkeypatch):
+    def test_equal_scipy_bit_for_bit(self):
         g = get_distortion("gaussian_score")
         lazy = self.results([distortion.ndtri, distortion.ndtr, g.family.draw, g.family.cdf,
                              g.hprime, g.h])
-        # the record's h and h' read the module's names at call time
-        monkeypatch.setattr(distortion, "ndtri", scipy.special.ndtri)
-        monkeypatch.setattr(distortion, "ndtr", scipy.special.ndtr)
         want = self.results([scipy.special.ndtri, scipy.special.ndtr, scipy.special.ndtri,
-                             scipy.special.ndtr, g.hprime, g.h])
+                             scipy.special.ndtr, lambda p: -scipy.special.ndtri(p), self.scipy_h])
         for got, ref in zip(lazy, want, strict=True):
             assert type(got) is type(ref)
             assert np.asarray(got).dtype == np.asarray(ref).dtype
             assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+class TestCephesNdtri:
+    """``_ndtri_exact``, the port the Gaussian h and h' read, returns
+    scipy.special.ndtri's bits and types: an np.float64 for a scalar, an
+    array for an array."""
+
+    EDGES = [0.0, -0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0, math.nan, -math.nan,
+             math.inf, -math.inf, -40.0, -0.25, 1.5, 5e-324]
+
+    @staticmethod
+    def assert_same(got, ref):
+        assert type(got) is type(ref)
+        assert np.asarray(got).dtype == np.asarray(ref).dtype
+        assert np.shape(got) == np.shape(ref)
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+    @pytest.mark.parametrize("points", ["nodes", "reversed_nodes", "geometric", "uniform",
+                                        "matrix", "edges"])
+    def test_arrays_equal_scipy_bit_for_bit(self, points):
+        nodes = tanh_sinh_01()[0]
+        rng = np.random.default_rng(39)
+        p = {"nodes": lambda: nodes,
+             "reversed_nodes": lambda: nodes[::-1],
+             # the tails: both of cephes' sqrt(-2 log y) ranges, down to 1e-300
+             "geometric": lambda: np.geomspace(1e-300, 0.5, 200_001),
+             "uniform": lambda: rng.random(100_000),
+             "matrix": lambda: rng.random((3, 4)),
+             "edges": lambda: np.array(self.EDGES)}[points]()
+        self.assert_same(distortion._ndtri_exact(p), scipy.special.ndtri(p))
+
+    @pytest.mark.parametrize("p", EDGES)
+    def test_scalars_equal_scipy_bit_for_bit(self, p):
+        for x in (p, np.float64(p), np.array(p)):
+            self.assert_same(distortion._ndtri_exact(x), scipy.special.ndtri(x))
+
+    def test_nan_flows_through_and_is_negated(self):
+        # only p outside [0, 1] returns early; NaN reaches cephes' final
+        # negation, which flips its sign bit as scipy's does
+        got = distortion._ndtri_exact(np.array([math.nan, -math.nan, -0.25, 1.5]))
+        assert np.isnan(got).all()
+        assert np.signbit(got).tolist() == [True, False, False, False]

@@ -578,6 +578,9 @@ class TestTrain:
             base_config(mode="hybrid")
         with pytest.raises(ValueError):
             base_config(critic_form="mine")
+        # at lam = 0 the log mode's lam log Phi term vanishes: no log-mode run
+        with pytest.raises(ValueError, match="log mode requires a positive exploration weight"):
+            base_config(mode="log", lam=0.0)
         # a non-positive limit would reverse or zero every clipped update
         for limit in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="grad_clip"):
