@@ -63,6 +63,9 @@ class MarketParams:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not math.isfinite(self.rho):
             raise ValueError(f"price of risk (mu - r) / sigma must be finite, got {self.rho}")
+        # a product, not sigma**2, which raises OverflowError on a large float
+        if self.sigma * self.sigma == 0.0:
+            raise ValueError(f"sigma = {self.sigma:.3g} is too small: sigma^2 underflows to 0")
 
     @property
     def rho(self) -> float:
@@ -241,10 +244,16 @@ def _log_ratio(lam: float, l2sq: float, sigma: float, denom: float) -> float:
     ValueError naming lambda, ||h'||^2 and sigma."""
     ratio = lam * l2sq / denom
     if ratio == 0.0:
-        raise ValueError(f"log mode's quotient lambda ||h'||^2 / sigma^2 underflows to 0 at "
-                         f"lambda = {lam:.3g}, ||h'||^2 = {l2sq:.3g} and "
-                         f"sigma = {sigma:.3g}: its log is undefined")
+        raise _underflow(lam, l2sq, sigma, "lambda ||h'||^2 / sigma^2", "its log is undefined")
     return math.log(ratio)
+
+
+def _underflow(lam: float, l2sq: float, sigma: float, quotient: str, consequence: str
+               ) -> ValueError:
+    """The error for a log-mode ``quotient`` of lambda, ||h'||^2 and sigma^2
+    that underflows to 0, naming the three and the ``consequence``."""
+    return ValueError(f"log mode's quotient {quotient} underflows to 0 at lambda = {lam:.3g}, "
+                      f"||h'||^2 = {l2sq:.3g} and sigma = {sigma:.3g}: {consequence}")
 
 
 def _name_overflow(spec: EMVSpec, x, w):
@@ -291,10 +300,16 @@ def hjb_residual(t, x, spec: EMVSpec, market: MarketParams, w: float) -> float:
 def _scale(spec: EMVSpec, sigma: float, vxx) -> tuple[float, float]:
     """Hamiltonian-maximising scale at curvature V_xx, and the power of
     1/V_xx it grows with: lam / (sigma^2 V_xx) in plain mode,
-    sqrt(lam / (sigma^2 ||h'||^2 V_xx)) in log mode."""
+    sqrt(lam / (sigma^2 ||h'||^2 V_xx)) in log mode.  A plain-mode scale may
+    be 0; a log-mode quotient that underflows to 0 raises a ValueError."""
     if spec.mode == "plain":
         return spec.lam / (sigma**2 * vxx), 1.0
-    return math.sqrt(spec.lam / (sigma**2 * spec.h.l2_norm**2 * vxx)), 0.5
+    l2sq = spec.h.l2_norm**2
+    quotient = spec.lam / (sigma**2 * l2sq * vxx)
+    if quotient == 0.0:
+        raise _underflow(spec.lam, l2sq, sigma, "lambda / (sigma^2 ||h'||^2 V_xx)",
+                         "the policy scale would be 0")
+    return math.sqrt(quotient), 0.5
 
 
 def optimal_feedback(spec: EMVSpec, market: MarketParams) -> FeedbackPolicyParams:

@@ -10,7 +10,9 @@ are discretized with Euler-Maruyama on the time grid, by ``wealth_recurrence``
 Noise comes from counter-based Philox streams keyed by (seed, path index),
 so paths are reproducible independently of chunking or parallel order.  A run
 holds one generator per worker, rekeyed per path or episode, which draws the
-same bytes as a fresh generator per path at a fraction of the set-up cost.
+same bytes as a fresh generator per path at a fraction of the set-up cost;
+a Monte Carlo block rekeys by changing the path-index word of one state
+dict and assigning it, without a ``path_stream`` call per path.
 ``pathwise_objectives`` cuts its chunks into one contiguous block per usable
 CPU (at most one per chunk) and runs the blocks through ``fork_map``, the
 package's one way to use several CPUs.  A block allocates one noise, wealth,
@@ -93,9 +95,18 @@ def path_stream(seed: int, path_index: int,
     """
     if rng is None:
         rng = np.random.Generator(np.random.Philox())
+    rng.bit_generator.state = _philox_state(seed, path_index)
+    return rng
+
+
+def _philox_state(seed: int, path_index: int) -> dict:
+    """The state of a fresh Philox generator keyed by ``[seed mod 2**64,
+    index mod 2**64]``: the one place that key is laid out.  A caller may
+    change its key words and assign it again, since the state setter copies
+    every word."""
     # plain ints: the state setter reads each word by indexing, which costs
     # far more on a uint64 array than on a list
-    rng.bit_generator.state = {
+    return {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0],
                   "key": [operator.index(seed) & _U64, operator.index(path_index) & _U64]},
@@ -104,7 +115,6 @@ def path_stream(seed: int, path_index: int,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return rng
 
 
 def increment(market: MarketParams, dt: float, noise):
@@ -146,7 +156,8 @@ def pathwise_objectives(
 
     The chunks are cut into one contiguous block per usable CPU, at most one
     per chunk, run by ``fork_map``; there is one generator per block, rekeyed
-    per path, and ``chunk`` bounds each block's memory.  A block allocates
+    per path through one state dict of the block's own whose path-index word
+    alone changes, and ``chunk`` bounds each block's memory.  A block allocates
     one noise, wealth, drift and vol set of one chunk's size, and each of its
     chunks steps a view of the first rows in place, so the schedule receives
     the same memory at every step of the whole block and must not keep it
@@ -165,7 +176,12 @@ def pathwise_objectives(
         raise _gap_overflow(spec, w) from None
 
     def fill(lo, hi):
-        rng = np.random.Generator(np.random.Philox())  # rekeyed for every path
+        # one generator per block, rekeyed for every path by assigning one
+        # state dict whose path-index word alone changes
+        rng = np.random.Generator(np.random.Philox())
+        bit_generator, draw = rng.bit_generator, rng.standard_normal
+        state = _philox_state(sim.seed, lo)
+        key = state["state"]["key"]
         # one working set per block; a chunk uses the first n rows of each
         size = min(chunk, hi - lo)
         noise_set = np.empty((size, sim.n_steps))
@@ -175,8 +191,10 @@ def pathwise_objectives(
             for start in range(lo, hi, chunk):
                 n = min(chunk, hi - start)
                 noise = noise_set[:n]
-                for row in range(n):
-                    path_stream(sim.seed, start + row, rng).standard_normal(out=noise[row])
+                # the index word is start + row, below 2**64, so it needs no mask
+                for key[1], row in enumerate(noise, start):
+                    bit_generator.state = state
+                    draw(out=row)
                 x = x_set[:n]
                 x.fill(float(spec.x0))
                 drift, vol = drift_set[:n], vol_set[:n]  # the step's two terms
@@ -193,7 +211,7 @@ def pathwise_objectives(
                     # a mean or std that does not broadcast to it
                     mean = np.asarray(mean, dtype=float)
                     np.square(mean, out=vol)
-                    vol += np.square(std, out=drift)
+                    vol += np.square(std, out=drift if std.ndim else None)
                     np.sqrt(vol, out=vol)
                     vol *= sigma
                     vol *= sdt

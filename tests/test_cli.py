@@ -314,6 +314,21 @@ class TestExitStatus:
         (["solve", "--mode", "log", "--lambda", "5e-324", "--sigma", "10"],
          "log mode's quotient lambda ||h'||^2 / sigma^2 underflows to 0 at lambda = 4.94e-324, "
          "||h'||^2 = 1 and sigma = 10"),
+        # rho = 1e-5 is finite, but sigma^2 underflows to 0
+        (["solve", "--r", "0", "--mu", "1e-175", "--sigma", "1e-170"],
+         "sigma = 1e-170 is too small: sigma^2 underflows to 0"),
+        (["simulate", "--r", "0", "--mu", "1e-175", "--sigma", "1e-170"],
+         "sigma = 1e-170 is too small: sigma^2 underflows to 0"),
+        (["trajectory", "--r", "0", "--mu", "1e-175", "--sigma", "1e-170"],
+         "sigma = 1e-170 is too small: sigma^2 underflows to 0"),
+        # lambda / (2 sigma^2 ||h'||^2) rounds to 0 in the log-mode policy scale
+        (["simulate", "--mode", "log", "--lambda", "5e-324", "--sigma", "10",
+          "--n-paths", "4", "--n-steps", "4"],
+         "log mode's quotient lambda / (sigma^2 ||h'||^2 V_xx) underflows to 0 at "
+         "lambda = 4.94e-324, ||h'||^2 = 1 and sigma = 10"),
+        (["trajectory", "--mode", "log", "--lambda", "5e-324", "--sigma", "10", "--n-steps", "4"],
+         "log mode's quotient lambda / (sigma^2 ||h'||^2 V_xx) underflows to 0 at "
+         "lambda = 4.94e-324, ||h'||^2 = 1 and sigma = 10"),
     ])
     def test_bad_input_is_one_line_with_status_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -378,7 +393,10 @@ class TestExitStatus:
         (dict(modes=["log"], lambda_by_mode={"log": 0.0}),
          "mu=0.3, sigma=0.2, mode=log, h=gaussian_score, lambda=0.0",
          "log mode requires a positive exploration weight"),
-    ], ids=["h_name", "sigma", "episodes", "lambdas", "log_lambda_zero"])
+        (dict(sigma_list=[0.2, 1e-170]), "mu=0.3, sigma=1e-170, mode=plain, h=gaussian_score, "
+                                         "lambda=0.01",
+         "sigma = 1e-170 is too small: sigma^2 underflows to 0"),
+    ], ids=["h_name", "sigma", "episodes", "lambdas", "log_lambda_zero", "sigma_underflow"])
     def test_bad_cell_stops_before_any_cell_trains(self, bad, cell, message, jobs, tmp_path,
                                                    monkeypatch, capsys):
         calls = []

@@ -60,6 +60,12 @@ class TestMarketParams:
             with pytest.raises(ValueError, match="must be finite"):
                 MarketParams(**({"mu": 0.1, "sigma": 0.2} | bad))
 
+    def test_sigma_whose_square_underflows_is_refused(self):
+        # rho = 1e-5 is finite, but every closed form divides by sigma^2 = 0
+        with pytest.raises(ValueError, match=r"sigma = 1e-170 is too small: sigma\^2 underflows"):
+            MarketParams(mu=1e-175, sigma=1e-170, r=0.0)
+        assert MarketParams(mu=1e-155, sigma=1e-160).sigma == 1e-160  # a subnormal square
+
 
 @pytest.mark.parametrize("bad, match", [
     (dict(T=math.inf), "T must be finite"),
@@ -436,6 +442,22 @@ class TestImprovementStep:
         s1 = improvement_step(vf, spec, MARKET, 0.3, 0.9).scale
         s2 = improvement_step(doubled, spec, MARKET, 0.3, 0.9).scale
         assert s2 == pytest.approx(0.5 * s1, rel=1e-12)
+
+    def test_underflowing_log_scale_names_its_inputs(self):
+        # lam / (sigma^2 ||h'||^2 V_xx) rounds to 0, where the log-mode scale
+        # was 0 without a word; plain mode keeps its zero scale
+        market = MarketParams(mu=4.02, sigma=10.0, r=0.02)  # rho = 0.4
+        spec = spec_for("log", lam=5e-324)
+        named = (r"log mode's quotient lambda / \(sigma\^2 \|\|h'\|\|\^2 V_xx\) underflows "
+                 r"to 0 at lambda = 4.94e-324, \|\|h'\|\|\^2 = 1 and sigma = 10")
+        with pytest.raises(ValueError, match=named):
+            optimal_feedback(spec, market)
+        vf = feedback_value_fn(FeedbackPolicyParams(0.5, 0.2, 0.1), spec, market, 1.4)
+        with pytest.raises(ValueError, match=named):
+            improvement_step(vf, spec, market, 0.3, 0.9)
+        plain = spec_for("plain", lam=5e-324)
+        assert optimal_feedback(plain, market).scale_base == 0.0
+        assert improvement_step(vf, plain, market, 0.3, 0.9).scale == 0.0
 
     def test_convexity_violation_raises(self):
         spec = spec_for("plain")

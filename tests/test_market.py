@@ -396,6 +396,21 @@ class TestForkedWorkers:
         assert forked[0].tobytes() == whole[0].tobytes()
         assert forked[1].tobytes() == whole[1].tobytes()
 
+    @pytest.mark.parametrize("seed, same", [(13 + 2**64, 13), (-1, 2**64 - 1)],
+                             ids=["wrapped", "negative"])
+    def test_block_keys_mask_the_seed_like_path_stream(self, seed, same, forks):
+        # each block rekeys one state dict per path; its seed word is the
+        # seed mod 2**64, as in path_stream
+        spec = spec_for("log", 0.1)
+        w = lagrange_multiplier(spec, MARKET)
+        schedule = optimal_schedule(spec, MARKET, w)
+        got, want = (pathwise_objectives(schedule, spec, MARKET,
+                                         SimConfig.from_horizon(1.0, 16, n_paths=300, seed=s),
+                                         w, chunk=37)
+                     for s in (seed, same))
+        assert len(forks) == 4
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
     def test_child_exception_reaches_the_caller(self, forks):
         def fails_on_last_chunk(t, x):
             if len(x) == 4:

@@ -682,14 +682,14 @@ class TestTrainMany:
             self.assert_same(result, first[i])
 
     def test_non_finite_wealth_leaves_after_the_first_draw_block(self):
-        # on sigma 1e-300 the wealth stays at x0 while the log-mode
-        # regularizer at lambda 5000 drives the exploration scale up; the
-        # scale overflows in episode 33, the second draw block, and the
-        # wealth turns non-finite before any parameter does.  The gaussian
+        # on sigma 1e-150 the wealth stays at x0 for 31 episodes while the
+        # log-mode regularizer at lambda 4000 drives the exploration scale
+        # up; the wealth moves in episode 32 and turns non-finite in episode
+        # 33, the second draw block, before any parameter does.  The gaussian
         # rows are not one contiguous run, before or after it leaves.
         cells = [  # (h, mode, lam, market, seed)
             ("gaussian_score", "plain", 0.01, MarketParams(mu=0.3, sigma=0.2, r=0.02), 1),
-            ("gaussian_score", "log", 5000.0, MarketParams(mu=0.02, sigma=1e-300, r=0.02), 3),
+            ("gaussian_score", "log", 4000.0, MarketParams(mu=0.02, sigma=1e-150, r=0.02), 3),
             ("gini", "log", 0.1, MarketParams(mu=0.3, sigma=0.2, r=0.02), 7),
             ("gaussian_score", "log", 0.1, MarketParams(mu=-0.5, sigma=0.2, r=0.02), 5),
         ]
